@@ -24,10 +24,6 @@ pub mod sites {
     pub const TILE_OUTPUT: &str = "accel.tile.output";
 }
 
-/// One scalar-vector accumulate step `w · x⃗` of a vector unit; returns the
-/// cycles it took.
-type AccumulateFn<'a> = dyn FnMut(i32, &[i32]) -> Result<u64, Error> + 'a;
-
 /// A tile's verified result: the cycle breakdown, the bitplane words
 /// scanned (base compute plus any degraded recompute), the accepted
 /// output writes, and whether they came from the degraded
@@ -505,129 +501,107 @@ impl TileEngine {
         p: usize,
         edt_s: Option<u32>,
     ) -> Result<ComputedTile, Error> {
-        let (r, c) = (g.r(), g.c());
-        let mut xs = vec![0i32; p];
+        let (r, c, depth, t_c) = (g.r(), g.c(), g.depth(), self.tiling.t_c);
+        let patch = gather_patch(g, input, (r1, r_hi), (c1, c_hi), self.tiling);
         let mut tile_cycles = 0u64;
         let mut tile_full = 0u64;
-        // Bitplane work is billed as a sum over all T_M units and lanes
-        // (real popcount work), unlike cycles, which are the max over
-        // the lock-stepped units (latency).
+        // Bitplane work is billed as a sum over all T_M units (one shared
+        // occupancy scan of the term's prefix serves every lane), unlike
+        // cycles, which are the max over the lock-stepped units (latency).
         let bp_on = bitplane::engine() == EngineKind::Bitplane;
+        let words = |prefix: u64| if bp_on { bitplane::words_in_prefix(prefix) } else { 0 };
         let mut tile_words = 0u64;
         let mut writes = Vec::with_capacity((m_hi - m1) * (r_hi - r1) * (c_hi - c1));
 
         for m in m1..m_hi {
             // One vector unit per output feature map in the tile; the
             // T_M units run in parallel, so the tile's latency is the
-            // max of the per-unit latencies.
+            // max of the per-unit latencies. Every unit streams its own
+            // weights against the same gathered patch rows.
+            let terms = weights[m * depth..(m + 1) * depth].iter().copied().zip(patch.chunks(p));
             let mut unit_cycles = 0u64;
-            let mut run_unit = |accumulate: &mut AccumulateFn<'_>| -> Result<(), Error> {
-                for z in 0..g.z {
-                    for i in 0..g.k {
-                        for j in 0..g.k {
-                            let w = weights[(m * g.z + z) * g.k * g.k + i * g.k + j];
-                            // Gather the T_R·T_C input pixels (lanes
-                            // beyond the layer edge process x = 0, like
-                            // disabled PEs in hardware).
-                            for (lane, slot) in xs.iter_mut().enumerate() {
-                                let rr = r1 + lane / self.tiling.t_c;
-                                let cc = c1 + lane % self.tiling.t_c;
-                                *slot = if rr < r_hi && cc < c_hi {
-                                    let y = rr * g.stride + i;
-                                    let x = cc * g.stride + j;
-                                    input[(z * g.in_h + y) * g.in_w + x]
-                                } else {
-                                    0
-                                };
-                            }
-                            unit_cycles += accumulate(w, &xs)?;
-                        }
-                    }
-                }
-                Ok(())
-            };
-
             let mut unit_full = 0u64;
-            let values: Vec<i64> = if let Some(s) = edt_s {
-                let edt = EarlyTerminationScMac::new(self.n, s)?;
-                let mut accs = vec![SaturatingAccumulator::new(self.n, self.extra_bits); p];
-                run_unit(&mut |w, xs| {
-                    // What the full-precision serial schedule would have
-                    // billed for this term: |w| cycles.
-                    unit_full += w.unsigned_abs() as u64;
-                    let mut term_cycles = 0;
-                    for (acc, &x) in accs.iter_mut().zip(xs) {
-                        let product = edt.multiply(w, x)?;
-                        term_cycles = product.cycles;
-                        acc.add(product.value);
+            let values: Vec<i64> = match (edt_s, self.arithmetic) {
+                (Some(s), _) => {
+                    let mut mvm = BiscMvm::new(self.n, p, self.extra_bits);
+                    for (w, xs) in terms {
+                        let t = mvm.accumulate_truncated(w, xs, s)?;
+                        unit_cycles += t;
+                        // What the full-precision serial schedule would
+                        // have billed for this term: |w| cycles.
+                        unit_full += w.unsigned_abs() as u64;
+                        tile_words += words(t);
                     }
-                    if bp_on {
-                        // Each lane scans the truncated prefix.
-                        tile_words += bitplane::words_in_prefix(term_cycles) * p as u64;
+                    mvm.read()
+                }
+                (None, AccelArithmetic::ProposedSerial) => {
+                    let mut mvm = BiscMvm::new(self.n, p, self.extra_bits);
+                    for (w, xs) in terms {
+                        let k = mvm.accumulate(w, xs)?;
+                        unit_cycles += k;
+                        tile_words += words(k);
                     }
-                    Ok(term_cycles)
-                })?;
-                accs.iter().map(|a| a.value()).collect()
-            } else {
-                match self.arithmetic {
-                    AccelArithmetic::ProposedSerial => {
-                        let mut mvm = BiscMvm::new(self.n, p, self.extra_bits);
-                        run_unit(&mut |w, xs| {
-                            let k = mvm.accumulate(w, xs)?;
-                            if bp_on {
-                                // The |w|-cycle prefix is scanned once per
-                                // term: the occupancy counts are shared
-                                // across all lanes.
-                                tile_words += bitplane::words_in_prefix(k);
-                            }
-                            Ok(k)
-                        })?;
-                        mvm.read()
+                    mvm.read()
+                }
+                (None, AccelArithmetic::ProposedParallel(b)) => {
+                    let mut mvm = BitParallelMvm::new(self.n, p, self.extra_bits, b)?;
+                    for (w, xs) in terms {
+                        unit_cycles += mvm.accumulate(w, xs)?;
+                        // The columns tile the same |w|-cycle prefix.
+                        tile_words += words(w.unsigned_abs() as u64);
                     }
-                    AccelArithmetic::ProposedParallel(b) => {
-                        let mut mvm = BitParallelMvm::new(self.n, p, self.extra_bits, b)?;
-                        run_unit(&mut |w, xs| {
-                            let cycles = mvm.accumulate(w, xs)?;
-                            if bp_on {
-                                let k = w.unsigned_abs() as u64;
-                                tile_words +=
-                                    bitplane::words_in_parallel_term(k, b as u64) * p as u64;
-                            }
-                            Ok(cycles)
-                        })?;
-                        mvm.read()
+                    mvm.read()
+                }
+                (None, AccelArithmetic::Fixed) => {
+                    let mul = FixedMul::new(self.n);
+                    let mut accs = vec![SaturatingAccumulator::new(self.n, self.extra_bits); p];
+                    for (w, xs) in terms {
+                        for (acc, &x) in accs.iter_mut().zip(xs) {
+                            acc.add(mul.multiply(w, x)?);
+                        }
+                        unit_cycles += 1; // one cycle per term
                     }
-                    AccelArithmetic::Fixed => {
-                        let mul = FixedMul::new(self.n);
-                        let mut accs =
-                            vec![
-                                sc_core::mac::SaturatingAccumulator::new(self.n, self.extra_bits);
-                                p
-                            ];
-                        run_unit(&mut |w, xs| {
-                            for (acc, &x) in accs.iter_mut().zip(xs) {
-                                acc.add(mul.multiply(w, x)?);
-                            }
-                            Ok(1) // one cycle per term
-                        })?;
-                        accs.iter().map(|a| a.value()).collect()
-                    }
+                    accs.iter().map(|a| a.value()).collect()
                 }
             };
             tile_cycles = tile_cycles.max(unit_cycles);
             tile_full = tile_full.max(unit_full);
 
-            for (lane, &v) in values.iter().enumerate() {
-                let rr = r1 + lane / self.tiling.t_c;
-                let cc = c1 + lane % self.tiling.t_c;
-                if rr < r_hi && cc < c_hi {
-                    writes.push(((m * r + rr) * c + cc, v));
+            for (lr, rr) in (r1..r_hi).enumerate() {
+                for (lc, cc) in (c1..c_hi).enumerate() {
+                    writes.push(((m * r + rr) * c + cc, values[lr * t_c + lc]));
                 }
             }
         }
         // Outside EDT mode tile_full stays 0, so savings read 0.
         Ok((tile_cycles, tile_full.saturating_sub(tile_cycles), tile_words, writes))
     }
+}
+
+/// Gathers a tile's input patch once, term-major: row `(z, i, j)` of the
+/// result holds the `p = T_R·T_C` lane codes (lane `lr·T_C + lc`) that
+/// every one of the tile's `T_M` units multiplies by its weight
+/// `W[m][z][i][j]` — an im2col restricted to the tile. Lanes past the
+/// layer edge carry x = 0, like disabled PEs in hardware.
+fn gather_patch(
+    g: &ConvGeometry,
+    input: &[i32],
+    (r1, r_hi): (usize, usize),
+    (c1, c_hi): (usize, usize),
+    tiling: Tiling,
+) -> Vec<i32> {
+    let p = tiling.lanes();
+    let mut patch = vec![0i32; g.depth() * p];
+    let taps = (0..g.z).flat_map(|z| (0..g.k).flat_map(move |i| (0..g.k).map(move |j| (z, i, j))));
+    for ((z, i, j), row) in taps.zip(patch.chunks_mut(p)) {
+        for (lr, rr) in (r1..r_hi).enumerate() {
+            let y = (z * g.in_h + rr * g.stride + i) * g.in_w + j;
+            for (lc, cc) in (c1..c_hi).enumerate() {
+                row[lr * tiling.t_c + lc] = input[y + cc * g.stride];
+            }
+        }
+    }
+    patch
 }
 
 /// Per-tile accumulator produced on a worker thread and merged by

@@ -2,9 +2,9 @@
 //! saturating MAC-chain sum for arbitrary geometries and tilings —
 //! driven by a deterministic seeded sweep.
 
-use sc_accel::engine::{AccelArithmetic, TileEngine};
+use sc_accel::engine::{AccelArithmetic, LayerRun, TileEngine};
 use sc_accel::layer::{ConvGeometry, Tiling};
-use sc_core::mac::{SaturatingAccumulator, SignedScMac};
+use sc_core::mac::{BitParallelScMac, EarlyTerminationScMac, SaturatingAccumulator, SignedScMac};
 use sc_core::rng::SmallRng;
 use sc_core::Precision;
 use sc_fixed::FixedMul;
@@ -62,6 +62,28 @@ fn golden_with(
     out
 }
 
+/// Per-tile cycle golden in the engine's canonical `(m1, r1, c1)` tile
+/// order: the `T_M` units of a tile run in lock step, so each tile takes
+/// the max over its units of `Σ_terms cost(w)`.
+fn golden_tile_cycles(
+    g: &ConvGeometry,
+    t: Tiling,
+    weights: &[i32],
+    cost: impl Fn(i32) -> u64,
+) -> Vec<u64> {
+    let units: Vec<u64> =
+        weights.chunks(g.depth()).map(|ws| ws.iter().map(|&w| cost(w)).sum()).collect();
+    let spatial = g.r().div_ceil(t.t_r) * g.c().div_ceil(t.t_c);
+    units
+        .chunks(t.t_m)
+        .flat_map(|group| std::iter::repeat_n(group.iter().copied().max().unwrap_or(0), spatial))
+        .collect()
+}
+
+fn tile_compute(run: &LayerRun) -> Vec<u64> {
+    run.tiles.iter().map(|tp| tp.compute).collect()
+}
+
 #[test]
 fn engine_matches_golden_random() {
     let mut rng = SmallRng::seed_from_u64(0xacce101);
@@ -94,23 +116,66 @@ fn engine_matches_golden_random() {
             t_r: rng.gen_range_usize(1..4),
             t_c: rng.gen_range_usize(1..4),
         };
+        let b = 1u32 << rng.gen_range_usize(0..5);
+        let serial_tiles = golden_tile_cycles(&g, tiling, &weights, |w| w.unsigned_abs() as u64);
 
-        let prop_run = TileEngine::new(n, tiling, AccelArithmetic::ProposedSerial, 8)
-            .run_layer(&g, &input, &weights)
-            .unwrap();
-        assert_eq!(prop_run.outputs, golden_proposed(&g, n, &input, &weights, 8), "{g:?}");
+        // A = 8 never saturates at N = 7; A ∈ {0, 1} clamps mid-layer, so
+        // the order in which each product saturates must match too.
+        for a in [0u32, 1, 8] {
+            let run = |arithmetic, s| {
+                TileEngine::new(n, tiling, arithmetic, a).run_layer_at(&g, &input, &weights, s)
+            };
+            let case = format!("{g:?} {tiling:?} A={a}");
 
-        let fix_run = TileEngine::new(n, tiling, AccelArithmetic::Fixed, 8)
-            .run_layer(&g, &input, &weights)
-            .unwrap();
-        assert_eq!(fix_run.outputs, golden_fixed(&g, n, &input, &weights, 8), "{g:?}");
+            let prop_run = run(AccelArithmetic::ProposedSerial, None).unwrap();
+            assert_eq!(prop_run.outputs, golden_proposed(&g, n, &input, &weights, a), "{case}");
+            assert_eq!(tile_compute(&prop_run), serial_tiles, "{case}");
 
-        // Bit-parallel is bit-exact with serial and at least as fast.
-        let par_run = TileEngine::new(n, tiling, AccelArithmetic::ProposedParallel(4), 8)
-            .run_layer(&g, &input, &weights)
-            .unwrap();
-        assert_eq!(par_run.outputs, prop_run.outputs, "{g:?}");
-        assert!(par_run.cycles <= prop_run.cycles, "{g:?}");
+            let fix_run = run(AccelArithmetic::Fixed, None).unwrap();
+            assert_eq!(fix_run.outputs, golden_fixed(&g, n, &input, &weights, a), "{case}");
+            let depth = golden_tile_cycles(&g, tiling, &weights, |_| 1);
+            assert_eq!(tile_compute(&fix_run), depth, "{case}");
+
+            // Bit-parallel is bit-exact with serial: each lane equals a
+            // per-lane bit-parallel MAC, in ⌈|w|/b⌉ cycles per term.
+            let par_run = run(AccelArithmetic::ProposedParallel(b), None).unwrap();
+            let mac = BitParallelScMac::new(n, b).unwrap();
+            let par_gold = golden_with(&g, n, &input, &weights, a, |w, x| {
+                mac.multiply_signed(w, x).unwrap().value
+            });
+            assert_eq!(par_run.outputs, par_gold, "{case} b={b}");
+            assert_eq!(par_run.outputs, prop_run.outputs, "{case} b={b}");
+            let par_tiles = golden_tile_cycles(&g, tiling, &weights, |w| {
+                (w.unsigned_abs() as u64).div_ceil(b as u64)
+            });
+            assert_eq!(tile_compute(&par_run), par_tiles, "{case} b={b}");
+
+            // Every EDT tier: per-lane early-termination MACs, |w|≫(N−s)
+            // cycles per term, and the savings against the serial
+            // schedule, whatever the configured arithmetic.
+            for s in 1..=n.bits() {
+                let edt = EarlyTerminationScMac::new(n, s).unwrap();
+                let edt_gold = golden_with(&g, n, &input, &weights, a, |w, x| {
+                    edt.multiply(w, x).unwrap().value
+                });
+                let edt_tiles = golden_tile_cycles(&g, tiling, &weights, |w| {
+                    (w.unsigned_abs() >> (n.bits() - s)) as u64
+                });
+                for arithmetic in [
+                    AccelArithmetic::ProposedSerial,
+                    AccelArithmetic::ProposedParallel(b),
+                    AccelArithmetic::Fixed,
+                ] {
+                    let edt_run = run(arithmetic, Some(s)).unwrap();
+                    assert_eq!(edt_run.outputs, edt_gold, "{case} s={s} {arithmetic:?}");
+                    assert_eq!(tile_compute(&edt_run), edt_tiles, "{case} s={s}");
+                    let saved: Vec<u64> = edt_run.tiles.iter().map(|tp| tp.edt_saved).collect();
+                    let expect: Vec<u64> =
+                        serial_tiles.iter().zip(&edt_tiles).map(|(f, e)| f - e).collect();
+                    assert_eq!(saved, expect, "{case} s={s}");
+                }
+            }
+        }
     }
 }
 

@@ -193,8 +193,11 @@ mod tests {
             "slow",
             "fast",
             "sum",
-            || (0..2000u64).sum::<u64>(),
-            || (0..100u64).sum::<u64>(),
+            // Opaque bounds and terms: otherwise the optimizer folds each
+            // sum to a closed form and "slow" times the same work as
+            // "fast".
+            || (0..black_box(2000u64)).map(black_box).sum::<u64>(),
+            || (0..black_box(100u64)).map(black_box).sum::<u64>(),
         );
         assert!(pair.speedup() > 1.0, "speedup {}", pair.speedup());
         let results = g.finish();

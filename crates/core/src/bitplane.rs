@@ -38,6 +38,7 @@
 //! additionally fall back to the cycle path whenever fault sites are
 //! armed, so injected faults always interact with real per-cycle state.
 
+use crate::num::MAX_PRECISION;
 use crate::{seq, Precision};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -113,6 +114,11 @@ pub fn set_engine(kind: Option<EngineKind>) {
     OVERRIDE.store(v, Ordering::Relaxed);
 }
 
+/// Serializes this crate's unit tests that switch the process-wide
+/// engine.
+#[cfg(test)]
+pub(crate) static TEST_ENGINE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Per-word bit patterns of selectors `i = 0..=5` (periods `2 ..= 64`):
 /// `LOW_MASKS[i]` has a 1 at every bit `b ≡ 2^i − 1 (mod 2^(i+1))`.
 pub const LOW_MASKS: [u64; 6] = [
@@ -163,20 +169,6 @@ pub fn words_in_range(lo: u64, hi: u64) -> u64 {
     } else {
         (hi - 1) / 64 - lo / 64 + 1
     }
-}
-
-/// Packed words a bit-parallel (`b` bits/cycle) term of `k` total stream
-/// bits scans: one [`range_ones`] per column of `≤ b` bits. Mirrors
-/// `BitParallelScMac::multiply_signed`'s column loop exactly.
-pub fn words_in_parallel_term(k: u64, b: u64) -> u64 {
-    let mut words = 0;
-    let mut lo = 0;
-    while lo < k {
-        let hi = (lo + b).min(k);
-        words += words_in_range(lo, hi);
-        lo = hi;
-    }
-    words
 }
 
 /// Ones in the first `k` stream positions of operand `u` — the bitplane
@@ -295,20 +287,24 @@ pub fn plane_count(z: u32, lo: u64, hi: u64) -> u64 {
     }
 }
 
+/// Nibble tables a [`RangeCounts`] needs to cover every operand bit at
+/// [`MAX_PRECISION`].
+const NIBBLE_TABLES: usize = MAX_PRECISION.div_ceil(4) as usize;
+
 /// Shared bitplane occupancy of one cycle range, amortized across the
 /// lanes of an MVM: the per-selector plane popcounts over `lo..hi`
 /// depend only on the range — never on a lane's operand — so they are
 /// computed once per term ([`RangeCounts::new`]) and folded into nibble
-/// lookup tables. Each lane's ones-count is then `⌈N/4⌉` table reads
-/// ([`RangeCounts::ones`]), independent of the range length: the MVM
-/// fast path becomes O(p) per term instead of O(p·k).
+/// lookup tables. Each lane's ones-count is then one table read per
+/// operand nibble ([`RangeCounts::ones`]), independent of the range
+/// length: the MVM fast path becomes O(p) per term instead of O(p·k).
 #[derive(Debug, Clone)]
 pub struct RangeCounts {
     len: u64,
     /// `tables[t][v]`: Σ over the set bits `j` of nibble value `v` of
-    /// the plane count attached to operand bit `4t + j`.
-    tables: [[u64; 16]; 8],
-    ntables: usize,
+    /// the plane count attached to operand bit `4t + j` (0 for bits
+    /// beyond the precision).
+    tables: [[u64; 16]; NIBBLE_TABLES],
 }
 
 impl RangeCounts {
@@ -316,20 +312,19 @@ impl RangeCounts {
     /// precision `n`.
     pub fn new(n: Precision, lo: u64, hi: u64) -> RangeCounts {
         let bits = n.bits();
-        // Operand bit b (LSB-based) is picked by selector z = bits-1-b;
-        // bits beyond the precision keep weight 0.
-        let mut weight = [0u64; 32];
+        let mut tables = [[0u64; 16]; NIBBLE_TABLES];
         for b in 0..bits {
-            weight[b as usize] = plane_count(bits - 1 - b, lo, hi);
-        }
-        let ntables = bits.div_ceil(4) as usize;
-        let mut tables = [[0u64; 16]; 8];
-        for (t, table) in tables.iter_mut().enumerate().take(ntables) {
-            for (v, slot) in table.iter_mut().enumerate() {
-                *slot = (0..4).filter(|j| (v >> j) & 1 == 1).map(|j| weight[4 * t + j]).sum();
+            // Operand bit b (LSB-based) is picked by selector z = bits-1-b.
+            // Adding it as bit j of its nibble fills the table entries
+            // that have bit j as their highest set bit:
+            // table[v | 1<<j] = table[v] + weight_j for every v < 2^j.
+            let weight = plane_count(bits - 1 - b, lo, hi);
+            let (table, j) = (&mut tables[(b / 4) as usize], b % 4);
+            for v in 0..1usize << j {
+                table[v | 1 << j] = table[v] + weight;
             }
         }
-        RangeCounts { len: hi.saturating_sub(lo), tables, ntables }
+        RangeCounts { len: hi.saturating_sub(lo), tables }
     }
 
     /// Number of stream positions in the range.
@@ -345,12 +340,13 @@ impl RangeCounts {
     }
 
     /// Ones of operand `u`'s stream over the range — equal to
-    /// [`range_ones`]`(u, n, lo, hi)` by construction (property-tested).
+    /// [`range_ones`]`(u, n, lo, hi)` by construction (property-tested)
+    /// for every operand `u < 2^N`.
     #[inline]
     pub fn ones(&self, u: u32) -> u64 {
         let mut ones = 0u64;
-        for t in 0..self.ntables {
-            ones += self.tables[t][((u >> (4 * t)) & 0xF) as usize];
+        for (t, table) in self.tables.iter().enumerate() {
+            ones += table[((u >> (4 * t)) & 0xF) as usize];
         }
         ones
     }
@@ -569,12 +565,6 @@ mod tests {
         assert_eq!(words_in_range(0, 64), 1);
         assert_eq!(words_in_range(63, 65), 2);
         assert_eq!(words_in_range(64, 128), 1);
-        // b = 8, k = 20 → columns [0,8) [8,16) [16,20): all in word 0.
-        assert_eq!(words_in_parallel_term(20, 8), 3);
-        // Columns that straddle a word boundary count both words:
-        // [0,48) → 1, [48,96) → 2, [96,128) → 1.
-        assert_eq!(words_in_parallel_term(128, 48), 1 + 2 + 1);
-        assert_eq!(words_in_parallel_term(0, 8), 0);
     }
 
     #[test]
@@ -682,6 +672,7 @@ mod tests {
         assert_eq!(EngineKind::Bitplane.name(), "bitplane");
         assert_eq!(EngineKind::CycleAccurate.name(), "cycle");
         // Override wins over the (unset) env default and is restorable.
+        let _lock = TEST_ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let before = engine();
         set_engine(Some(EngineKind::CycleAccurate));
         assert_eq!(engine(), EngineKind::CycleAccurate);

@@ -12,7 +12,7 @@
 //! bit-exactly what a standalone [`crate::mac::SignedScMac`] would.
 
 use crate::bitplane::{self, EngineKind};
-use crate::mac::{BitParallelScMac, SaturatingAccumulator, SignedScMac};
+use crate::mac::{BitParallelScMac, EarlyTerminationScMac, SaturatingAccumulator};
 use crate::seq;
 use crate::{Error, Precision};
 
@@ -36,7 +36,6 @@ pub const DEFAULT_EXTRA_BITS: u32 = 2;
 #[derive(Debug, Clone)]
 pub struct BiscMvm {
     n: Precision,
-    mac: SignedScMac,
     lanes: Vec<SaturatingAccumulator>,
     cycles: u64,
 }
@@ -45,12 +44,7 @@ impl BiscMvm {
     /// Creates an MVM with `p` lanes at precision `n` and `extra_bits`
     /// accumulation bits (paper default `A = 2`).
     pub fn new(n: Precision, p: usize, extra_bits: u32) -> Self {
-        BiscMvm {
-            n,
-            mac: SignedScMac::new(n),
-            lanes: vec![SaturatingAccumulator::new(n, extra_bits); p],
-            cycles: 0,
-        }
+        BiscMvm { n, lanes: vec![SaturatingAccumulator::new(n, extra_bits); p], cycles: 0 }
     }
 
     /// The operand precision.
@@ -73,9 +67,9 @@ impl BiscMvm {
     /// (fast behavioural path; saturation is applied per product).
     ///
     /// On the bitplane engine the weight is decoded once and every lane
-    /// reduces to one packed-word prefix popcount; on the cycle-accurate
-    /// engine each lane runs the serial per-cycle walk. Both are bitwise
-    /// identical.
+    /// reduces to a few reads of one shared occupancy scan; on the
+    /// cycle-accurate engine each lane runs the serial per-cycle walk.
+    /// Both are bitwise identical.
     ///
     /// Returns the cycles this term took (`|w_code|`).
     ///
@@ -84,39 +78,67 @@ impl BiscMvm {
     /// Returns [`Error::LengthMismatch`] if `xs.len() != p`, or
     /// [`Error::CodeOutOfRange`] if any code is out of range.
     pub fn accumulate(&mut self, w: i32, xs: &[i32]) -> Result<u64, Error> {
+        let k = self.accumulate_prefix(w, xs, 0)?;
+        self.cycles += k;
+        Ok(k)
+    }
+
+    /// Accumulates one scalar-vector product in the early-termination
+    /// mode of [`EarlyTerminationScMac`]: the shared down counter stops
+    /// after the top `s` weight bits (`t = ⌊|w_code| / 2^(N−s)⌋` cycles)
+    /// and every lane's count is left-shifted by `N − s`. Each lane gets
+    /// exactly what a standalone `EarlyTerminationScMac` would, from the
+    /// same shared occupancy scan as [`accumulate`](Self::accumulate).
+    ///
+    /// Returns the cycles this term took (`t`).
+    ///
+    /// # Errors
+    ///
+    /// As [`accumulate`](Self::accumulate), plus
+    /// [`Error::UnsupportedPrecision`] if `s` is 0 or exceeds `N`.
+    pub fn accumulate_truncated(&mut self, w: i32, xs: &[i32], s: u32) -> Result<u64, Error> {
+        let shift = self.n.bits() - EarlyTerminationScMac::new(self.n, s)?.effective_bits();
+        let t = self.accumulate_prefix(w, xs, shift)? >> shift;
+        self.cycles += t;
+        Ok(t)
+    }
+
+    /// The shared decode behind every term: one down-counter load, one
+    /// sign flag and, on the bitplane engine, one occupancy scan of the
+    /// `t = |w_code| >> shift`-cycle prefix, whose per-selector counts are
+    /// lane-independent. Each lane then adds `±(2·P_t(u) − t) << shift`.
+    /// The serial design (`shift = 0`), the bit-parallel one (its columns
+    /// tile the same `|w_code|`-bit prefix) and early termination (a
+    /// shorter prefix) differ only in the cycles their callers bill.
+    ///
+    /// Returns `|w_code|`; cycles are left to the caller.
+    // Inlined so `shift = 0` folds away in the serial and bit-parallel
+    // lane loops: with a runtime shift a 512-lane term ran 10–20% slower
+    // (N = 8, 2-vCPU x86-64 VM).
+    #[inline(always)]
+    fn accumulate_prefix(&mut self, w: i32, xs: &[i32], shift: u32) -> Result<u64, Error> {
         if xs.len() != self.lanes.len() {
             return Err(Error::LengthMismatch { expected: self.lanes.len(), actual: xs.len() });
         }
-        let k = match bitplane::engine() {
-            EngineKind::Bitplane => {
-                // Shared decode: one down-counter load, one sign flag —
-                // and one shared occupancy scan: the per-selector cycle
-                // counts of the prefix are lane-independent, so each
-                // lane's ones count is a few nibble-table reads.
-                let wc = self.n.check_signed(w as i64)?;
-                let k = wc.code().unsigned_abs() as u64;
-                let w_neg = wc.code() < 0;
-                let counts = bitplane::RangeCounts::new(self.n, 0, k);
-                for (lane, &x) in self.lanes.iter_mut().zip(xs) {
-                    let u = self.n.check_signed(x as i64)?.to_offset_binary();
-                    let p = counts.ones(u) as i64;
-                    let raw = 2 * p - k as i64;
-                    lane.add(if w_neg { -raw } else { raw });
-                }
-                k
-            }
-            EngineKind::CycleAccurate => {
-                // The shared down counter runs |w| cycles regardless of
-                // lane count — decode w first so both engines agree.
-                let k = self.n.check_signed(w as i64)?.code().unsigned_abs() as u64;
-                for (lane, &x) in self.lanes.iter_mut().zip(xs) {
-                    let prod = self.mac.multiply(w, x)?;
-                    lane.add(prod.value);
-                }
-                k
-            }
+        // The shared down counter runs regardless of lane count: decode w
+        // before any lane.
+        let wc = self.n.check_signed(w as i64)?;
+        let k = wc.code().unsigned_abs() as u64;
+        let t = k >> shift;
+        let w_neg = wc.code() < 0;
+        let counts = match bitplane::engine() {
+            EngineKind::Bitplane => Some(bitplane::RangeCounts::new(self.n, 0, t)),
+            EngineKind::CycleAccurate => None,
         };
-        self.cycles += k;
+        for (lane, &x) in self.lanes.iter_mut().zip(xs) {
+            let u = self.n.check_signed(x as i64)?.to_offset_binary();
+            let ones = match &counts {
+                Some(c) => c.ones(u),
+                None => bitplane::prefix_ones_serial(u, self.n, t),
+            };
+            let raw = (2 * ones as i64 - t as i64) << shift;
+            lane.add(if w_neg { -raw } else { raw });
+        }
         Ok(k)
     }
 
@@ -287,11 +309,15 @@ pub fn average_mac_latency(weights: &[i32], b: u32) -> f64 {
 
 /// The bit-parallel MVM: identical maths, `ceil(|w|/b)` cycles per term.
 /// Provided as a thin wrapper so array-level experiments can switch
-/// between the serial and parallel datapaths.
+/// between the serial and parallel datapaths. Its columns tile the same
+/// `|w|`-bit prefix the serial design streams, so every term's values
+/// come from the serial MVM's shared occupancy scan; only the billed
+/// cycles differ. [`BitParallelScMac::multiply_signed`] is the per-lane
+/// reference it is tested against.
 #[derive(Debug, Clone)]
 pub struct BitParallelMvm {
     inner: BiscMvm,
-    mac: BitParallelScMac,
+    b: u32,
 }
 
 impl BitParallelMvm {
@@ -302,36 +328,23 @@ impl BitParallelMvm {
     /// Returns [`Error::InvalidParallelism`] for invalid `b` (see
     /// [`BitParallelScMac::new`]).
     pub fn new(n: Precision, p: usize, extra_bits: u32, b: u32) -> Result<Self, Error> {
-        Ok(BitParallelMvm {
-            inner: BiscMvm::new(n, p, extra_bits),
-            mac: BitParallelScMac::new(n, b)?,
-        })
+        let b = BitParallelScMac::new(n, b)?.parallelism();
+        Ok(BitParallelMvm { inner: BiscMvm::new(n, p, extra_bits), b })
     }
 
     /// The degree of bit-parallelism.
     pub fn parallelism(&self) -> u32 {
-        self.mac.parallelism()
+        self.b
     }
 
     /// Accumulates one scalar-vector product; returns its cycle count
-    /// (`ceil(|w|/b)`).
+    /// (`ceil(|w|/b)`, whatever the lane count).
     ///
     /// # Errors
     ///
     /// Same as [`BiscMvm::accumulate`].
     pub fn accumulate(&mut self, w: i32, xs: &[i32]) -> Result<u64, Error> {
-        if xs.len() != self.inner.lanes.len() {
-            return Err(Error::LengthMismatch {
-                expected: self.inner.lanes.len(),
-                actual: xs.len(),
-            });
-        }
-        let mut cycles = 0;
-        for (lane, &x) in self.inner.lanes.iter_mut().zip(xs) {
-            let prod = self.mac.multiply_signed(w, x)?;
-            lane.add(prod.value);
-            cycles = prod.cycles;
-        }
+        let cycles = self.inner.accumulate_prefix(w, xs, 0)?.div_ceil(self.b as u64);
         self.inner.cycles += cycles;
         Ok(cycles)
     }
@@ -355,9 +368,53 @@ impl BitParallelMvm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mac::{SignedProduct, SignedScMac};
 
     fn p(bits: u32) -> Precision {
         Precision::new(bits).unwrap()
+    }
+
+    /// Runs `f` under each execution engine in turn, holding the crate's
+    /// engine lock and restoring the default afterwards.
+    fn under_both_engines(mut f: impl FnMut(EngineKind)) {
+        struct Restore;
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                bitplane::set_engine(None);
+            }
+        }
+        let _lock = bitplane::TEST_ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _restore = Restore;
+        for engine in [EngineKind::CycleAccurate, EngineKind::Bitplane] {
+            bitplane::set_engine(Some(engine));
+            f(engine);
+        }
+    }
+
+    /// Feeds every code as a lane and every code as a weight in turn to
+    /// `term` (which accumulates one term and returns its cycles and the
+    /// lane counters after it), and checks each lane against a per-lane
+    /// `reference` MAC feeding its own saturating accumulator: products,
+    /// cycles and saturation order alike (`A = 0` clamps within a few
+    /// terms).
+    fn check_against_per_lane(
+        n: Precision,
+        a: u32,
+        mut term: impl FnMut(i32, &[i32]) -> (u64, Vec<i64>),
+        reference: impl Fn(i32, i32) -> SignedProduct,
+    ) {
+        let h = n.half_scale() as i32;
+        let xs: Vec<i32> = (-h..h).collect();
+        let mut golden = vec![SaturatingAccumulator::new(n, a); xs.len()];
+        for w in -h..h {
+            let (cycles, lanes) = term(w, &xs);
+            for (acc, &x) in golden.iter_mut().zip(&xs) {
+                let product = reference(w, x);
+                assert_eq!(cycles, product.cycles, "w={w} x={x}");
+                acc.add(product.value);
+            }
+            assert_eq!(lanes, golden.iter().map(|g| g.value()).collect::<Vec<_>>(), "w={w}");
+        }
     }
 
     #[test]
@@ -467,6 +524,79 @@ mod tests {
         assert_eq!(serial.read(), par.read());
         assert_eq!(serial_cycles, 33 + 250 + 4);
         assert_eq!(par_cycles, 5 + 32 + 1); // ceil(|w|/8)
+    }
+
+    #[test]
+    fn bit_parallel_mvm_matches_per_lane_reference() {
+        under_both_engines(|engine| {
+            for bits in 4..=6u32 {
+                let n = p(bits);
+                for b in [1u32, 2, 4, 8, 16] {
+                    let mac = BitParallelScMac::new(n, b).unwrap();
+                    for a in [0u32, 8] {
+                        let lanes = n.stream_len() as usize;
+                        let mut mvm = BitParallelMvm::new(n, lanes, a, b).unwrap();
+                        let mut billed = 0;
+                        check_against_per_lane(
+                            n,
+                            a,
+                            |w, xs| {
+                                let cycles = mvm.accumulate(w, xs).unwrap();
+                                billed += cycles;
+                                (cycles, mvm.read())
+                            },
+                            |w, x| mac.multiply_signed(w, x).unwrap(),
+                        );
+                        assert_eq!(mvm.cycles(), billed, "{engine:?} N={bits} b={b} A={a}");
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn truncated_terms_match_per_lane_edt_reference() {
+        under_both_engines(|engine| {
+            let n = p(6);
+            for s in 1..=6u32 {
+                let edt = EarlyTerminationScMac::new(n, s).unwrap();
+                for a in [0u32, 8] {
+                    let mut mvm = BiscMvm::new(n, n.stream_len() as usize, a);
+                    let mut billed = 0;
+                    check_against_per_lane(
+                        n,
+                        a,
+                        |w, xs| {
+                            let cycles = mvm.accumulate_truncated(w, xs, s).unwrap();
+                            billed += cycles;
+                            (cycles, mvm.read())
+                        },
+                        |w, x| edt.multiply(w, x).unwrap(),
+                    );
+                    assert_eq!(mvm.cycles(), billed, "{engine:?} s={s} A={a}");
+                }
+            }
+            let mut mvm = BiscMvm::new(n, 1, 2);
+            assert!(matches!(
+                mvm.accumulate_truncated(5, &[1], 0),
+                Err(Error::UnsupportedPrecision { .. })
+            ));
+            assert!(mvm.accumulate_truncated(5, &[1], 7).is_err());
+        });
+    }
+
+    #[test]
+    fn zero_lane_mvms_still_decode_the_weight() {
+        // The shared down counter is loaded whatever the lane count: the
+        // weight is range-checked and its cycles are billed.
+        let n = p(8);
+        let mut serial = BiscMvm::new(n, 0, 2);
+        let mut par = BitParallelMvm::new(n, 0, 2, 8).unwrap();
+        assert!(matches!(serial.accumulate(300, &[]), Err(Error::CodeOutOfRange { .. })));
+        assert!(matches!(par.accumulate(300, &[]), Err(Error::CodeOutOfRange { .. })));
+        assert_eq!(serial.accumulate(-100, &[]).unwrap(), 100);
+        assert_eq!(par.accumulate(-100, &[]).unwrap(), 13);
+        assert_eq!((serial.cycles(), par.cycles()), (100, 13));
     }
 
     #[test]

@@ -59,6 +59,31 @@ for eng in cycle bitplane; do
     done
 done
 
+echo "==> benchmark gate: build, test and smoke-run perfbench"
+# perfbench/ is its own workspace, so the workspace build above never
+# compiles it and a crate API change could break the benchmark
+# silently. Its workloads check their own outputs (accel_conv: serial
+# == bit-parallel layer outputs, and the engine's sampled tile == its
+# BiscMvm, BitParallelMvm and BiscMvmRtl replays); every result line
+# must report correct and no failed operation.
+BENCH_TARGET="${CARGO_TARGET_DIR:-$PWD/.bench_build}"
+CARGO_TARGET_DIR="$BENCH_TARGET" \
+    cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+BENCH_RESULT="$(mktemp)"
+for w in cnn_infer accel_conv serve_storm; do
+    CARGO_TARGET_DIR="$BENCH_TARGET" \
+        python3 perfbench/run.py --workload "$w" --seed 42 --seconds 2 > "$BENCH_RESULT"
+    python3 - "$w" "$BENCH_RESULT" <<'EOF'
+import json, sys
+w, path = sys.argv[1], sys.argv[2]
+r = json.loads(open(path).read().splitlines()[-1])
+assert r["correct"] is True, f"perfbench {w}: correct is {r['correct']!r}"
+assert r["failed"] == 0, f"perfbench {w}: {r['failed']} of {r['attempted']} operations failed"
+print(f"    {w}: {r['attempted']} operations, all correct")
+EOF
+done
+rm -f "$BENCH_RESULT"
+
 echo "==> fault gate: workspace suite under a nonzero SC_FAULTS plan"
 # Tests that depend on clean arithmetic install their own scoped plans
 # (which override the env), so the suite must stay green with ambient
