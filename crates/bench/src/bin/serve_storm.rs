@@ -1299,9 +1299,7 @@ fn run(ctx: &mut sc_telemetry::BenchCtx) {
     for row in &rows {
         let idx = obs.scenario(row.name, row.site, 1);
         obs.ingest(idx, &row.report.event_records(TRACE_SEED, &row.workload));
-        for tree in &row.report.traces {
-            obs.fold_tree(idx, tree);
-        }
+        obs.fold(idx, &row.report.folded);
     }
     for row in &frows {
         let idx = obs.scenario(row.name, row.site, REPLICAS as u64);

@@ -8,7 +8,7 @@
 //! index)`, so results never depend on which thread executes the work.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock, RwLock};
 
 use crate::plan::{FaultKind, FaultPlan};
 use crate::split_mix;
@@ -19,9 +19,11 @@ struct Global {
     /// Fast gate: true iff a plan with at least one nonzero-rate entry
     /// is installed.
     armed: AtomicBool,
-    /// Whether `SC_FAULTS` has been consumed (or superseded by an
-    /// explicit [`install`]).
-    env_read: AtomicBool,
+    /// Completes once `SC_FAULTS` has been consumed and its plan
+    /// installed (or superseded by an explicit [`install`] / [`clear`]).
+    /// Every plan change waits on it, so the env plan can never land on
+    /// top of a plan installed after it.
+    env_load: Once,
     /// Serializes scoped installs so parallel tests can't race plans.
     scope: Mutex<()>,
 }
@@ -31,7 +33,7 @@ fn global() -> &'static Global {
     GLOBAL.get_or_init(|| Global {
         plan: RwLock::new(None),
         armed: AtomicBool::new(false),
-        env_read: AtomicBool::new(false),
+        env_load: Once::new(),
         scope: Mutex::new(()),
     })
 }
@@ -46,16 +48,16 @@ fn set_plan(plan: Option<Arc<FaultPlan>>) {
 /// Installs `plan` as the process-global fault plan, replacing any
 /// previous plan (including one loaded from `SC_FAULTS`).
 pub fn install(plan: FaultPlan) {
-    let g = global();
-    g.env_read.store(true, Ordering::Release);
+    // Leaves `SC_FAULTS` unread, or waits out a load in progress.
+    global().env_load.call_once(|| {});
     set_plan(Some(Arc::new(plan)));
 }
 
 /// Removes the active plan; the process behaves as if `SC_FAULTS` were
 /// unset from here on.
 pub fn clear() {
-    let g = global();
-    g.env_read.store(true, Ordering::Release);
+    // As in `install`: the env plan never lands after this.
+    global().env_load.call_once(|| {});
     set_plan(None);
 }
 
@@ -72,10 +74,15 @@ pub fn clear() {
 /// the spec does not parse; the variable is still marked consumed, so
 /// later site resolutions run fault-free rather than re-panicking.
 pub fn try_load_env() -> Result<(), sc_core::Error> {
-    let g = global();
-    if g.env_read.swap(true, Ordering::AcqRel) {
-        return Ok(());
-    }
+    // The first caller parses and installs under the `Once`; concurrent
+    // callers block until the plan is in place, later ones pay one
+    // atomic load.
+    let mut loaded = Ok(());
+    global().env_load.call_once(|| loaded = load_env());
+    loaded
+}
+
+fn load_env() -> Result<(), sc_core::Error> {
     let Ok(spec) = std::env::var("SC_FAULTS") else { return Ok(()) };
     match FaultPlan::parse(&spec) {
         Ok(plan) => {

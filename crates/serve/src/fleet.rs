@@ -1,11 +1,11 @@
 //! Sharded multi-replica serving fleet.
 //!
-//! [`Fleet::run`] generalizes the single-server loop in [`crate::server`]
-//! to `N` replicated backends behind deterministic placement, per-replica
-//! circuit breakers and health verdicts, deterministic failover, and
-//! hedged requests — all still a pure function of the workload, the
-//! configuration, and the armed fault plan, so the whole fleet storm is
-//! bitwise reproducible at any `SC_THREADS`.
+//! [`Fleet::run`] is the crate's only serving loop: `N` replicated
+//! backends behind deterministic placement, per-replica circuit breakers
+//! and health verdicts, deterministic failover, and hedged requests —
+//! all a pure function of the workload, the configuration, and the armed
+//! fault plan, so the whole fleet storm is bitwise reproducible at any
+//! `SC_THREADS`. [`crate::Server`] is its one-replica case.
 //!
 //! The moving parts:
 //!
@@ -577,6 +577,18 @@ impl Fleet {
     pub fn try_run(
         &self,
         backends: &mut [Box<dyn Backend>],
+        requests: Vec<Request>,
+    ) -> Result<FleetReport, sc_core::Error> {
+        let mut backends: Vec<&mut dyn Backend> =
+            backends.iter_mut().map(|b| b.as_mut() as &mut dyn Backend).collect();
+        self.serve(&mut backends, requests)
+    }
+
+    /// The serving loop, over borrowed backends: [`Fleet::try_run`] and
+    /// [`crate::Server::try_run`] (a one-replica fleet) both run here.
+    pub(crate) fn serve(
+        &self,
+        backends: &mut [&mut dyn Backend],
         mut requests: Vec<Request>,
     ) -> Result<FleetReport, sc_core::Error> {
         let n = self.config.replicas;
@@ -590,7 +602,7 @@ impl Fleet {
         for r in &requests {
             if r.payload >= min_payloads {
                 return Err(sc_core::Error::InvalidConfig {
-                    what: "fleet workload".to_string(),
+                    what: "serve workload".to_string(),
                     reason: format!(
                         "request {} names payload {} but a backend has only {}",
                         r.id, r.payload, min_payloads
@@ -1485,7 +1497,7 @@ impl Fleet {
                 let out = self.attempt(
                     &sites,
                     &fc,
-                    backends[r2].as_mut(),
+                    &mut *backends[r2],
                     r2,
                     id,
                     payload,
@@ -1617,7 +1629,7 @@ impl Fleet {
                     let out = self.attempt(
                         &sites,
                         &fc,
-                        backends[r].as_mut(),
+                        &mut *backends[r],
                         r,
                         id,
                         entry.req.payload,

@@ -27,7 +27,10 @@
 //!   streams), the paper-faithful latency/quality dial: Sim & Lee's
 //!   multiplier finishes early at reduced stream length, and the serving
 //!   layer downshifts exactly that knob under pressure;
-//! * [`server`] — the discrete-event serving loop tying it together;
+//! * [`fleet`] — the discrete-event serving loop tying it together,
+//!   over `N` replicas with placement, failover, and hedging; it is the
+//!   only event loop in the crate;
+//! * [`server`] — the single-server front-end, a one-replica [`Fleet`];
 //! * [`backend`] — [`Backend`] implementations over the tiled
 //!   accelerator ([`AccelBackend`]) and whole-network quantized
 //!   inference ([`NeuralBackend`]);

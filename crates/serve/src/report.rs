@@ -15,7 +15,9 @@
 use std::collections::BTreeMap;
 
 use sc_health::HealthReport;
-use sc_telemetry::{BackendProfile, CycleAttribution, EventRecord, SpanTree, TraceId};
+use sc_telemetry::{
+    BackendProfile, CycleAttribution, EventRecord, FoldedStacks, SpanTree, TraceId,
+};
 
 use crate::server::Request;
 
@@ -217,6 +219,10 @@ pub struct ServeReport {
     /// One causal span tree per request, in finalization order (same
     /// order as `responses`).
     pub traces: Vec<SpanTree>,
+    /// Folded-stack cycle profile over every span tree. It is a pure
+    /// function of `traces`, so [`ServeReport::fingerprint`] leaves it
+    /// out.
+    pub folded: FoldedStacks,
     /// The health monitor's report (window series, SLO verdicts,
     /// incidents), when [`crate::ServerConfig::health`] enables it.
     pub health: Option<HealthReport>,
@@ -307,6 +313,7 @@ mod tests {
             max_queue_depth: 1,
             horizon: 1000,
             traces: vec![],
+            folded: FoldedStacks::new(),
             health: None,
         };
         assert_eq!(report.latency_percentile(50.0), 500);
@@ -330,6 +337,7 @@ mod tests {
             max_queue_depth: 0,
             horizon: 0,
             traces: vec![],
+            folded: FoldedStacks::new(),
             health: None,
         };
         assert_eq!(report.latency_percentile(99.0), 0);
@@ -349,6 +357,7 @@ mod tests {
             max_queue_depth: 1,
             horizon: 10,
             traces: vec![],
+            folded: FoldedStacks::new(),
             health: None,
         };
         let fp = a.fingerprint();

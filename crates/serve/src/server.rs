@@ -1,6 +1,6 @@
-//! The deterministic serving loop.
+//! The single-server front-end.
 //!
-//! [`Server::run`] is a single-server discrete-event simulation on the
+//! [`Server::run`] serves a request trace against one backend on the
 //! virtual clock: time is accelerator cycles, service time is the
 //! backend's data-dependent cycle count, and every decision — admission,
 //! shedding, EDF dispatch, degradation tier, retry backoff, breaker
@@ -10,23 +10,26 @@
 //! `SC_THREADS` setting, which is what makes overload behaviour and
 //! fault storms regression-testable.
 //!
-//! Event order within a tick is fixed: the in-flight completion first,
-//! then expiry of queued deadlines, then arrivals, then dispatch. The
-//! server dispatches at most one request at a time (the backend models
-//! one accelerator); retried requests re-enter the admission queue
-//! behind a backoff gate and compete for capacity like everyone else.
+//! A server is a one-replica [`Fleet`] with hedging and recovery off and
+//! [`ServerConfig::health`] as its fleet-level monitor, so the fleet
+//! loop in [`crate::fleet`] is the only event loop. With one replica it
+//! dispatches at most one request at a time (the backend models one
+//! accelerator); retried requests re-enter the admission queue behind a
+//! backoff gate and compete for capacity like everyone else. This module
+//! keeps what every replica shares: the request and backend types, the
+//! `serve.*` metrics, and the replay of a request's accounting into its
+//! span tree.
 
 use std::sync::{Arc, OnceLock};
 
-use sc_health::{HealthConfig, HealthMonitor, Sample, SpanSummary, SystemState};
+use sc_health::HealthConfig;
 use sc_telemetry::metrics::{counter, histogram, log2_bounds, Counter, Histogram};
 use sc_telemetry::{BackendProfile, CycleCategory, SpanId, SpanTree, TraceId};
 
-use crate::breaker::CircuitBreaker;
-use crate::clock::VirtualClock;
 use crate::degrade::DegradePolicy;
-use crate::queue::{AdmissionQueue, Queued, ShedPolicy};
-use crate::report::{Outcome, Response, Segment, ServeReport};
+use crate::fleet::{Fleet, FleetConfig};
+use crate::queue::{Queued, ShedPolicy};
+use crate::report::{Segment, ServeReport};
 use crate::retry::RetryPolicy;
 
 /// One inference request.
@@ -149,19 +152,6 @@ pub(crate) fn metrics() -> &'static ServeMetrics {
     })
 }
 
-/// The request currently occupying the backend.
-struct Inflight {
-    entry: Queued,
-    tier: usize,
-    finish_at: u64,
-    /// `None` = the call succeeded; `Some(e)` = it failed (injected or
-    /// surfaced by the backend) and the failure is detected at
-    /// `finish_at`.
-    error: Option<sc_core::Error>,
-    /// The successful reply's cycle breakdown (`None` on failure).
-    profile: Option<BackendProfile>,
-}
-
 /// Closes the open wait interval `[marker, now)` on `entry` as a
 /// [`Segment::Wait`], split at the backoff-gate expiry: the portion
 /// before `not_before` was backoff, the rest dispatchable queue wait.
@@ -259,8 +249,8 @@ fn graft_profile(
     }
 }
 
-/// The deterministic serving front-end. See the module docs for the
-/// event model.
+/// The single-server front-end: a one-replica [`Fleet`]. See the
+/// module docs.
 #[derive(Debug, Clone)]
 pub struct Server {
     config: ServerConfig,
@@ -288,353 +278,42 @@ impl Server {
     }
 
     /// Fallible form of [`Server::run`], for externally-supplied
-    /// workloads.
+    /// workloads and tuning.
     ///
     /// # Errors
     ///
-    /// Rejects the workload if a request names a payload index the
-    /// backend does not have.
+    /// Rejects invalid tuning (see [`Fleet::try_new`]: a zero queue
+    /// capacity, a malformed SLO objective) and a request naming a
+    /// payload index the backend does not have.
     pub fn try_run(
         &self,
         backend: &mut dyn Backend,
-        mut requests: Vec<Request>,
+        requests: Vec<Request>,
     ) -> Result<ServeReport, sc_core::Error> {
-        let m = metrics();
-        for r in &requests {
-            if r.payload >= backend.payloads() {
-                return Err(sc_core::Error::InvalidConfig {
-                    what: "serve workload".to_string(),
-                    reason: format!(
-                        "request {} names payload {} but the backend has {}",
-                        r.id,
-                        r.payload,
-                        backend.payloads()
-                    ),
-                });
-            }
-        }
-        requests.sort_by_key(|r| (r.arrival, r.id));
-
-        let mut clock = VirtualClock::new();
-        let mut queue = AdmissionQueue::new(self.config.queue_capacity, self.config.shed_policy);
-        let mut breaker = CircuitBreaker::new(self.config.breaker);
-        let fault = sc_fault::site(crate::sites::BACKEND);
-        let mut monitor =
-            HealthMonitor::new(self.config.health.clone(), self.config.degrade.tier_count() - 1);
-        let mut noted_trips = 0u64;
-
-        let mut inflight: Option<Inflight> = None;
-        let mut next_arrival = 0usize;
-        let mut responses: Vec<Response> = Vec::with_capacity(requests.len());
-        let mut completed_by_tier = vec![0u64; self.config.degrade.tier_count()];
-        let mut shed = 0u64;
-        let mut timed_out = 0u64;
-        let mut breaker_rejected = 0u64;
-        let mut failed = 0u64;
-        let mut retries = 0u64;
-        let mut max_queue_depth = 0usize;
-        let mut traces: Vec<SpanTree> = Vec::with_capacity(requests.len());
-        let trace_seed = self.config.trace_seed;
-
-        // The monitor is threaded through as an explicit parameter (not
-        // captured) so the loop can also advance it between finalizations.
-        let mut finalize =
-            |entry: &mut Queued, outcome: Outcome, now: u64, mon: &mut Option<HealthMonitor>| {
-                // Close the open wait interval so the accounting timeline
-                // covers the request's whole lifetime.
-                settle_wait(entry, now);
-                let latency = now.saturating_sub(entry.req.arrival);
-                match outcome {
-                    Outcome::Completed { tier } => {
-                        completed_by_tier[tier] += 1;
-                        m.completed.incr(1);
-                        if tier > 0 {
-                            m.degraded.incr(1);
-                        }
-                        m.latency.record(latency);
-                    }
-                    Outcome::Shed => {
-                        shed += 1;
-                        m.shed.incr(1);
-                    }
-                    Outcome::TimedOut => {
-                        timed_out += 1;
-                        m.timeout.incr(1);
-                    }
-                    Outcome::BreakerOpen => {
-                        breaker_rejected += 1;
-                        m.breaker_final.incr(1);
-                    }
-                    Outcome::Failed => {
-                        failed += 1;
-                        m.failed.incr(1);
-                    }
-                }
-                let tree = build_trace(trace_seed, entry, now);
-                debug_assert_eq!(
-                    tree.validate(),
-                    Ok(()),
-                    "span tree for request {} is malformed",
-                    entry.req.id
-                );
-                let attribution = tree.attribution();
-                debug_assert_eq!(
-                    attribution.total(),
-                    latency,
-                    "request {}: attribution must sum to latency",
-                    entry.req.id
-                );
-                sc_telemetry::record_attribution(&attribution);
-                responses.push(Response {
-                    id: entry.req.id,
-                    payload: entry.req.payload,
-                    outcome,
-                    attempts: entry.attempts,
-                    finished_at: now,
-                    latency,
-                    attribution,
-                });
-                traces.push(tree);
-                if let Some(hm) = mon.as_mut() {
-                    hm.sample(match outcome {
-                        Outcome::Completed { tier } => {
-                            Sample::Completed { latency, degraded: tier > 0 }
-                        }
-                        Outcome::Shed => Sample::Shed,
-                        Outcome::TimedOut => Sample::TimedOut,
-                        Outcome::BreakerOpen | Outcome::Failed => Sample::Error,
-                    });
-                    hm.record_span(SpanSummary {
-                        id: entry.req.id,
-                        outcome: outcome.name().to_string(),
-                        latency,
-                        attempts: entry.attempts,
-                        finished_at: now,
-                    });
-                }
-            };
-
-        loop {
-            // Next event: the in-flight completion, the next arrival, or
-            // (while idle) a queued entry's backoff expiring; queued
-            // deadlines always count so timeouts fire on time.
-            let mut event: Option<u64> = None;
-            let mut consider = |t: u64| event = Some(event.map_or(t, |e: u64| e.min(t)));
-            if let Some(inf) = &inflight {
-                consider(inf.finish_at);
-            }
-            if let Some(r) = requests.get(next_arrival) {
-                consider(r.arrival);
-            }
-            if inflight.is_none() {
-                if let Some(t) = queue.next_ready_at() {
-                    consider(t);
-                }
-            }
-            if let Some(t) = queue.next_deadline_at() {
-                consider(t);
-            }
-            let Some(t) = event else { break };
-            let now = t.max(clock.now());
-            clock.advance_to(now);
-
-            // Health windows close on the boundary *before* events at
-            // `now` are processed, so window membership is a pure
-            // function of cycle time.
-            if let Some(hm) = monitor.as_mut() {
-                let state = SystemState {
-                    queue_depth: queue.len(),
-                    queue_capacity: queue.capacity(),
-                    inflight: inflight.is_some() as usize,
-                    breaker: breaker.state().name().to_string(),
-                    breaker_trips: breaker.trips(),
-                    tier_floor: hm.tier_floor(),
-                    lifecycle: "live".to_string(),
-                    rejoins: 0,
-                };
-                hm.advance(now, &state);
-            }
-
-            // 1. Completion (before arrivals at the same tick).
-            if let Some(inf) = inflight.take_if(|inf| inf.finish_at <= now) {
-                let mut entry = inf.entry;
-                // The backend occupation window [marker, now) is one
-                // attempt segment — a service window or a failure
-                // burning its detection latency.
-                entry.acct.segments.push(Segment::Attempt {
-                    start: entry.acct.marker,
-                    end: now,
-                    ok: inf.error.is_none(),
-                    profile: inf.profile,
-                });
-                entry.acct.marker = now;
-                match inf.error {
-                    None => {
-                        breaker.on_success(now);
-                        if now >= entry.req.deadline {
-                            finalize(&mut entry, Outcome::TimedOut, now, &mut monitor);
-                        } else {
-                            finalize(
-                                &mut entry,
-                                Outcome::Completed { tier: inf.tier },
-                                now,
-                                &mut monitor,
-                            );
-                        }
-                    }
-                    Some(e) => {
-                        breaker.on_failure(now);
-                        sc_telemetry::event!("serve.attempt_failed", now, e);
-                        if entry.attempts >= self.config.retry.max_attempts {
-                            finalize(&mut entry, Outcome::Failed, now, &mut monitor);
-                        } else {
-                            let wait = self.config.retry.backoff(entry.req.id, entry.attempts);
-                            entry.not_before = now + wait;
-                            if entry.not_before >= entry.req.deadline {
-                                finalize(&mut entry, Outcome::TimedOut, now, &mut monitor);
-                            } else if let Some(mut victim) = queue.push(entry) {
-                                finalize(&mut victim, Outcome::Shed, now, &mut monitor);
-                            }
-                        }
-                    }
-                }
-                // Surface breaker trips to the flight recorder as they
-                // happen (trip count only moves on failures).
-                if let Some(hm) = monitor.as_mut() {
-                    if breaker.trips() > noted_trips {
-                        noted_trips = breaker.trips();
-                        hm.note(now, "serve.breaker.trip", format!("trips={noted_trips}"));
-                    }
-                }
-            }
-
-            // 2. Expired deadlines among the queued.
-            for mut dead in queue.drop_expired(now) {
-                finalize(&mut dead, Outcome::TimedOut, now, &mut monitor);
-            }
-
-            // 3. Arrivals at this tick.
-            while requests.get(next_arrival).is_some_and(|r| r.arrival <= now) {
-                let req = requests[next_arrival];
-                next_arrival += 1;
-                let mut entry = Queued::fresh(req);
-                if req.deadline <= now {
-                    finalize(&mut entry, Outcome::TimedOut, now, &mut monitor);
-                    continue;
-                }
-                m.admitted.incr(1);
-                if let Some(mut victim) = queue.push(entry) {
-                    finalize(&mut victim, Outcome::Shed, now, &mut monitor);
-                }
-                max_queue_depth = max_queue_depth.max(queue.len());
-            }
-
-            // 4. Dispatch while the backend is idle and someone is
-            // ready. The degradation tier is sampled from occupancy
-            // before the pop, so the dispatched request itself counts
-            // toward the pressure it is served under.
-            while inflight.is_none() {
-                let (occ_tier, occ_bits) =
-                    self.config.degrade.tier_for(queue.len(), queue.capacity());
-                // The SLO verdict imposes a *floor* on the occupancy
-                // tier: a burning error budget keeps the dial degraded
-                // even while the queue itself looks shallow.
-                let floor = monitor.as_ref().map_or(0, HealthMonitor::tier_floor);
-                let (tier, bits) = if floor > occ_tier {
-                    (floor, self.config.degrade.bits_for(floor))
-                } else {
-                    (occ_tier, occ_bits)
-                };
-                let Some(mut entry) = queue.pop_ready(now) else { break };
-                // The wait that just ended becomes a segment; the
-                // marker now sits at the dispatch tick.
-                settle_wait(&mut entry, now);
-                entry.attempts += 1;
-                if entry.attempts > 1 {
-                    retries += 1;
-                    m.retry.incr(1);
-                }
-                if !breaker.admits(now) {
-                    entry.acct.segments.push(Segment::Breaker { at: now });
-                    if entry.attempts >= self.config.retry.max_attempts {
-                        finalize(&mut entry, Outcome::BreakerOpen, now, &mut monitor);
-                    } else {
-                        let wait = self.config.retry.backoff(entry.req.id, entry.attempts);
-                        entry.not_before = now + wait;
-                        if entry.not_before >= entry.req.deadline {
-                            finalize(&mut entry, Outcome::TimedOut, now, &mut monitor);
-                        } else {
-                            // Space is guaranteed: we just popped.
-                            let victim = queue.push(entry);
-                            debug_assert!(victim.is_none());
-                        }
-                    }
-                    continue;
-                }
-                let injected = fault
-                    .as_ref()
-                    .and_then(|s| s.transient(entry.req.id, entry.attempts as u64))
-                    .map(|_| sc_core::Error::RetryExhausted {
-                        what: format!("injected backend fault (request {})", entry.req.id),
-                        attempts: entry.attempts,
-                    });
-                let result = match injected {
-                    Some(e) => Err(e),
-                    None => backend.serve(entry.req.payload, bits),
-                };
-                inflight = Some(match result {
-                    Ok(reply) => Inflight {
-                        finish_at: now + reply.cycles.max(1),
-                        entry,
-                        tier,
-                        error: None,
-                        profile: Some(reply.profile),
-                    },
-                    Err(e) => Inflight {
-                        finish_at: now + self.config.failure_ticks.max(1),
-                        entry,
-                        tier,
-                        error: Some(e),
-                        profile: None,
-                    },
-                });
-            }
-        }
-
-        let health = monitor.map(|hm| {
-            let state = SystemState {
-                queue_depth: queue.len(),
-                queue_capacity: queue.capacity(),
-                inflight: 0,
-                breaker: breaker.state().name().to_string(),
-                breaker_trips: breaker.trips(),
-                tier_floor: hm.tier_floor(),
-                lifecycle: "live".to_string(),
-                rejoins: 0,
-            };
-            let report = hm.finish(clock.now(), &state);
-            m.health_windows.incr(report.closed_windows());
-            m.health_breach.incr(report.breaches());
-            m.health_recover.incr(report.recoveries());
-            m.health_incident.incr(report.incidents.len() as u64);
-            m.health_floor_raise
-                .incr(report.transitions.iter().filter(|t| t.to > t.from).count() as u64);
-            report
-        });
-
+        let fleet = Fleet::try_new(FleetConfig {
+            server: ServerConfig { health: HealthConfig::disabled(), ..self.config.clone() },
+            replicas: 1,
+            hedge: None,
+            fleet_health: self.config.health.clone(),
+            recovery: None,
+            keep_traces: true,
+            ..FleetConfig::default()
+        })?;
+        let f = fleet.serve(&mut [backend], requests)?;
         Ok(ServeReport {
-            responses,
-            completed_by_tier,
-            shed,
-            timed_out,
-            breaker_rejected,
-            failed,
-            retries,
-            breaker_trips: breaker.trips(),
-            max_queue_depth,
-            horizon: clock.now(),
-            traces,
-            health,
+            responses: f.responses,
+            completed_by_tier: f.completed_by_tier,
+            shed: f.shed,
+            timed_out: f.timed_out,
+            breaker_rejected: f.breaker_rejected,
+            failed: f.failed,
+            retries: f.retries,
+            breaker_trips: f.shards[0].breaker_trips,
+            max_queue_depth: f.max_queue_depth,
+            horizon: f.horizon,
+            traces: f.traces,
+            folded: f.folded,
+            health: f.health,
         })
     }
 }
@@ -643,6 +322,7 @@ impl Server {
 mod tests {
     use super::*;
     use crate::degrade::DegradeTier;
+    use crate::report::Outcome;
 
     /// Fixed-service-time backend that fails its first `fail_first`
     /// calls, and serves degraded requests proportionally faster.
@@ -928,5 +608,42 @@ mod tests {
         assert_eq!(r1.outcome, Outcome::TimedOut);
         assert_eq!(r1.finished_at, 400, "expiry fires at the deadline tick, not later");
         assert_eq!(report.completed(), 1);
+    }
+
+    #[test]
+    fn a_retry_requeued_beside_a_waiting_request_counts_toward_peak_depth() {
+        // Request 0 is dispatched at 0 and its call fails at 50; request
+        // 1 has waited since 10, so 0's re-queue makes the depth 2.
+        let server = Server::new(ServerConfig { failure_ticks: 50, ..ServerConfig::default() });
+        let mut backend = MockBackend { cycles: 100, fail_first: 1, calls: 0 };
+        let report = server.run(
+            &mut backend,
+            vec![
+                Request { id: 0, arrival: 0, deadline: 100_000, payload: 0 },
+                Request { id: 1, arrival: 10, deadline: 100_000, payload: 1 },
+            ],
+        );
+        assert_eq!((report.completed(), report.retries), (2, 1));
+        assert_eq!(report.max_queue_depth, 2, "the re-queued retry counts toward the peak");
+    }
+
+    #[test]
+    fn invalid_tuning_is_an_error_not_a_panic() {
+        let err = |config: ServerConfig| {
+            Server::new(config)
+                .try_run(&mut MockBackend::healthy(100), trace(2, 200, 1_000))
+                .unwrap_err()
+                .to_string()
+        };
+        let e = err(ServerConfig { queue_capacity: 0, ..ServerConfig::default() });
+        assert!(e.contains("capacity must be positive"), "{e}");
+        let e = err(ServerConfig {
+            health: sc_health::HealthConfig::with_objectives(
+                1_000,
+                vec![sc_health::Objective::goodput("goodput", 0.9).with_spans(4, 2)],
+            ),
+            ..ServerConfig::default()
+        });
+        assert!(e.contains("fast span wider than slow span"), "{e}");
     }
 }

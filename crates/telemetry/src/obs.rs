@@ -208,8 +208,14 @@ impl FoldedStacks {
     /// `;`-joined). Zero-cycle additions are dropped — they would add
     /// noise frames (e.g. breaker markers) with no area.
     pub fn add(&mut self, path: &str, cycles: u64) {
-        if cycles > 0 {
-            *self.stacks.entry(path.to_string()).or_insert(0) += cycles;
+        if cycles == 0 {
+            return;
+        }
+        match self.stacks.get_mut(path) {
+            Some(c) => *c += cycles,
+            None => {
+                self.stacks.insert(path.to_string(), cycles);
+            }
         }
     }
 
@@ -217,24 +223,31 @@ impl FoldedStacks {
     /// under its root-to-leaf frame path.
     pub fn add_tree(&mut self, tree: &SpanTree) {
         let spans = tree.spans();
+        // Parents are inserted before their children, so one forward
+        // pass lays out every span's path (its parent's path, `;`, its
+        // own frame) in one buffer and marks the spans that have a
+        // child. The search for the parent runs backwards from the
+        // child, which it usually sits just behind.
+        let mut paths = String::with_capacity(spans.len() * 32);
+        let mut ranges: Vec<(usize, usize, bool)> = Vec::with_capacity(spans.len());
         for (i, s) in spans.iter().enumerate() {
-            let is_leaf = !spans.iter().any(|c| c.parent == Some(s.id));
-            if !is_leaf || s.cycles() == 0 {
-                continue;
+            let start = paths.len();
+            if let Some(p) = s.parent.and_then(|pid| spans[..i].iter().rposition(|q| q.id == pid)) {
+                let (a, b, _) = ranges[p];
+                ranges[p].2 = true;
+                paths.extend_from_within(a..b);
+                paths.push(';');
             }
-            // Walk parents up to the root, then reverse into a path.
-            let mut frames: Vec<&str> = Vec::new();
-            let mut cursor = Some(i);
-            while let Some(ci) = cursor {
-                let span = &spans[ci];
-                frames.push(match span.category {
-                    CycleCategory::Layer => span.name.as_str(),
-                    c => c.name(),
-                });
-                cursor = span.parent.and_then(|pid| spans.iter().position(|p| p.id == pid));
+            paths.push_str(match s.category {
+                CycleCategory::Layer => s.name.as_str(),
+                c => c.name(),
+            });
+            ranges.push((start, paths.len(), false));
+        }
+        for (s, &(a, b, has_child)) in spans.iter().zip(&ranges) {
+            if !has_child {
+                self.add(&paths[a..b], s.cycles());
             }
-            frames.reverse();
-            self.add(&frames.join(";"), s.cycles());
         }
     }
 
@@ -715,11 +728,6 @@ impl ObsLog {
     /// be retained).
     pub fn fold(&mut self, idx: usize, folded: &FoldedStacks) {
         self.scenarios[idx].folded.merge(folded);
-    }
-
-    /// Folds one span tree directly into scenario `idx`.
-    pub fn fold_tree(&mut self, idx: usize, tree: &SpanTree) {
-        self.scenarios[idx].folded.add_tree(tree);
     }
 
     /// Summary numbers for scenario `idx`.
@@ -1385,6 +1393,39 @@ mod tests {
         merged.merge(&folded);
         assert_eq!(merged.total(), 600);
         assert!(FoldedStacks::parse("nocount\n").is_err());
+    }
+
+    #[test]
+    fn folding_resolves_parents_out_of_insertion_order() {
+        // Both layers are added before either tile, a zero-length
+        // breaker marker sits among the root's children, and a
+        // concurrent hedge-loser shadow is added last.
+        let mut tree =
+            SpanTree::new(TraceId::derive(1, 6), "request 6", CycleCategory::Request, 0, 100);
+        let root = tree.root().id;
+        tree.add(root, "queue wait", CycleCategory::QueueWait, 0, 10);
+        tree.add(root, "breaker reject", CycleCategory::Breaker, 10, 10);
+        let svc = tree.add(root, "service", CycleCategory::Service, 10, 90);
+        let conv0 = tree.add(svc, "conv0", CycleCategory::Layer, 10, 50);
+        let conv1 = tree.add(svc, "conv1", CycleCategory::Layer, 50, 90);
+        let t0 = tree.add(conv0, "tile 0", CycleCategory::Tile, 10, 50);
+        let t1 = tree.add(conv1, "tile 0", CycleCategory::Tile, 50, 90);
+        tree.add(t1, "mac stream", CycleCategory::MacStream, 50, 90);
+        tree.add(t0, "mac stream", CycleCategory::MacStream, 10, 45);
+        tree.add(t0, "dmr verify", CycleCategory::DmrVerify, 45, 50);
+        tree.add(root, "queue wait", CycleCategory::QueueWait, 90, 100);
+        tree.add(root, "hedge loser", CycleCategory::HedgeWasted, 0, 40);
+        tree.validate().expect("well-formed");
+        let mut folded = FoldedStacks::new();
+        folded.add_tree(&tree);
+        assert_eq!(
+            folded.render(),
+            "request;hedge_wasted 40\n\
+             request;queue_wait 20\n\
+             request;service;conv0;tile;dmr_verify 5\n\
+             request;service;conv0;tile;mac_stream 35\n\
+             request;service;conv1;tile;mac_stream 40\n"
+        );
     }
 
     #[test]

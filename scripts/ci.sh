@@ -392,6 +392,22 @@ for eng in cycle bitplane; do
 done
 rm -rf "$OBS_REF"
 
+echo "==> artifact gate: committed serving artifacts match what the code produces"
+# The obs matrix above ended on bitplane/4, the configuration the
+# committed serving artifacts come from. A change that moves any of them
+# must commit the regenerated files, so a change that claims to move
+# nothing (a deletion, a refactor) is held to byte identity here.
+SERVE_ARTIFACTS=(results/obs/serve_storm.events.jsonl results/obs/serve_storm.folded
+    results/incidents results/serve_storm.json)
+git diff --quiet -- "${SERVE_ARTIFACTS[@]}" \
+    || { git diff --stat -- "${SERVE_ARTIFACTS[@]}" >&2
+         echo "serving artifacts differ from the committed versions" >&2; exit 1; }
+UNTRACKED="$(git ls-files --others -- results/incidents)"
+[ -z "$UNTRACKED" ] \
+    || { echo "untracked incident snapshot(s) in results/incidents/:" >&2
+         echo "$UNTRACKED" >&2; exit 1; }
+echo "    ${#SERVE_ARTIFACTS[@]} artifact paths match the committed versions"
+
 echo "==> report gate: a perturbed baseline must fail the gate"
 PERTURBED="$(mktemp -d)"
 cp results/baseline/*.manifest.json "$PERTURBED"/
