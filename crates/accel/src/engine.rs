@@ -5,7 +5,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::layer::{ConvGeometry, Tiling};
 use crate::memory::{ParitySram, Traffic};
-use sc_core::bitplane::{self, EngineKind};
+use sc_core::bitplane;
 use sc_core::mac::{EarlyTerminationScMac, SaturatingAccumulator};
 use sc_core::mvm::{BiscMvm, BitParallelMvm};
 use sc_core::{Error, Precision};
@@ -32,9 +32,8 @@ type VerifiedTile = (TileProfile, u64, Vec<(usize, i64)>, bool);
 
 /// A tile's raw compute result: billed cycles, cycles the truncated
 /// stream saved versus the full serial schedule (0 outside EDT mode),
-/// packed bitplane words the popcount engine scanned for the tile
-/// (0 under `SC_ENGINE=cycle` and for fixed-point arithmetic), and the
-/// write-back list.
+/// packed bitplane words of the prefixes the tile's terms scanned (0 for
+/// fixed-point arithmetic), and the write-back list.
 type ComputedTile = (u64, u64, u64, Vec<(usize, i64)>);
 
 /// Cached metric handles for the engine hot loops (name lookup happens
@@ -508,8 +507,6 @@ impl TileEngine {
         // Bitplane work is billed as a sum over all T_M units (one shared
         // occupancy scan of the term's prefix serves every lane), unlike
         // cycles, which are the max over the lock-stepped units (latency).
-        let bp_on = bitplane::engine() == EngineKind::Bitplane;
-        let words = |prefix: u64| if bp_on { bitplane::words_in_prefix(prefix) } else { 0 };
         let mut tile_words = 0u64;
         let mut writes = Vec::with_capacity((m_hi - m1) * (r_hi - r1) * (c_hi - c1));
 
@@ -530,7 +527,7 @@ impl TileEngine {
                         // What the full-precision serial schedule would
                         // have billed for this term: |w| cycles.
                         unit_full += w.unsigned_abs() as u64;
-                        tile_words += words(t);
+                        tile_words += bitplane::words_in_prefix(t);
                     }
                     mvm.read()
                 }
@@ -539,7 +536,7 @@ impl TileEngine {
                     for (w, xs) in terms {
                         let k = mvm.accumulate(w, xs)?;
                         unit_cycles += k;
-                        tile_words += words(k);
+                        tile_words += bitplane::words_in_prefix(k);
                     }
                     mvm.read()
                 }
@@ -548,7 +545,7 @@ impl TileEngine {
                     for (w, xs) in terms {
                         unit_cycles += mvm.accumulate(w, xs)?;
                         // The columns tile the same |w|-cycle prefix.
-                        tile_words += words(w.unsigned_abs() as u64);
+                        tile_words += bitplane::words_in_prefix(w.unsigned_abs() as u64);
                     }
                     mvm.read()
                 }
@@ -610,8 +607,8 @@ struct TileDone {
     input_words: u64,
     weight_words: u64,
     output_words: u64,
-    /// Packed bitplane words the popcount engine scanned for this tile
-    /// (0 under the cycle engine and for fixed-point arithmetic).
+    /// Packed bitplane words of the prefixes this tile's terms scanned
+    /// (0 for fixed-point arithmetic).
     bitplane_words: u64,
     profile: TileProfile,
     writes: Vec<(usize, i64)>,

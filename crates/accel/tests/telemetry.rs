@@ -4,14 +4,22 @@
 //!
 //! Lives in its own integration-test binary so enabling the
 //! process-global metrics registry cannot race other tests that also
-//! drive `run_layer`.
+//! drive `run_layer`; the tests here serialize on [`METRICS_LOCK`].
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use sc_accel::engine::{AccelArithmetic, TileEngine};
 use sc_accel::layer::{ConvGeometry, Tiling};
+use sc_core::bitplane::words_in_prefix;
 use sc_core::Precision;
+use sc_telemetry::metrics::counter;
 use sc_telemetry::span::{CollectingSubscriber, RecordKind};
+
+static METRICS_LOCK: Mutex<()> = Mutex::new(());
+
+fn locked() -> MutexGuard<'static, ()> {
+    METRICS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn test_data(g: &ConvGeometry, n: Precision) -> (Vec<i32>, Vec<i32>) {
     let h = n.half_scale() as i32;
@@ -23,6 +31,7 @@ fn test_data(g: &ConvGeometry, n: Precision) -> (Vec<i32>, Vec<i32>) {
 
 #[test]
 fn outputs_identical_with_telemetry_on_and_counters_match_traffic() {
+    let _g = locked();
     let g = ConvGeometry { z: 2, in_h: 7, in_w: 7, m: 3, k: 3, stride: 1 };
     let n = Precision::new(7).unwrap();
     let (input, weights) = test_data(&g, n);
@@ -80,4 +89,43 @@ fn outputs_identical_with_telemetry_on_and_counters_match_traffic() {
         .collect();
     assert_eq!(tile_done.len() as u64, tiles);
     assert!(tile_done.iter().all(|r| r.depth == 1), "tile events merge inside the layer span");
+}
+
+#[test]
+fn bitplane_words_bill_every_term_prefix_once() {
+    let _g = locked();
+    // A clean scoped plan keeps an ambient SC_FAULTS (the CI fault gate)
+    // from adding verification replicas or degraded recomputes.
+    let _clean = sc_fault::scoped(sc_fault::FaultPlan::parse("").unwrap());
+    let n = Precision::new(8).unwrap();
+    let g = ConvGeometry { z: 4, in_h: 10, in_w: 10, m: 6, k: 3, stride: 1 };
+    let (input, weights) = test_data(&g, n);
+    let tiling = Tiling::default();
+    // Every output-pixel tile streams every unit's weight row once, and
+    // each term bills the packed words of the prefix it scans.
+    let pixel_tiles = (g.r().div_ceil(tiling.t_r) * g.c().div_ceil(tiling.t_c)) as u64;
+    let billed = |shift: u32| -> u64 {
+        let per_pass: u64 =
+            weights.iter().map(|w| words_in_prefix(w.unsigned_abs() as u64 >> shift)).sum();
+        per_pass * pixel_tiles
+    };
+    let words = counter("accel.bitplane.words");
+    sc_telemetry::metrics::set_enabled(true);
+    for (arithmetic, effective_bits, expect) in [
+        (AccelArithmetic::ProposedSerial, None, billed(0)),
+        (AccelArithmetic::ProposedParallel(8), None, billed(0)),
+        (AccelArithmetic::Fixed, None, 0),
+        (AccelArithmetic::ProposedSerial, Some(4), billed(4)),
+    ] {
+        let engine = TileEngine::new(n, tiling, arithmetic, 2);
+        let before = words.get();
+        engine.run_layer_at(&g, &input, &weights, effective_bits).unwrap();
+        assert_eq!(
+            words.get() - before,
+            expect,
+            "{arithmetic:?} effective_bits={effective_bits:?}"
+        );
+    }
+    sc_telemetry::metrics::set_enabled(false);
+    assert!(billed(0) > 0);
 }

@@ -1,5 +1,5 @@
 //! Serial-vs-parallel throughput of the accelerator tile loop, plus the
-//! execution-engine comparison benches.
+//! execution-engine comparison bench.
 //!
 //! Times `TileEngine::run_layer` with the `sc-par` pool pinned to one
 //! worker (the inline path) against the configured thread count, checks
@@ -7,16 +7,13 @@
 //! `results/parallel.json` so CI hardware accumulates a history of
 //! parallel-efficiency data points.
 //!
-//! Two further pairs gate the bitplane engine's reason to exist:
-//!
-//! * `mvm_n8`: an N=8, 512-lane `BiscMvmRtl` term sequence under
-//!   `SC_ENGINE=cycle` vs the bitplane popcount engine (outputs checked
-//!   bitwise-identical first). The speedup lands in the
-//!   `bench.speedup.mvm_n8_bitplane` gauge, is hard-asserted ≥ 8× here,
-//!   and is floor-gated again by `sc_report` so it cannot silently rot.
-//! * `fig5_and_scan`: the Fig. 5 AND-multiplier snapshot scan — naive
-//!   AND-buffer plus per-snapshot popcount rescan vs the fused
-//!   single-pass `bitplane::and_ones_at` kernel.
+//! A further pair gates the bitplane engine's reason to exist. The engine
+//! switch reaches only `sc-rtlsim`'s `run_to_done` loops, so the pair
+//! times those: `mvm_n8`, an N=8, 512-lane `BiscMvmRtl` term sequence
+//! under `SC_ENGINE=cycle` vs the bitplane popcount engine (outputs
+//! checked bitwise-identical first). The speedup lands in the
+//! `bench.speedup.mvm_n8_bitplane` gauge, is hard-asserted ≥ 8× here, and
+//! is floor-gated again by `sc_report` so it cannot silently rot.
 //!
 //! `--quick` shrinks the layer.
 
@@ -128,12 +125,12 @@ fn run(ctx: &mut sc_telemetry::BenchCtx) {
     engine_benches(quick, n, half);
 }
 
-/// The cycle-accurate vs bitplane engine pairs: bitwise cross-check
+/// The cycle-accurate vs bitplane engine pair: bitwise cross-check
 /// first, then wall-clock comparison. The MVM speedup is hard-asserted
 /// here *and* floor-gated by `sc_report` (gauge
 /// `bench.speedup.mvm_n8_bitplane`, floor 8.0).
 fn engine_benches(quick: bool, n: Precision, half: i32) {
-    // Pin the pool to one worker for the engine pairs: the comparison is
+    // Pin the pool to one worker for the engine pair: the comparison is
     // engine-vs-engine, not threads-vs-serial, and the cycle-accurate
     // path is serial by construction.
     sc_par::set_threads(1);
@@ -209,34 +206,6 @@ fn engine_benches(quick: bool, n: Precision, half: i32) {
             mvm_b.total_cycles()
         },
     );
-
-    // The Fig. 5 snapshot scan: naive AND-buffer + per-snapshot prefix
-    // popcount rescan (O(W·S) per pair) vs the fused single pass
-    // (O(W + S)). Buffers hoisted outside both closures, as the sweep
-    // hoists them per chunk.
-    let n10 = Precision::new(10).expect("valid precision");
-    let words = (n10.stream_len() / 64) as usize;
-    let row: Vec<u64> = (0..words as u64)
-        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5DEE_CE66_D1CE_4CB5)
-        .collect();
-    let col: Vec<u64> = (0..words as u64)
-        .map(|i| i.wrapping_mul(0xC2B2_AE3D_27D4_EB4F) ^ 0x94D0_49BB_1331_11EB)
-        .collect();
-    let cuts: Vec<u64> = (0..=n10.bits()).map(|s| 1u64 << s).collect();
-    let mut and_words = vec![0u64; words];
-    let mut ones_at = vec![0u64; cuts.len()];
-    let mut naive = || {
-        for ((o, a), b) in and_words.iter_mut().zip(&row).zip(&col) {
-            *o = a & b;
-        }
-        cuts.iter().map(|&c| sc_core::sng::count_ones_prefix(&and_words, c)).sum::<u64>()
-    };
-    let mut fused = || {
-        bitplane::and_ones_at(&row, &col, &cuts, &mut ones_at);
-        ones_at.iter().sum::<u64>()
-    };
-    assert_eq!(naive(), fused(), "fused AND-scan must match the naive rescan");
-    let and_pair = group.bench_pair("rescan", "fused", "fig5_and_scan", naive, fused);
     group.finish();
     sc_par::set_threads(0); // back to SC_THREADS / host default
 
@@ -244,13 +213,8 @@ fn engine_benches(quick: bool, n: Precision, half: i32) {
     gauge("bench.speedup.mvm_n8_bitplane").set(mvm_speedup);
     gauge("bench.time.mvm_n8.cycle_ns").set(mvm_pair.baseline.min_ns);
     gauge("bench.time.mvm_n8.bitplane_ns").set(mvm_pair.contender.min_ns);
-    let and_speedup = and_pair.speedup();
-    gauge("bench.speedup.fig5_and_scan").set(and_speedup);
-    gauge("bench.time.fig5_and_scan.rescan_ns").set(and_pair.baseline.min_ns);
-    gauge("bench.time.fig5_and_scan.fused_ns").set(and_pair.contender.min_ns);
 
     println!("mvm_n8 bitplane speedup: {mvm_speedup:.2}x (floor 8.0, gated by sc_report)");
-    println!("fig5_and_scan fused speedup: {and_speedup:.2}x");
     assert!(
         mvm_speedup >= 8.0,
         "bitplane engine must be >= 8x faster than cycle-accurate on the N=8 MVM \

@@ -8,7 +8,7 @@
 //! (footnote 2 of the paper), whose value estimates the product at `s`-bit
 //! weight resolution: `est = P / 2^s`.
 
-use sc_core::bitplane::and_ones_at;
+use sc_core::bitplane::count_ones_prefix;
 use sc_core::conventional::ConvScMethod;
 use sc_core::seq::prefix_sum;
 use sc_core::sng::collect_stream_words;
@@ -66,18 +66,16 @@ pub fn sweep_conventional(n: Precision, method: ConvScMethod, stride: usize) -> 
     let xs: Vec<usize> = (0..size).step_by(stride).collect();
     let chunked = sc_par::Pool::global().parallel_chunks(xs.len(), |range| {
         let mut stats = vec![ErrorStats::new(); snapshots.len()];
-        let mut ones_at = vec![0u64; snapshots.len()];
+        let mut and_words = vec![0u64; sx[0].len()];
         for &x in &xs[range] {
             let row = &sx[x];
             for w in (0..size).step_by(stride) {
-                let col = &sw[w];
-                // One fused pass: AND each word pair once and read the
-                // running popcount off at every snapshot cut — O(W + S)
-                // per pair instead of the O(W·S) AND-buffer rescan.
-                and_ones_at(row, col, &snapshots, &mut ones_at);
+                for ((o, a), b) in and_words.iter_mut().zip(row).zip(&sw[w]) {
+                    *o = a & b;
+                }
                 let exact = (x as u64 * w as u64) as f64 / denom;
-                for ((st, &p), &ones) in stats.iter_mut().zip(&snapshots).zip(&ones_at) {
-                    let est = ones as f64 / p as f64;
+                for (st, &p) in stats.iter_mut().zip(&snapshots) {
+                    let est = count_ones_prefix(&and_words, p) as f64 / p as f64;
                     st.push(est - exact);
                 }
             }

@@ -17,10 +17,11 @@
 //!   `i = 6 + ctz(wi + 1)`.
 //!
 //! A whole 64-cycle window of the stream is thus materialized in ~6 OR
-//! operations ([`stream_word`]), and prefix/range ones-counts — the
-//! quantities every MAC/MVM counter in this workspace reduces to — become
-//! masked popcounts ([`prefix_ones`], [`range_ones`]). EDT truncation
-//! (stop after `t = ⌊k/2^(N−s)⌋` cycles) is just a shorter prefix mask.
+//! operations ([`stream_word`]), and the range ones-counts an RTL counter
+//! accumulates over a run become masked popcounts ([`range_ones`],
+//! [`scan_signed_range`]). Across the lanes of an MVM term the
+//! per-selector occupancy is shared, so each lane's count is a few table
+//! reads ([`RangeCounts`]).
 //!
 //! Because the selector rule is purely periodic in `p`, every kernel here
 //! is valid for arbitrary positions, matching the hardware FSM's
@@ -29,21 +30,24 @@
 //!
 //! ## Engine selection
 //!
-//! [`engine`] picks between [`EngineKind::Bitplane`] (the packed kernels;
-//! the default) and [`EngineKind::CycleAccurate`] (serial per-cycle
-//! walks — the golden reference). Select with the `SC_ENGINE` environment
-//! variable (`bitplane` | `cycle`) or programmatically with
-//! [`set_engine`]. Both engines are proven bitwise identical by property
-//! tests in this crate, `sc-rtlsim`, and `sc-accel`; the RTL datapaths
-//! additionally fall back to the cycle path whenever fault sites are
-//! armed, so injected faults always interact with real per-cycle state.
+//! [`engine`] picks how `sc-rtlsim`'s `run_to_done` loops clock a
+//! datapath: [`EngineKind::Bitplane`] (the packed kernels; the default)
+//! or [`EngineKind::CycleAccurate`] (the per-cycle walk — the golden
+//! reference). Select with the `SC_ENGINE` environment variable
+//! (`bitplane` | `cycle`) or programmatically with [`set_engine`]. Those
+//! loops are its only readers: the behavioural MACs and MVMs of this
+//! crate, and the accelerator built on them, evaluate the closed forms
+//! whatever the engine. `sc-rtlsim`'s property tests prove both engines
+//! bitwise identical, and its datapaths fall back to the cycle path
+//! whenever fault sites are armed, so injected faults always interact
+//! with real per-cycle state.
 
 use crate::num::MAX_PRECISION;
-use crate::{seq, Precision};
+use crate::Precision;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// Which execution engine the hot paths use.
+/// Which execution engine `sc-rtlsim`'s `run_to_done` loops use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
     /// Serial per-cycle simulation — the golden reference path.
@@ -114,11 +118,6 @@ pub fn set_engine(kind: Option<EngineKind>) {
     OVERRIDE.store(v, Ordering::Relaxed);
 }
 
-/// Serializes this crate's unit tests that switch the process-wide
-/// engine.
-#[cfg(test)]
-pub(crate) static TEST_ENGINE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// Per-word bit patterns of selectors `i = 0..=5` (periods `2 ..= 64`):
 /// `LOW_MASKS[i]` has a 1 at every bit `b ≡ 2^i − 1 (mod 2^(i+1))`.
 pub const LOW_MASKS: [u64; 6] = [
@@ -171,24 +170,8 @@ pub fn words_in_range(lo: u64, hi: u64) -> u64 {
     }
 }
 
-/// Ones in the first `k` stream positions of operand `u` — the bitplane
-/// evaluation of [`seq::prefix_sum`] (proved equal by tests): full-word
-/// popcounts plus one masked tail popcount.
-pub fn prefix_ones(u: u32, n: Precision, k: u64) -> u64 {
-    let full = k / 64;
-    let mut ones = 0u64;
-    for wi in 0..full {
-        ones += stream_word(u, n, wi).count_ones() as u64;
-    }
-    let rem = k % 64;
-    if rem > 0 {
-        ones += (stream_word(u, n, full) & ((1u64 << rem) - 1)).count_ones() as u64;
-    }
-    ones
-}
-
 /// Ones in stream positions `lo..hi` (half-open) of operand `u` — the
-/// bitplane evaluation of [`seq::range_sum`].
+/// bitplane evaluation of [`crate::seq::range_sum`].
 pub fn range_ones(u: u32, n: Precision, lo: u64, hi: u64) -> u64 {
     debug_assert!(lo <= hi);
     if lo == hi {
@@ -353,8 +336,7 @@ impl RangeCounts {
 }
 
 /// Counts the ones in the first `k` bits of an externally packed stream
-/// (the [`crate::sng::collect_stream_words`] layout). The generalized
-/// home of `sng::count_ones_prefix`.
+/// (the [`crate::sng::collect_stream_words`] layout).
 pub fn count_ones_prefix(words: &[u64], k: u64) -> u64 {
     let full = (k / 64) as usize;
     let mut ones: u64 = words[..full].iter().map(|w| w.count_ones() as u64).sum();
@@ -365,76 +347,10 @@ pub fn count_ones_prefix(words: &[u64], k: u64) -> u64 {
     ones
 }
 
-/// Fused AND-product prefix counts: for two packed streams `a` and `b`
-/// and non-decreasing prefix lengths `cuts`, writes
-/// `out[i] = popcount((a & b)[..cuts[i]])` in **one pass** over the words
-/// — no AND scratch buffer, `O(W + S)` instead of `O(W · S)` for `S`
-/// snapshot cuts. The unipolar conventional-SC product evaluator.
-///
-/// # Panics
-///
-/// Panics (in debug) if `cuts` is not sorted ascending or `out` is
-/// shorter than `cuts`.
-pub fn and_ones_at(a: &[u64], b: &[u64], cuts: &[u64], out: &mut [u64]) {
-    debug_assert!(cuts.windows(2).all(|c| c[0] <= c[1]));
-    debug_assert!(out.len() >= cuts.len());
-    debug_assert!(cuts.last().is_none_or(|&c| c <= a.len().min(b.len()) as u64 * 64));
-    let mut ones = 0u64;
-    let mut ci = 0;
-    for (wi, (&aw, &bw)) in a.iter().zip(b).enumerate() {
-        let w = aw & bw;
-        let base = (wi as u64) * 64;
-        while ci < cuts.len() && cuts[ci] < base + 64 {
-            let rem = cuts[ci] - base;
-            out[ci] =
-                ones + if rem == 0 { 0 } else { (w & ((1u64 << rem) - 1)).count_ones() as u64 };
-            ci += 1;
-        }
-        ones += w.count_ones() as u64;
-    }
-    while ci < cuts.len() {
-        out[ci] = ones;
-        ci += 1;
-    }
-}
-
-/// Fused XNOR-product prefix counts (the bipolar conventional-SC product):
-/// `out[i] = popcount(!(a ^ b)[..cuts[i]])`, one pass, same contract as
-/// [`and_ones_at`]. Bits beyond the stream length in the last packed word
-/// are counted as XNOR of the packed zeros — keep `cuts` within the
-/// stream length, as every caller of packed streams already does.
-pub fn xnor_ones_at(a: &[u64], b: &[u64], cuts: &[u64], out: &mut [u64]) {
-    debug_assert!(cuts.windows(2).all(|c| c[0] <= c[1]));
-    debug_assert!(out.len() >= cuts.len());
-    let mut ones = 0u64;
-    let mut ci = 0;
-    for (wi, (&aw, &bw)) in a.iter().zip(b).enumerate() {
-        let w = !(aw ^ bw);
-        let base = (wi as u64) * 64;
-        while ci < cuts.len() && cuts[ci] < base + 64 {
-            let rem = cuts[ci] - base;
-            out[ci] =
-                ones + if rem == 0 { 0 } else { (w & ((1u64 << rem) - 1)).count_ones() as u64 };
-            ci += 1;
-        }
-        ones += w.count_ones() as u64;
-    }
-    while ci < cuts.len() {
-        out[ci] = ones;
-        ci += 1;
-    }
-}
-
-/// The serial golden evaluation of a prefix count: a literal per-cycle
-/// walk of [`seq::stream_bit`]. The cycle-accurate engine's kernel, and
-/// the reference the bitplane kernels are property-tested against.
-pub fn prefix_ones_serial(u: u32, n: Precision, k: u64) -> u64 {
-    (1..=k).map(|t| seq::stream_bit(u, n, t) as u64).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seq;
 
     fn p(bits: u32) -> Precision {
         Precision::new(bits).unwrap()
@@ -477,35 +393,6 @@ mod tests {
                             "bits={bits} u={u} wi={wi} b={b}"
                         );
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn prefix_ones_equals_closed_form_exhaustive() {
-        for bits in 2..=7u32 {
-            let n = p(bits);
-            for u in 0..(1u32 << bits) {
-                for k in 0..=n.stream_len() {
-                    assert_eq!(
-                        prefix_ones(u, n, k),
-                        seq::prefix_sum(u, n, k),
-                        "bits={bits} u={u} k={k}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn prefix_ones_equals_serial_large_n() {
-        for bits in [9u32, 11, 16] {
-            let n = p(bits);
-            for u in [0u32, 7, 499, 0x7FFF, 0xFFFF].map(|u| u & ((1 << bits) - 1)) {
-                for k in (0..=n.stream_len()).step_by(97) {
-                    assert_eq!(prefix_ones(u, n, k), seq::prefix_sum(u, n, k));
-                    assert_eq!(prefix_ones(u, n, k), prefix_ones_serial(u, n, k));
                 }
             }
         }
@@ -565,36 +452,6 @@ mod tests {
         assert_eq!(words_in_range(0, 64), 1);
         assert_eq!(words_in_range(63, 65), 2);
         assert_eq!(words_in_range(64, 128), 1);
-    }
-
-    #[test]
-    fn and_xnor_fused_match_naive() {
-        // Packed pseudo-streams over 4 words; cuts hit word boundaries,
-        // interiors, duplicates, and the total length.
-        let a = [0xDEAD_BEEF_0123_4567u64, 0, !0u64, 0x8000_0000_0000_0001];
-        let b = [0xFFFF_0000_FFFF_0000u64, !0u64, 0x1234_5678_9ABC_DEF0, !0u64];
-        let cuts = [0u64, 1, 63, 64, 64, 65, 100, 128, 200, 256];
-        let mut fused = vec![0u64; cuts.len()];
-        and_ones_at(&a, &b, &cuts, &mut fused);
-        for (i, &c) in cuts.iter().enumerate() {
-            let naive: u64 = (0..c)
-                .filter(|&p| {
-                    let (w, bit) = ((p / 64) as usize, p % 64);
-                    (a[w] >> bit) & (b[w] >> bit) & 1 == 1
-                })
-                .count() as u64;
-            assert_eq!(fused[i], naive, "and cut {c}");
-        }
-        xnor_ones_at(&a, &b, &cuts, &mut fused);
-        for (i, &c) in cuts.iter().enumerate() {
-            let naive: u64 = (0..c)
-                .filter(|&p| {
-                    let (w, bit) = ((p / 64) as usize, p % 64);
-                    ((a[w] >> bit) ^ (b[w] >> bit)) & 1 == 0
-                })
-                .count() as u64;
-            assert_eq!(fused[i], naive, "xnor cut {c}");
-        }
     }
 
     #[test]
@@ -672,7 +529,7 @@ mod tests {
         assert_eq!(EngineKind::Bitplane.name(), "bitplane");
         assert_eq!(EngineKind::CycleAccurate.name(), "cycle");
         // Override wins over the (unset) env default and is restorable.
-        let _lock = TEST_ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // No other test in this crate reads the engine.
         let before = engine();
         set_engine(Some(EngineKind::CycleAccurate));
         assert_eq!(engine(), EngineKind::CycleAccurate);

@@ -11,8 +11,8 @@
 //! `N−s` yields a product estimate at `s`-bit weight resolution in a
 //! `2^(N−s)`-fold shorter time.
 
-use crate::bitplane::{self, EngineKind};
 use crate::mac::SignedProduct;
+use crate::seq;
 use crate::{Error, Precision};
 
 /// The proposed signed SC-MAC with early termination after `s` effective
@@ -69,9 +69,8 @@ impl EarlyTerminationScMac {
     /// Multiplies signed codes with early termination: runs
     /// `t = ⌊|w|/2^(N−s)⌋` cycles and left-shifts the counter by `N−s`.
     ///
-    /// The truncated prefix `P_t` is evaluated on the active execution
-    /// engine ([`bitplane::engine`]) — for the bitplane engine, EDT is
-    /// just a shorter prefix mask over the packed words.
+    /// The truncated prefix `P_t` is the closed form
+    /// [`seq::prefix_sum`] over a shorter prefix.
     ///
     /// # Errors
     ///
@@ -83,10 +82,7 @@ impl EarlyTerminationScMac {
         let k = wc.code().unsigned_abs() as u64;
         let t = k >> shift;
         let u = xc.to_offset_binary();
-        let p = match bitplane::engine() {
-            EngineKind::Bitplane => bitplane::prefix_ones(u, self.n, t),
-            EngineKind::CycleAccurate => bitplane::prefix_ones_serial(u, self.n, t),
-        } as i64;
+        let p = seq::prefix_sum(u, self.n, t) as i64;
         let raw = (2 * p - t as i64) << shift;
         let value = if wc.code() < 0 { -raw } else { raw };
         Ok(SignedProduct { value, cycles: t })
@@ -120,6 +116,28 @@ mod tests {
         for w in -32..32 {
             for x in -32..32 {
                 assert_eq!(edt.multiply(w, x).unwrap(), full.multiply(w, x).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_product_is_the_serial_walk_of_the_truncated_weight() {
+        // Every tier s = 1..=N (the serve ladder's 6 and 4 included) runs
+        // the signed datapath for t = |w| >> (N−s) cycles and shifts the
+        // counter up by N − s.
+        let n = p(8);
+        let serial = SignedScMac::new(n);
+        for s in 1..=8u32 {
+            let edt = EarlyTerminationScMac::new(n, s).unwrap();
+            let shift = 8 - s;
+            for w in -128..128i32 {
+                let t = w.unsigned_abs() >> shift;
+                for x in (-128..128i32).step_by(17).chain([127]) {
+                    let reference = serial.multiply_serial(w.signum() * t as i32, x).unwrap();
+                    let out = edt.multiply(w, x).unwrap();
+                    assert_eq!(out.value, reference.value << shift, "s={s} w={w} x={x}");
+                    assert_eq!(out.cycles, t as u64, "s={s} w={w} x={x}");
+                }
             }
         }
     }

@@ -9,7 +9,6 @@
 //! are counted and the multiplication completes. By construction the
 //! result is **exactly** the bit-serial result, only `b×` faster.
 
-use crate::bitplane::{self, EngineKind};
 use crate::mac::{SignedProduct, UnsignedProduct};
 use crate::seq;
 use crate::{Error, Precision};
@@ -70,16 +69,12 @@ impl BitParallelScMac {
     }
 
     /// Ones count of the top `rows` bits of column `j` (the final, partial
-    /// column when the remaining weight is smaller than `b`), evaluated on
-    /// the active execution engine — a masked popcount over packed words,
-    /// or the serial golden walk; both equal [`seq::range_sum`].
+    /// column when the remaining weight is smaller than `b`), by the
+    /// closed form [`seq::range_sum`].
     pub fn partial_column_ones(&self, x: u32, j: u64, rows: u64) -> u64 {
         debug_assert!(rows <= self.b as u64);
         let lo = j * self.b as u64;
-        match bitplane::engine() {
-            EngineKind::Bitplane => bitplane::range_ones(x, self.n, lo, lo + rows),
-            EngineKind::CycleAccurate => seq::range_sum(x, self.n, lo, lo + rows),
-        }
+        seq::range_sum(x, self.n, lo, lo + rows)
     }
 
     /// Unsigned bit-parallel multiplication; bit-exact with

@@ -1,7 +1,6 @@
 //! The signed (two's-complement) extension of the proposed SC multiplier
 //! (paper Sec. 2.4, Table 1).
 
-use crate::bitplane::{self, EngineKind};
 use crate::seq;
 use crate::{Error, Precision};
 
@@ -55,37 +54,16 @@ impl SignedScMac {
         self.n
     }
 
-    /// Multiplies signed codes `w · x` on the active execution engine
-    /// ([`bitplane::engine`]): packed-word popcounts, or the serial
-    /// per-cycle golden walk. Both are bitwise identical to
-    /// [`multiply_closed_form`](Self::multiply_closed_form).
+    /// Multiplies signed codes `w · x` by the exact closed form
+    /// `sign(w)·(2·P_k(u) − k)` with `P_k` from [`seq::prefix_sum`];
+    /// bitwise identical to the per-cycle
+    /// [`multiply_serial`](Self::multiply_serial).
     ///
     /// # Errors
     ///
     /// Returns [`Error::CodeOutOfRange`] if either code is outside
     /// `[-2^(N-1), 2^(N-1))`.
     pub fn multiply(&self, w: i32, x: i32) -> Result<SignedProduct, Error> {
-        let w = self.n.check_signed(w as i64)?;
-        let x = self.n.check_signed(x as i64)?;
-        let k = w.code().unsigned_abs() as u64;
-        let u = x.to_offset_binary();
-        let p = match bitplane::engine() {
-            EngineKind::Bitplane => bitplane::prefix_ones(u, self.n, k),
-            EngineKind::CycleAccurate => bitplane::prefix_ones_serial(u, self.n, k),
-        } as i64;
-        let raw = 2 * p - k as i64;
-        let value = if w.code() < 0 { -raw } else { raw };
-        Ok(SignedProduct { value, cycles: k })
-    }
-
-    /// Multiplies using the exact closed form `sign(w)·(2·P_k(u) − k)`
-    /// with `P_k` from [`seq::prefix_sum`] — an engine-independent third
-    /// evaluation used to cross-check both engines.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::CodeOutOfRange`] if either code is out of range.
-    pub fn multiply_closed_form(&self, w: i32, x: i32) -> Result<SignedProduct, Error> {
         let w = self.n.check_signed(w as i64)?;
         let x = self.n.check_signed(x as i64)?;
         let k = w.code().unsigned_abs() as u64;
@@ -163,11 +141,11 @@ mod tests {
             let h = 1i32 << (bits - 1);
             for w in -h..h {
                 for x in -h..h {
-                    let engine = mac.multiply(w, x).unwrap();
-                    let serial = mac.multiply_serial(w, x).unwrap();
-                    let closed = mac.multiply_closed_form(w, x).unwrap();
-                    assert_eq!(engine, serial, "bits={bits} w={w} x={x}");
-                    assert_eq!(engine, closed, "bits={bits} w={w} x={x}");
+                    assert_eq!(
+                        mac.multiply(w, x).unwrap(),
+                        mac.multiply_serial(w, x).unwrap(),
+                        "bits={bits} w={w} x={x}"
+                    );
                 }
             }
         }

@@ -1,6 +1,5 @@
 //! The proposed unsigned (unipolar) SC multiplier of Fig. 1(c).
 
-use crate::bitplane::{self, EngineKind};
 use crate::seq;
 use crate::{Error, Precision};
 
@@ -57,9 +56,8 @@ impl UnsignedScMac {
         self.n
     }
 
-    /// Multiplies unsigned codes `x · w` on the active execution engine
-    /// ([`bitplane::engine`]); both engines equal the closed form
-    /// [`seq::prefix_sum`] bit for bit.
+    /// Multiplies unsigned codes `x · w` by the closed form
+    /// [`seq::prefix_sum`]: the counter value `P_w(x)` after `w` cycles.
     ///
     /// # Errors
     ///
@@ -68,11 +66,7 @@ impl UnsignedScMac {
         self.n.check_unsigned(x as u64)?;
         self.n.check_unsigned(w as u64)?;
         let k = w as u64;
-        let value = match bitplane::engine() {
-            EngineKind::Bitplane => bitplane::prefix_ones(x, self.n, k),
-            EngineKind::CycleAccurate => bitplane::prefix_ones_serial(x, self.n, k),
-        };
-        Ok(UnsignedProduct { value, cycles: k })
+        Ok(UnsignedProduct { value: seq::prefix_sum(x, self.n, k), cycles: k })
     }
 
     /// Multiplies by simulating the datapath cycle-by-cycle: the FSM+MUX

@@ -11,7 +11,7 @@
 //! (contrary to SNG sharing in conventional SC): every lane produces
 //! bit-exactly what a standalone [`crate::mac::SignedScMac`] would.
 
-use crate::bitplane::{self, EngineKind};
+use crate::bitplane::RangeCounts;
 use crate::mac::{BitParallelScMac, EarlyTerminationScMac, SaturatingAccumulator};
 use crate::seq;
 use crate::{Error, Precision};
@@ -66,17 +66,18 @@ impl BiscMvm {
     /// Accumulates one scalar-vector product `w·x⃗` into the lane counters
     /// (fast behavioural path; saturation is applied per product).
     ///
-    /// On the bitplane engine the weight is decoded once and every lane
-    /// reduces to a few reads of one shared occupancy scan; on the
-    /// cycle-accurate engine each lane runs the serial per-cycle walk.
-    /// Both are bitwise identical.
+    /// The weight is decoded once and every lane reduces to a few reads
+    /// of one shared occupancy scan ([`RangeCounts`]). Without mid-product
+    /// saturation this is bitwise identical to the per-cycle
+    /// [`accumulate_cycle_accurate`](Self::accumulate_cycle_accurate).
     ///
     /// Returns the cycles this term took (`|w_code|`).
     ///
     /// # Errors
     ///
     /// Returns [`Error::LengthMismatch`] if `xs.len() != p`, or
-    /// [`Error::CodeOutOfRange`] if any code is out of range.
+    /// [`Error::CodeOutOfRange`] if any code is out of range (naming the
+    /// first bad one). A rejected term leaves every lane untouched.
     pub fn accumulate(&mut self, w: i32, xs: &[i32]) -> Result<u64, Error> {
         let k = self.accumulate_prefix(w, xs, 0)?;
         self.cycles += k;
@@ -104,9 +105,8 @@ impl BiscMvm {
     }
 
     /// The shared decode behind every term: one down-counter load, one
-    /// sign flag and, on the bitplane engine, one occupancy scan of the
-    /// `t = |w_code| >> shift`-cycle prefix, whose per-selector counts are
-    /// lane-independent. Each lane then adds `±(2·P_t(u) − t) << shift`.
+    /// sign flag and one occupancy scan of the `t = |w_code| >> shift`-cycle
+    /// prefix, whose per-selector counts are lane-independent. Each lane then adds `±(2·P_t(u) − t) << shift`.
     /// The serial design (`shift = 0`), the bit-parallel one (its columns
     /// tile the same `|w_code|`-bit prefix) and early termination (a
     /// shorter prefix) differ only in the cycles their callers bill.
@@ -123,19 +123,15 @@ impl BiscMvm {
         // The shared down counter runs regardless of lane count: decode w
         // before any lane.
         let wc = self.n.check_signed(w as i64)?;
+        check_lane_codes(xs, |x| self.n.check_signed(x as i64).map(drop))?;
         let k = wc.code().unsigned_abs() as u64;
         let t = k >> shift;
         let w_neg = wc.code() < 0;
-        let counts = match bitplane::engine() {
-            EngineKind::Bitplane => Some(bitplane::RangeCounts::new(self.n, 0, t)),
-            EngineKind::CycleAccurate => None,
-        };
+        let counts = RangeCounts::new(self.n, 0, t);
+        // Offset binary `x + 2^(N-1)`: every code was checked above.
+        let bias = self.n.half_scale() as i32;
         for (lane, &x) in self.lanes.iter_mut().zip(xs) {
-            let u = self.n.check_signed(x as i64)?.to_offset_binary();
-            let ones = match &counts {
-                Some(c) => c.ones(u),
-                None => bitplane::prefix_ones_serial(u, self.n, t),
-            };
+            let ones = counts.ones((x + bias) as u32);
             let raw = (2 * ones as i64 - t as i64) << shift;
             lane.add(if w_neg { -raw } else { raw });
         }
@@ -252,25 +248,20 @@ impl UnsignedBiscMvm {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::LengthMismatch`] or [`Error::CodeOutOfRange`].
+    /// Returns [`Error::LengthMismatch`] or [`Error::CodeOutOfRange`]
+    /// (naming the first bad code). A rejected term leaves every lane
+    /// untouched.
     pub fn accumulate(&mut self, w: u32, xs: &[u32]) -> Result<u64, Error> {
         if xs.len() != self.lanes.len() {
             return Err(Error::LengthMismatch { expected: self.lanes.len(), actual: xs.len() });
         }
         self.n.check_unsigned(w as u64)?;
-        // Shared occupancy scan on the bitplane engine, like the signed
-        // MVM: one `RangeCounts` per term serves every lane.
-        let counts = match bitplane::engine() {
-            EngineKind::Bitplane => Some(bitplane::RangeCounts::new(self.n, 0, w as u64)),
-            EngineKind::CycleAccurate => None,
-        };
+        check_lane_codes(xs, |x| self.n.check_unsigned(x as u64).map(drop))?;
+        // Shared occupancy scan, like the signed MVM: one `RangeCounts`
+        // per term serves every lane.
+        let counts = RangeCounts::new(self.n, 0, w as u64);
         for (lane, &x) in self.lanes.iter_mut().zip(xs) {
-            self.n.check_unsigned(x as u64)?;
-            let ones = match &counts {
-                Some(c) => c.ones(x),
-                None => bitplane::prefix_ones_serial(x, self.n, w as u64),
-            };
-            lane.add(ones as i64);
+            lane.add(counts.ones(x) as i64);
         }
         self.cycles += w as u64;
         Ok(w as u64)
@@ -288,6 +279,21 @@ impl UnsignedBiscMvm {
         }
         self.cycles = 0;
     }
+}
+
+/// Checks a term's lane codes before any lane is updated. The valid codes
+/// form one interval, so the smallest and largest code decide; only a
+/// failing term is rescanned, for the first bad code's error.
+fn check_lane_codes<T: Copy + Ord>(
+    xs: &[T],
+    check: impl Fn(T) -> Result<(), Error>,
+) -> Result<(), Error> {
+    let Some(&first) = xs.first() else { return Ok(()) };
+    let (lo, hi) = xs.iter().fold((first, first), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+    if check(lo).is_ok() && check(hi).is_ok() {
+        return Ok(());
+    }
+    xs.iter().try_for_each(|&x| check(x))
 }
 
 /// Latency of one BISC-MVM dot product over a weight sequence:
@@ -372,23 +378,6 @@ mod tests {
 
     fn p(bits: u32) -> Precision {
         Precision::new(bits).unwrap()
-    }
-
-    /// Runs `f` under each execution engine in turn, holding the crate's
-    /// engine lock and restoring the default afterwards.
-    fn under_both_engines(mut f: impl FnMut(EngineKind)) {
-        struct Restore;
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                bitplane::set_engine(None);
-            }
-        }
-        let _lock = bitplane::TEST_ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _restore = Restore;
-        for engine in [EngineKind::CycleAccurate, EngineKind::Bitplane] {
-            bitplane::set_engine(Some(engine));
-            f(engine);
-        }
     }
 
     /// Feeds every code as a lane and every code as a weight in turn to
@@ -528,61 +517,128 @@ mod tests {
 
     #[test]
     fn bit_parallel_mvm_matches_per_lane_reference() {
-        under_both_engines(|engine| {
-            for bits in 4..=6u32 {
-                let n = p(bits);
-                for b in [1u32, 2, 4, 8, 16] {
-                    let mac = BitParallelScMac::new(n, b).unwrap();
-                    for a in [0u32, 8] {
-                        let lanes = n.stream_len() as usize;
-                        let mut mvm = BitParallelMvm::new(n, lanes, a, b).unwrap();
-                        let mut billed = 0;
-                        check_against_per_lane(
-                            n,
-                            a,
-                            |w, xs| {
-                                let cycles = mvm.accumulate(w, xs).unwrap();
-                                billed += cycles;
-                                (cycles, mvm.read())
-                            },
-                            |w, x| mac.multiply_signed(w, x).unwrap(),
-                        );
-                        assert_eq!(mvm.cycles(), billed, "{engine:?} N={bits} b={b} A={a}");
-                    }
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn truncated_terms_match_per_lane_edt_reference() {
-        under_both_engines(|engine| {
-            let n = p(6);
-            for s in 1..=6u32 {
-                let edt = EarlyTerminationScMac::new(n, s).unwrap();
+        for bits in 4..=6u32 {
+            let n = p(bits);
+            for b in [1u32, 2, 4, 8, 16] {
+                let mac = BitParallelScMac::new(n, b).unwrap();
                 for a in [0u32, 8] {
-                    let mut mvm = BiscMvm::new(n, n.stream_len() as usize, a);
+                    let lanes = n.stream_len() as usize;
+                    let mut mvm = BitParallelMvm::new(n, lanes, a, b).unwrap();
                     let mut billed = 0;
                     check_against_per_lane(
                         n,
                         a,
                         |w, xs| {
-                            let cycles = mvm.accumulate_truncated(w, xs, s).unwrap();
+                            let cycles = mvm.accumulate(w, xs).unwrap();
                             billed += cycles;
                             (cycles, mvm.read())
                         },
-                        |w, x| edt.multiply(w, x).unwrap(),
+                        |w, x| mac.multiply_signed(w, x).unwrap(),
                     );
-                    assert_eq!(mvm.cycles(), billed, "{engine:?} s={s} A={a}");
+                    assert_eq!(mvm.cycles(), billed, "N={bits} b={b} A={a}");
                 }
             }
-            let mut mvm = BiscMvm::new(n, 1, 2);
-            assert!(matches!(
-                mvm.accumulate_truncated(5, &[1], 0),
-                Err(Error::UnsupportedPrecision { .. })
-            ));
-            assert!(mvm.accumulate_truncated(5, &[1], 7).is_err());
-        });
+        }
+    }
+
+    #[test]
+    fn truncated_terms_match_per_lane_edt_reference() {
+        let n = p(6);
+        for s in 1..=6u32 {
+            let edt = EarlyTerminationScMac::new(n, s).unwrap();
+            for a in [0u32, 8] {
+                let mut mvm = BiscMvm::new(n, n.stream_len() as usize, a);
+                let mut billed = 0;
+                check_against_per_lane(
+                    n,
+                    a,
+                    |w, xs| {
+                        let cycles = mvm.accumulate_truncated(w, xs, s).unwrap();
+                        billed += cycles;
+                        (cycles, mvm.read())
+                    },
+                    |w, x| edt.multiply(w, x).unwrap(),
+                );
+                assert_eq!(mvm.cycles(), billed, "s={s} A={a}");
+            }
+        }
+        let mut mvm = BiscMvm::new(n, 1, 2);
+        assert!(matches!(
+            mvm.accumulate_truncated(5, &[1], 0),
+            Err(Error::UnsupportedPrecision { .. })
+        ));
+        assert!(mvm.accumulate_truncated(5, &[1], 7).is_err());
+    }
+
+    #[test]
+    fn behavioural_mvms_match_per_cycle_references() {
+        // Random codes at N in {4, 7, 10}; A = 8 keeps every lane clear of
+        // saturation, where the per-term and per-cycle models agree.
+        let mut rng = crate::rng::SmallRng::seed_from_u64(0x5EED_0004);
+        for bits in [4u32, 7, 10] {
+            let n = p(bits);
+            let m = n.stream_len();
+            let mut signed = |len| -> Vec<i32> {
+                (0..len).map(|_| (rng.next_u64() % m) as i32 - n.half_scale() as i32).collect()
+            };
+            let (xs, ws) = (signed(17), signed(5));
+            let mut fast = BiscMvm::new(n, xs.len(), 8);
+            let mut golden = BiscMvm::new(n, xs.len(), 8);
+            for &w in &ws {
+                assert_eq!(
+                    fast.accumulate(w, &xs).unwrap(),
+                    golden.accumulate_cycle_accurate(w, &xs).unwrap()
+                );
+            }
+            assert_eq!((fast.read(), fast.cycles()), (golden.read(), golden.cycles()), "N={bits}");
+            assert!(!golden.any_saturated(), "N={bits}");
+
+            let mut unsigned =
+                |len| -> Vec<u32> { (0..len).map(|_| (rng.next_u64() % m) as u32).collect() };
+            let (uxs, uws) = (unsigned(17), unsigned(5));
+            let mac = crate::mac::UnsignedScMac::new(n);
+            let mut mvm = UnsignedBiscMvm::new(n, uxs.len(), 8);
+            for &w in &uws {
+                mvm.accumulate(w, &uxs).unwrap();
+            }
+            let expect: Vec<i64> = uxs
+                .iter()
+                .map(|&x| {
+                    uws.iter().map(|&w| mac.multiply_serial(x, w).unwrap().value as i64).sum()
+                })
+                .collect();
+            assert_eq!(mvm.read(), expect, "N={bits} unsigned");
+            assert_eq!(mvm.cycles(), uws.iter().map(|&w| w as u64).sum::<u64>(), "N={bits}");
+        }
+    }
+
+    #[test]
+    fn rejected_terms_leave_lanes_untouched() {
+        // Lanes 0 and 1 hold valid codes and lane 2 a bad one: the error
+        // names lane 2's code, and no lane or cycle count moves.
+        let n = p(8);
+        let bad = Err(Error::CodeOutOfRange { code: 300, precision: 8 });
+        let mut serial = BiscMvm::new(n, 3, 2);
+        let mut par = BitParallelMvm::new(n, 3, 2, 8).unwrap();
+        let mut unsigned = UnsignedBiscMvm::new(n, 3, 2);
+        serial.accumulate(10, &[5, 6, 7]).unwrap();
+        par.accumulate(10, &[5, 6, 7]).unwrap();
+        unsigned.accumulate(10, &[5, 6, 7]).unwrap();
+        let state = |s: &BiscMvm, p: &BitParallelMvm, u: &UnsignedBiscMvm| {
+            [(s.read(), s.cycles()), (p.read(), p.cycles()), (u.read(), u.cycles())]
+        };
+        let before = state(&serial, &par, &unsigned);
+
+        assert_eq!(serial.accumulate(100, &[100, 100, 300]), bad);
+        assert_eq!(serial.accumulate_truncated(100, &[100, 100, 300], 4), bad);
+        assert_eq!(par.accumulate(100, &[100, 100, 300]), bad);
+        assert_eq!(unsigned.accumulate(100, &[200, 200, 300]), bad);
+        assert_eq!(state(&serial, &par, &unsigned), before);
+        // The first bad lane is the one named, not the largest code.
+        assert_eq!(
+            serial.accumulate(1, &[0, 200, 300]),
+            Err(Error::CodeOutOfRange { code: 200, precision: 8 })
+        );
     }
 
     #[test]

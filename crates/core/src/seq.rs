@@ -210,6 +210,33 @@ mod tests {
     }
 
     #[test]
+    fn prefix_and_range_sums_equal_stream_walk_large_n() {
+        // One running walk per operand, read off every 97th cycle; each
+        // range spans the cycles between two consecutive reads.
+        for bits in [9u32, 11, 16] {
+            let n = p(bits);
+            for x in [0u32, 7, 499, 0x7FFF, 0xFFFF].map(|x| x & ((1 << bits) - 1)) {
+                let mut walked = 0u64;
+                let (mut lo, mut at_lo) = (0u64, 0u64);
+                for k in 0..=n.stream_len() {
+                    if k > 0 {
+                        walked += stream_bit(x, n, k) as u64;
+                    }
+                    if k % 97 == 0 {
+                        assert_eq!(prefix_sum(x, n, k), walked, "bits={bits} x={x} k={k}");
+                        assert_eq!(
+                            range_sum(x, n, lo, k),
+                            walked - at_lo,
+                            "bits={bits} x={x} k={k}"
+                        );
+                        (lo, at_lo) = (k, walked);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn prefix_sum_error_bound() {
         // |P_k - x·k/2^N| <= N/2 for all x, k (paper's loose bound).
         let n = p(8);

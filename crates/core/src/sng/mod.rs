@@ -68,17 +68,10 @@ pub fn collect_stream_words<G: BitstreamGenerator + ?Sized>(gen: &mut G, code: u
     out
 }
 
-/// Counts the ones in the first `k` bits of a packed stream produced by
-/// [`collect_stream_words`]. Thin alias of
-/// [`crate::bitplane::count_ones_prefix`], the generalized home of the
-/// packed-popcount idiom.
-pub fn count_ones_prefix(words: &[u64], k: u64) -> u64 {
-    crate::bitplane::count_ones_prefix(words, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitplane::count_ones_prefix;
 
     #[test]
     fn packed_stream_round_trip() {

@@ -1,8 +1,8 @@
 //! Golden cross-check for the execution engines: the bitplane popcount
-//! fast paths must be bitwise identical to the cycle-accurate reference
-//! on every proposed datapath — clean, under zero-rate and armed fault
-//! plans, at several thread counts, across precisions, and at every EDT
-//! truncation tier.
+//! fast paths of the RTL `run_to_done` loops must be bitwise identical to
+//! the cycle-accurate reference on every proposed datapath — clean, under
+//! zero-rate and armed fault plans, at several thread counts, and across
+//! precisions.
 //!
 //! The engine selection ([`bitplane::set_engine`]) is process-global, so
 //! every test in this binary serializes on [`ENGINE_LOCK`] and restores
@@ -12,8 +12,6 @@
 use std::sync::Mutex;
 
 use sc_core::bitplane::{self, EngineKind};
-use sc_core::mac::EarlyTerminationScMac;
-use sc_core::mvm::{BiscMvm, UnsignedBiscMvm};
 use sc_core::Precision;
 use sc_fault::FaultPlan;
 use sc_rtlsim::mac::{ProposedMacRtl, UnsignedMacRtl};
@@ -165,73 +163,6 @@ fn mvm_engines_identical_across_thread_counts() {
                 run(EngineKind::CycleAccurate, threads),
                 golden,
                 "cycle engine at {threads} threads"
-            );
-        }
-    }
-}
-
-#[test]
-fn behavioural_mvm_engines_bitwise_identical() {
-    // The behavioural BiscMvm / UnsignedBiscMvm share one occupancy
-    // table across lanes on the bitplane engine; the cycle engine walks
-    // serially. Both must agree exactly.
-    let _g = locked();
-    let _r = Restore;
-    let mut seed = 0x5EED_0004u64;
-    for bits in [4u32, 7, 10] {
-        let n = Precision::new(bits).unwrap();
-        let xs: Vec<i32> = (0..17).map(|_| signed_code(n, next(&mut seed))).collect();
-        let ws: Vec<i32> = (0..5).map(|_| signed_code(n, next(&mut seed))).collect();
-        let run = |e| {
-            bitplane::set_engine(Some(e));
-            let mut mvm = BiscMvm::new(n, xs.len(), 8);
-            for &w in &ws {
-                mvm.accumulate(w, &xs).unwrap();
-            }
-            (mvm.read(), mvm.cycles())
-        };
-        assert_eq!(run(EngineKind::CycleAccurate), run(EngineKind::Bitplane), "N={bits}");
-
-        let uxs: Vec<u32> = (0..17).map(|_| unsigned_code(n, next(&mut seed))).collect();
-        let uws: Vec<u32> = (0..5).map(|_| unsigned_code(n, next(&mut seed))).collect();
-        let urun = |e| {
-            bitplane::set_engine(Some(e));
-            let mut mvm = UnsignedBiscMvm::new(n, uxs.len(), 8);
-            for &w in &uws {
-                mvm.accumulate(w, &uxs).unwrap();
-            }
-            (mvm.read(), mvm.cycles())
-        };
-        assert_eq!(
-            urun(EngineKind::CycleAccurate),
-            urun(EngineKind::Bitplane),
-            "N={bits} unsigned"
-        );
-    }
-}
-
-#[test]
-fn edt_tiers_engines_bitwise_identical() {
-    // Every truncation tier s = 1..=N — including the serve ladder's
-    // effective-bits 6 and 4 — is just a shorter prefix mask for the
-    // bitplane engine; the products must still match the serial walk.
-    let _g = locked();
-    let _r = Restore;
-    let mut seed = 0x5EED_0005u64;
-    let n = Precision::new(8).unwrap();
-    for s in 1..=n.bits() {
-        let edt = EarlyTerminationScMac::new(n, s).unwrap();
-        for _ in 0..16 {
-            let w = signed_code(n, next(&mut seed));
-            let x = signed_code(n, next(&mut seed));
-            let run = |e| {
-                bitplane::set_engine(Some(e));
-                edt.multiply(w, x).unwrap()
-            };
-            assert_eq!(
-                run(EngineKind::CycleAccurate),
-                run(EngineKind::Bitplane),
-                "s={s} w={w} x={x}"
             );
         }
     }

@@ -30,8 +30,9 @@
 //! (Algorithm R keyed on the per-stream record index — never wall
 //! clock, never thread identity), and every aggregate lives in a
 //! `BTreeMap`. Two runs of the same workload therefore serialize to
-//! **byte-identical** logs at any `SC_THREADS` and under either
-//! `SC_ENGINE` — the property the ci.sh obs gate asserts.
+//! **byte-identical** logs at any `SC_THREADS` — the property the ci.sh
+//! obs gate asserts. (`SC_ENGINE` reaches only `sc-rtlsim`'s cycle walk,
+//! which the serving path never runs.)
 //!
 //! ## Latency semantics
 //!

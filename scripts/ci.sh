@@ -47,17 +47,28 @@ echo "==> cargo test (SC_THREADS=4)"
 SC_THREADS=4 cargo test --workspace -q
 
 echo "==> engine gate: golden cross-check under both execution engines"
-# The bitplane popcount fast paths must stay bitwise identical to the
-# cycle-accurate reference whichever engine SC_ENGINE selects, at both
-# CI thread counts. The selection is latched once per process, so every
-# combination gets a fresh test process.
+# The bitplane popcount fast paths of sc-rtlsim's run_to_done loops must
+# stay bitwise identical to the cycle-accurate reference whichever
+# engine SC_ENGINE selects, at both CI thread counts. The selection is
+# latched once per process, so every combination gets a fresh test
+# process.
 for eng in cycle bitplane; do
     for t in 1 4; do
         echo "    SC_ENGINE=$eng SC_THREADS=$t"
         SC_ENGINE="$eng" SC_THREADS="$t" cargo test -q -p sc-rtlsim --test bitplane
-        SC_ENGINE="$eng" SC_THREADS="$t" cargo test -q -p sc-accel --test engines
     done
 done
+
+echo "==> engine seam guard: only sc-rtlsim's cycle walk reads the engine switch"
+# Everything else computes from the closed forms, so the gate above
+# covers every reader. Besides its definition, only the bench bins may
+# name the switch: they record the engine in manifest config, and
+# bench_parallel times the rtlsim engine pair.
+SEAM_HITS="$(grep -rnE 'bitplane::engine|set_engine|EngineKind' crates/*/src \
+    | grep -vE '^crates/(core/src/bitplane\.rs|rtlsim/src/|bench/src/)' || true)"
+[ -z "$SEAM_HITS" ] \
+    || { echo "engine switch named outside sc-rtlsim and the bench bins:" >&2
+         echo "$SEAM_HITS" >&2; exit 1; }
 
 echo "==> benchmark gate: build, test and smoke-run perfbench"
 # perfbench/ is its own workspace, so the workspace build above never
@@ -350,14 +361,16 @@ print(f"    crash loop: {rec['restarts_failed']} blocked restart(s), "
       f"restart-fail re-entered backoff {rf['restarts_failed']}x")
 EOF
 
-echo "==> obs gate: event log and sc_obs answers byte-identical across engines and threads"
+echo "==> obs gate: event log and sc_obs answers byte-identical across thread counts"
 # The observability plane is part of the deterministic contract: the
 # per-request event log, the folded cycle profile, and every sc_obs
-# answer must come out byte for byte the same whichever engine or
-# worker count served the storm. The clean SC_THREADS=4 regen above
-# (default engine = bitplane) is the reference; replay the storm across
-# the engine/thread matrix and byte-compare. The matrix ends on
-# bitplane/4, so the artifacts left on disk match the report-gate regen.
+# answer must come out byte for byte the same whichever worker count
+# served the storm. Nothing the storm runs reads the engine switch:
+# sc-serve and sc-accel do not depend on sc-rtlsim, and the seam guard
+# above keeps the switch out of them, so only threads vary. The clean
+# SC_THREADS=4 regen above is the reference; replay the storm at each
+# thread count and byte-compare. The replays end on SC_THREADS=4, so the
+# artifacts left on disk match the report-gate regen.
 OBS_REF="$(mktemp -d)"
 cp results/obs/serve_storm.events.jsonl results/obs/serve_storm.folded "$OBS_REF"/
 obs_queries() {
@@ -372,29 +385,27 @@ obs_queries() {
         --scenario spike-faulted > "$out/exemplars.txt"
 }
 obs_queries "$OBS_REF"
-for eng in cycle bitplane; do
-    for t in 1 4; do
-        env -u SC_FAULTS SC_ENGINE="$eng" SC_THREADS="$t" \
-            cargo run --release -q -p sc-bench --bin serve_storm -- --quick >/dev/null
-        cmp results/obs/serve_storm.events.jsonl "$OBS_REF/serve_storm.events.jsonl" \
-            || { echo "event log differs under SC_ENGINE=$eng SC_THREADS=$t" >&2; exit 1; }
-        cmp results/obs/serve_storm.folded "$OBS_REF/serve_storm.folded" \
-            || { echo "folded profile differs under SC_ENGINE=$eng SC_THREADS=$t" >&2; exit 1; }
-        OBS_CUR="$(mktemp -d)"
-        obs_queries "$OBS_CUR"
-        for f in summary top breakdown series exemplars; do
-            cmp "$OBS_CUR/$f.txt" "$OBS_REF/$f.txt" \
-                || { echo "sc_obs $f differs under SC_ENGINE=$eng SC_THREADS=$t" >&2; exit 1; }
-        done
-        rm -rf "$OBS_CUR"
-        echo "    SC_ENGINE=$eng SC_THREADS=$t: 2 artifacts + 5 sc_obs answers identical"
+for t in 1 4; do
+    env -u SC_FAULTS SC_THREADS="$t" \
+        cargo run --release -q -p sc-bench --bin serve_storm -- --quick >/dev/null
+    cmp results/obs/serve_storm.events.jsonl "$OBS_REF/serve_storm.events.jsonl" \
+        || { echo "event log differs under SC_THREADS=$t" >&2; exit 1; }
+    cmp results/obs/serve_storm.folded "$OBS_REF/serve_storm.folded" \
+        || { echo "folded profile differs under SC_THREADS=$t" >&2; exit 1; }
+    OBS_CUR="$(mktemp -d)"
+    obs_queries "$OBS_CUR"
+    for f in summary top breakdown series exemplars; do
+        cmp "$OBS_CUR/$f.txt" "$OBS_REF/$f.txt" \
+            || { echo "sc_obs $f differs under SC_THREADS=$t" >&2; exit 1; }
     done
+    rm -rf "$OBS_CUR"
+    echo "    SC_THREADS=$t: 2 artifacts + 5 sc_obs answers identical"
 done
 rm -rf "$OBS_REF"
 
 echo "==> artifact gate: committed serving artifacts match what the code produces"
-# The obs matrix above ended on bitplane/4, the configuration the
-# committed serving artifacts come from. A change that moves any of them
+# The obs replays above ended on the default engine at SC_THREADS=4, the
+# configuration the committed serving artifacts come from. A change that moves any of them
 # must commit the regenerated files, so a change that claims to move
 # nothing (a deletion, a refactor) is held to byte identity here.
 SERVE_ARTIFACTS=(results/obs/serve_storm.events.jsonl results/obs/serve_storm.folded
