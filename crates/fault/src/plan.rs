@@ -109,7 +109,7 @@ impl FaultPlan {
             .split_once(':')
             .ok_or_else(|| err("expected `<site>:<kind>@<rate>[@start..end]` or `seed=<u64>`"))?;
         let site = site.trim();
-        if site.is_empty() || site[..site.len() - 1].contains('*') {
+        if site.is_empty() || site.strip_suffix('*').unwrap_or(site).contains('*') {
             return Err(err("site must be a non-empty name, `*` only allowed as a suffix"));
         }
         let mut parts = rest.split('@');
@@ -233,6 +233,15 @@ mod tests {
                 other => panic!("expected FaultSpecParse, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn site_names_may_end_in_a_multibyte_character() {
+        let plan = FaultPlan::parse("é:flip@0.1").unwrap();
+        assert!(plan.lookup("é").is_some());
+        let plan = FaultPlan::parse("accel.é:flip@0.1").unwrap();
+        assert!(plan.lookup("accel.é").is_some());
+        assert!(matches!(FaultPlan::parse("a*é:flip@0.1"), Err(Error::FaultSpecParse { .. })));
     }
 
     #[test]

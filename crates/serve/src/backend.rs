@@ -84,6 +84,10 @@ impl Backend for AccelBackend {
 
 /// Serves whole-network inference with tier-swapped SC arithmetic.
 ///
+/// One forward pass both answers and bills a request: the class is the
+/// argmax of [`Network::forward_with_sc_cycles`]'s output, and the
+/// service cycles are that same pass's per-conv-layer bill.
+///
 /// Each tier's product table ([`QuantArith::proposed_sc_edt`]) and each
 /// `(payload, tier)` result are cached after first use — inference and
 /// the cycle model are both deterministic, so the cache never changes an
@@ -164,15 +168,15 @@ impl Backend for NeuralBackend {
             }
         };
         self.net.set_conv_mode(&ConvMode::Quantized { arith, extra_bits: self.extra_bits });
-        let sample = self.samples[payload].clone();
-        let per_layer =
-            self.net.proposed_sc_cycles_per_layer(&sample, self.n, Some(s), self.lanes)?;
-        let cycles: u64 = per_layer.iter().map(|&(_, c)| c).sum();
+        let (logits, bill) =
+            self.net.forward_with_sc_cycles(&self.samples[payload], self.n, Some(s), self.lanes)?;
+        let class = logits.argmax() as i64;
+        let cycles: u64 = bill.iter().map(|&(_, c)| c).sum();
         // One profiled layer per conv layer, in network order; the
         // cycle model has no per-tile breakdown here, so each layer is
         // one compute-only tile.
         let profile = BackendProfile {
-            layers: per_layer
+            layers: bill
                 .iter()
                 .map(|&(idx, c)| LayerProfile {
                     name: format!("conv{idx}"),
@@ -180,7 +184,6 @@ impl Backend for NeuralBackend {
                 })
                 .collect(),
         };
-        let class = self.net.predict(&sample) as i64;
         self.served.insert((payload, s), (class, cycles, profile.clone()));
         Ok(BackendReply { outputs: vec![class], cycles, profile })
     }

@@ -173,7 +173,7 @@ impl Json {
     ///
     /// Returns a message describing the first syntax error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -206,9 +206,16 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts: the parser
+/// recurses once per level, so an unbounded depth could overflow the
+/// stack on a small hostile file.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -250,12 +257,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(b) => Err(format!("unexpected byte '{}' at {}", b as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Parses one array or object, one nesting level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -338,8 +356,12 @@ impl<'a> Parser<'a> {
                                 }
                                 self.pos += 1; // cursor onto the 'u' for hex4
                                 let lo = self.hex4()?;
-                                let combined =
-                                    0x10000 + ((cp - 0xD800) << 10) + (lo.wrapping_sub(0xDC00));
+                                if !(0xDC00..=0xDFFF).contains(&lo) {
+                                    return Err(
+                                        "high surrogate without a low surrogate".to_string()
+                                    );
+                                }
+                                let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
                                 char::from_u32(combined)
                                     .ok_or_else(|| "invalid surrogate pair".to_string())?
                             } else {
@@ -462,6 +484,22 @@ mod tests {
     fn parses_escapes_and_unicode() {
         let v = Json::parse(r#""a\n\t\"\\ é 😀""#).unwrap();
         assert_eq!(v.as_str(), Some("a\n\t\"\\ é 😀"));
+    }
+
+    #[test]
+    fn rejects_a_high_surrogate_not_followed_by_a_low_one() {
+        assert!(Json::parse(r#""\ud800\u0041""#).is_err());
+        assert!(Json::parse(r#""\ud800\ud800""#).is_err());
+        assert_eq!(Json::parse(r#""\ud83d\ude00""#).unwrap().as_str(), Some("😀"));
+    }
+
+    #[test]
+    fn rejects_nesting_past_the_depth_bound() {
+        let deep = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&deep(MAX_DEPTH + 1)).is_err());
+        assert!(Json::parse(&"[".repeat(5000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(5000)).is_err());
     }
 
     #[test]

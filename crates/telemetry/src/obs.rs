@@ -286,9 +286,13 @@ impl FoldedStacks {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed line.
+    /// Returns a description of the first malformed line, or of the
+    /// line that takes the total past `u64::MAX`.
     pub fn parse(text: &str) -> Result<FoldedStacks, String> {
         let mut folded = FoldedStacks::new();
+        // Every stack sums to at most the total, so a total that fits
+        // keeps both `add` and `total` from overflowing.
+        let mut total = 0u64;
         for (i, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() {
@@ -300,6 +304,9 @@ impl FoldedStacks {
             let cycles: u64 = count
                 .parse()
                 .map_err(|e| format!("line {}: bad cycle count {count:?}: {e}", i + 1))?;
+            total = total
+                .checked_add(cycles)
+                .ok_or_else(|| format!("line {}: cycle total overflows u64", i + 1))?;
             folded.add(path, cycles);
         }
         Ok(folded)
@@ -1394,6 +1401,15 @@ mod tests {
         merged.merge(&folded);
         assert_eq!(merged.total(), 600);
         assert!(FoldedStacks::parse("nocount\n").is_err());
+    }
+
+    #[test]
+    fn folded_stacks_reject_a_total_past_u64() {
+        for text in ["a;b 18446744073709551615\na;b 1", "a 18446744073709551615\nb 1"] {
+            let e = FoldedStacks::parse(text).unwrap_err();
+            assert!(e.starts_with("line 2:"), "{e}");
+        }
+        assert_eq!(FoldedStacks::parse("a 18446744073709551615").unwrap().total(), u64::MAX);
     }
 
     #[test]

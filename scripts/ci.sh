@@ -76,21 +76,30 @@ echo "==> benchmark gate: build, test and smoke-run perfbench"
 # silently. Its workloads check their own outputs (accel_conv: serial
 # == bit-parallel layer outputs, and the engine's sampled tile == its
 # BiscMvm, BitParallelMvm and BiscMvmRtl replays); every result line
-# must report correct and no failed operation.
+# must report correct and no failed operation. Each digest folds the
+# workload's modelled statistics over a prefix that is fixed whatever
+# the run length or host speed, so the 2-s run must reproduce its pin
+# below. A change meant to move a modelled statistic updates the pin
+# and says why in CHANGES.md, as for a results/baseline/ refresh.
 BENCH_TARGET="${CARGO_TARGET_DIR:-$PWD/.bench_build}"
 CARGO_TARGET_DIR="$BENCH_TARGET" \
     cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 BENCH_RESULT="$(mktemp)"
-for w in cnn_infer accel_conv serve_storm; do
+for pin in cnn_infer=0x5da69178275a374d accel_conv=0xe94c5448241851aa \
+    serve_storm=0x4a91f2bb419d1bfd; do
+    w="${pin%%=*}"
     CARGO_TARGET_DIR="$BENCH_TARGET" \
         python3 perfbench/run.py --workload "$w" --seed 42 --seconds 2 > "$BENCH_RESULT"
-    python3 - "$w" "$BENCH_RESULT" <<'EOF'
+    python3 - "$w" "${pin#*=}" "$BENCH_RESULT" <<'EOF'
 import json, sys
-w, path = sys.argv[1], sys.argv[2]
-r = json.loads(open(path).read().splitlines()[-1])
+w, pinned, path = sys.argv[1:]
+lines = open(path).read().splitlines()
+r = json.loads(lines[-1])
 assert r["correct"] is True, f"perfbench {w}: correct is {r['correct']!r}"
 assert r["failed"] == 0, f"perfbench {w}: {r['failed']} of {r['attempted']} operations failed"
-print(f"    {w}: {r['attempted']} operations, all correct")
+digests = [l.split()[2] for l in lines if l.startswith(f"digest {w} ")]
+assert digests == [pinned], f"perfbench {w}: digest {digests} is not the pinned {pinned}"
+print(f"    {w}: {r['attempted']} operations, all correct, digest {pinned}")
 EOF
 done
 rm -f "$BENCH_RESULT"
