@@ -7,7 +7,7 @@ use crate::layer::{ConvGeometry, Tiling};
 use crate::memory::{ParitySram, Traffic};
 use sc_core::bitplane;
 use sc_core::mac::{EarlyTerminationScMac, SaturatingAccumulator};
-use sc_core::mvm::{BiscMvm, BitParallelMvm};
+use sc_core::mvm::{check_lane_codes, BiscMvm, BitParallelMvm};
 use sc_core::{Error, Precision};
 use sc_fault::{FaultKind, FaultSite};
 use sc_fixed::FixedMul;
@@ -35,6 +35,31 @@ type VerifiedTile = (TileProfile, u64, Vec<(usize, i64)>, bool);
 /// packed bitplane words of the prefixes the tile's terms scanned (0 for
 /// fixed-point arithmetic), and the write-back list.
 type ComputedTile = (u64, u64, u64, Vec<(usize, i64)>);
+
+/// One vector unit's sums over its weight row, from which every tile
+/// bill is made. They depend on the weights, the tier and the
+/// arithmetic only, never on the inputs or the lane count.
+#[derive(Default)]
+struct UnitSums {
+    /// Billed cycles.
+    cycles: u64,
+    /// `Σ|w|`, what the full-precision serial schedule would bill
+    /// (truncated-stream mode only, else 0).
+    full: u64,
+    /// Packed bitplane words of the prefixes the terms scanned (0 for
+    /// fixed-point arithmetic).
+    words: u64,
+}
+
+/// A tile's bill from its units' sums: billed cycles, EDT savings and
+/// bitplane words. The `T_M` units run in lock step, so the slowest
+/// paces the tile; every unit scans its own prefixes, so words add up.
+fn tile_bill(units: &[UnitSums]) -> (u64, u64, u64) {
+    let cycles = units.iter().map(|u| u.cycles).max().unwrap_or(0);
+    let full = units.iter().map(|u| u.full).max().unwrap_or(0);
+    // Outside EDT mode `full` stays 0, so savings read 0.
+    (cycles, full.saturating_sub(cycles), units.iter().map(|u| u.words).sum())
+}
 
 /// Cached metric handles for the engine hot loops (name lookup happens
 /// once; recording is a flag check + relaxed atomic).
@@ -173,8 +198,10 @@ impl TileEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidGeometry`] if the geometry fails
-    /// validation, [`Error::CodeOutOfRange`] if any code exceeds the
+    /// Returns [`Error::InvalidConfig`] if the tiling has a zero tile
+    /// dimension or the `N + A`-bit accumulator is wider than 62 bits,
+    /// [`Error::InvalidGeometry`] if the geometry fails validation,
+    /// [`Error::CodeOutOfRange`] if any code an output reads exceeds the
     /// precision, or [`Error::LengthMismatch`] if the buffers do not
     /// match the geometry.
     pub fn run_layer(
@@ -207,11 +234,31 @@ impl TileEngine {
         weights: &[i32],
         effective_bits: Option<u32>,
     ) -> Result<LayerRun, Error> {
+        let Tiling { t_m, t_r, t_c } = self.tiling;
+        if t_m == 0 || t_r == 0 || t_c == 0 {
+            return Err(Error::InvalidConfig {
+                what: "tiling".into(),
+                reason: format!("{:?} has a zero tile dimension", self.tiling),
+            });
+        }
+        // `SaturatingAccumulator` holds 2..=62 bits; N ≥ 2 covers the
+        // lower end.
+        let width = self.n.bits().saturating_add(self.extra_bits);
+        if width > 62 {
+            return Err(Error::InvalidConfig {
+                what: "accumulator width N + A".into(),
+                reason: format!(
+                    "{} + {} = {width} bits exceeds the 62-bit accumulator",
+                    self.n.bits(),
+                    self.extra_bits
+                ),
+            });
+        }
         if !g.is_valid() {
             return Err(Error::InvalidGeometry { geometry: format!("{g:?}") });
         }
         if let Some(s) = effective_bits {
-            // Validate before any tile work is spawned.
+            // Validate before any unit runs.
             EarlyTerminationScMac::new(self.n, s)?;
         }
         if input.len() != g.z * g.in_h * g.in_w {
@@ -224,9 +271,7 @@ impl TileEngine {
             return Err(Error::LengthMismatch { expected: g.m * g.depth(), actual: weights.len() });
         }
 
-        let (r, c) = (g.r(), g.c());
-        let p = self.tiling.lanes();
-        let mut outputs = vec![0i64; g.m * r * c];
+        let (r, c, depth) = (g.r(), g.c(), g.depth());
         let mut cycles = 0u64;
         let mut traffic = Traffic::default();
         let mut degraded_tiles = Vec::new();
@@ -248,78 +293,91 @@ impl TileEngine {
         let weights: &[i32] = staged_weights.as_deref().unwrap_or(weights);
         let tile_site = sc_fault::site(sites::TILE_OUTPUT);
 
-        // Fig. 4: outer tile loops over (m1, r1, c1), enumerated in the
-        // canonical nest order. Tiles are independent (disjoint output
-        // regions), so they run on the sc-par pool; every tile's result
-        // is then merged below in this fixed enumeration order, which
-        // keeps outputs, cycle totals, and traffic counters bitwise
-        // identical at any `SC_THREADS`.
+        // Weight-stationary compute (PAPER.md §1.4): the layer's im2col
+        // is gathered once, and each output map runs as one unit whose
+        // lanes are the whole R×C plane, so every weight is decoded once
+        // per layer rather than once per tile. Units are independent, so
+        // they run on the sc-par pool; results come back in map order.
+        let cols = gather_patch(g, input, (0, r), (0, c), (r, c));
+        let units = sc_par::Pool::global().parallel_map(g.m, |m| {
+            self.run_unit(&weights[m * depth..(m + 1) * depth], &cols, r * c, effective_bits)
+        });
+        let mut outputs = Vec::with_capacity(g.m * r * c);
+        let mut sums = Vec::with_capacity(g.m);
+        for unit in units {
+            let (values, unit_sums) = unit?;
+            outputs.extend(values);
+            sums.push(unit_sums);
+        }
+
+        // Fig. 4: the tiles (m1, r1, c1) in the canonical nest order.
+        // Each is billed from its units' sums; its write-back list is
+        // sliced out of the planes only when the tile must be verified.
         let mut tiles: Vec<(usize, usize, usize)> = Vec::new();
-        for m1 in (0..g.m).step_by(self.tiling.t_m) {
-            for r1 in (0..r).step_by(self.tiling.t_r) {
-                for c1 in (0..c).step_by(self.tiling.t_c) {
+        for m1 in (0..g.m).step_by(t_m) {
+            for r1 in (0..r).step_by(t_r) {
+                for c1 in (0..c).step_by(t_c) {
                     tiles.push((m1, r1, c1));
                 }
             }
         }
-
-        let pool = sc_par::Pool::global();
-        let results: Vec<Result<TileDone, Error>> = pool.parallel_map(tiles.len(), |t| {
-            let (m1, r1, c1) = tiles[t];
-            let m_hi = (m1 + self.tiling.t_m).min(g.m);
-            let r_hi = (r1 + self.tiling.t_r).min(r);
-            let c_hi = (c1 + self.tiling.t_c).min(c);
-            // The input patch this tile touches is loaded once into the
-            // input buffer; weights stream per (m,z,i,j); outputs are
-            // written back once as binary numbers (this is the whole
-            // point of BISC).
-            let patch_h = (r_hi - r1 - 1) * g.stride + g.k;
-            let patch_w = (c_hi - c1 - 1) * g.stride + g.k;
-            let clean = self.run_tile(
-                g,
-                input,
-                weights,
-                (m1, m_hi),
-                (r1, r_hi),
-                (c1, c_hi),
-                p,
-                effective_bits,
-            )?;
-            let (profile, bitplane_words, writes, degraded) = match &tile_site {
-                Some(site) => self.verify_tile(
-                    site,
-                    t,
-                    clean,
-                    g,
-                    input,
-                    weights,
-                    (m1, m_hi),
-                    (r1, r_hi),
-                    (c1, c_hi),
-                    p,
-                    effective_bits,
-                )?,
-                None => (
-                    TileProfile { compute: clean.0, verify: 0, recompute: 0, edt_saved: clean.1 },
-                    clean.2,
-                    clean.3,
-                    false,
-                ),
-            };
-            Ok(TileDone {
-                input_words: (g.z * patch_h * patch_w) as u64,
-                weight_words: ((m_hi - m1) * g.depth()) as u64,
-                output_words: ((m_hi - m1) * (r_hi - r1) * (c_hi - c1)) as u64,
-                bitplane_words,
-                profile,
-                writes,
-                degraded,
+        let results: Vec<Result<TileDone, Error>> = tiles
+            .iter()
+            .enumerate()
+            .map(|(t, &(m1, r1, c1))| {
+                let m_hi = (m1 + t_m).min(g.m);
+                let r_hi = (r1 + t_r).min(r);
+                let c_hi = (c1 + t_c).min(c);
+                // The input patch this tile touches is loaded once into
+                // the input buffer; weights stream per (m,z,i,j);
+                // outputs are written back once as binary numbers (this
+                // is the whole point of BISC).
+                let patch_h = (r_hi - r1 - 1) * g.stride + g.k;
+                let patch_w = (c_hi - c1 - 1) * g.stride + g.k;
+                let (compute, edt_saved, words) = tile_bill(&sums[m1..m_hi]);
+                let (profile, bitplane_words, writes, degraded) = match &tile_site {
+                    Some(site) => {
+                        let writes = (m1..m_hi)
+                            .flat_map(|m| (r1..r_hi).map(move |rr| (m * r + rr) * c))
+                            .flat_map(|row| (c1..c_hi).map(move |cc| row + cc))
+                            .map(|index| (index, outputs[index]))
+                            .collect();
+                        self.verify_tile(
+                            site,
+                            t,
+                            (compute, edt_saved, words, writes),
+                            g,
+                            input,
+                            weights,
+                            (m1, m_hi),
+                            (r1, r_hi),
+                            (c1, c_hi),
+                            effective_bits,
+                        )?
+                    }
+                    None => (
+                        TileProfile { compute, verify: 0, recompute: 0, edt_saved },
+                        words,
+                        Vec::new(),
+                        false,
+                    ),
+                };
+                Ok(TileDone {
+                    input_words: (g.z * patch_h * patch_w) as u64,
+                    weight_words: ((m_hi - m1) * depth) as u64,
+                    output_words: ((m_hi - m1) * (r_hi - r1) * (c_hi - c1)) as u64,
+                    bitplane_words,
+                    profile,
+                    writes,
+                    degraded,
+                })
             })
-        });
+            .collect();
 
         // Deterministic merge: per-tile accumulators folded in tile
         // order (metrics and trace events fire here, on the caller's
         // thread, so telemetry layout does not depend on scheduling).
+        // A verified tile's accepted writes replace its clean outputs.
         for (t, result) in results.into_iter().enumerate() {
             let done = result?;
             let (m1, r1, c1) = tiles[t];
@@ -397,7 +455,6 @@ impl TileEngine {
         m_range: (usize, usize),
         r_range: (usize, usize),
         c_range: (usize, usize),
-        p: usize,
         effective_bits: Option<u32>,
     ) -> Result<VerifiedTile, Error> {
         let (base_cycles, base_saved, base_words, clean_writes) = clean;
@@ -438,7 +495,7 @@ impl TileEngine {
             .clamp(1, self.n.bits())
             .min(effective_bits.unwrap_or(u32::MAX));
         let (deg_cycles, deg_saved, deg_words, deg_writes) =
-            self.run_tile(g, input, weights, m_range, r_range, c_range, p, Some(s))?;
+            self.run_tile(g, input, weights, m_range, r_range, c_range, s)?;
         profile.recompute = deg_cycles;
         profile.edt_saved += deg_saved;
         Ok((profile, base_words + deg_words, deg_writes, true))
@@ -477,17 +534,15 @@ impl TileEngine {
         out
     }
 
-    /// Executes one `(m1..m_hi, r1..r_hi, c1..c_hi)` tile; returns its
-    /// cycle count (the max over the `T_M` weight groups) and the
-    /// `(output index, value)` write-back list. Writes are returned
-    /// rather than applied so tiles can run on worker threads; the
-    /// caller applies them in deterministic tile order (regions are
-    /// disjoint, so order is cosmetic — but determinism is the
-    /// contract). `edt_s = Some(s)` runs the degraded progressive-
-    /// precision mode: every MAC terminates after the top `s` weight
-    /// bits, whatever the configured arithmetic; the returned savings
-    /// are the cycles truncation shaved off the full-precision serial
-    /// schedule (`max_m Σ|w|`) for this tile.
+    /// Recomputes one `(m1..m_hi, r1..r_hi, c1..c_hi)` tile on its own
+    /// in the degraded progressive-precision mode: every MAC terminates
+    /// after the top `s` weight bits, whatever the configured
+    /// arithmetic. The tile's patch is gathered onto the engine's
+    /// `T_R·T_C` lanes and each of its units runs through
+    /// [`run_unit`](Self::run_unit), the same kernel as the layer-wide
+    /// pass. Returns the tile's bill (cycles, savings against the
+    /// full-precision serial schedule, bitplane words) and its
+    /// `(output index, value)` write-back list in `(m, r, c)` order.
     #[allow(clippy::too_many_arguments)]
     fn run_tile(
         &self,
@@ -497,112 +552,125 @@ impl TileEngine {
         (m1, m_hi): (usize, usize),
         (r1, r_hi): (usize, usize),
         (c1, c_hi): (usize, usize),
-        p: usize,
-        edt_s: Option<u32>,
+        s: u32,
     ) -> Result<ComputedTile, Error> {
-        let (r, c, depth, t_c) = (g.r(), g.c(), g.depth(), self.tiling.t_c);
-        let patch = gather_patch(g, input, (r1, r_hi), (c1, c_hi), self.tiling);
-        let mut tile_cycles = 0u64;
-        let mut tile_full = 0u64;
-        // Bitplane work is billed as a sum over all T_M units (one shared
-        // occupancy scan of the term's prefix serves every lane), unlike
-        // cycles, which are the max over the lock-stepped units (latency).
-        let mut tile_words = 0u64;
+        let (r, c, depth) = (g.r(), g.c(), g.depth());
+        let Tiling { t_r, t_c, .. } = self.tiling;
+        let patch = gather_patch(g, input, (r1, r_hi), (c1, c_hi), (t_r, t_c));
+        let mut sums = Vec::with_capacity(m_hi - m1);
         let mut writes = Vec::with_capacity((m_hi - m1) * (r_hi - r1) * (c_hi - c1));
-
         for m in m1..m_hi {
-            // One vector unit per output feature map in the tile; the
-            // T_M units run in parallel, so the tile's latency is the
-            // max of the per-unit latencies. Every unit streams its own
-            // weights against the same gathered patch rows.
-            let terms = weights[m * depth..(m + 1) * depth].iter().copied().zip(patch.chunks(p));
-            let mut unit_cycles = 0u64;
-            let mut unit_full = 0u64;
-            let values: Vec<i64> = match (edt_s, self.arithmetic) {
-                (Some(s), _) => {
-                    let mut mvm = BiscMvm::new(self.n, p, self.extra_bits);
-                    for (w, xs) in terms {
-                        let t = mvm.accumulate_truncated(w, xs, s)?;
-                        unit_cycles += t;
-                        // What the full-precision serial schedule would
-                        // have billed for this term: |w| cycles.
-                        unit_full += w.unsigned_abs() as u64;
-                        tile_words += bitplane::words_in_prefix(t);
-                    }
-                    mvm.read()
-                }
-                (None, AccelArithmetic::ProposedSerial) => {
-                    let mut mvm = BiscMvm::new(self.n, p, self.extra_bits);
-                    for (w, xs) in terms {
-                        let k = mvm.accumulate(w, xs)?;
-                        unit_cycles += k;
-                        tile_words += bitplane::words_in_prefix(k);
-                    }
-                    mvm.read()
-                }
-                (None, AccelArithmetic::ProposedParallel(b)) => {
-                    let mut mvm = BitParallelMvm::new(self.n, p, self.extra_bits, b)?;
-                    for (w, xs) in terms {
-                        unit_cycles += mvm.accumulate(w, xs)?;
-                        // The columns tile the same |w|-cycle prefix.
-                        tile_words += bitplane::words_in_prefix(w.unsigned_abs() as u64);
-                    }
-                    mvm.read()
-                }
-                (None, AccelArithmetic::Fixed) => {
-                    let mul = FixedMul::new(self.n);
-                    let mut accs = vec![SaturatingAccumulator::new(self.n, self.extra_bits); p];
-                    for (w, xs) in terms {
-                        for (acc, &x) in accs.iter_mut().zip(xs) {
-                            acc.add(mul.multiply(w, x)?);
-                        }
-                        unit_cycles += 1; // one cycle per term
-                    }
-                    accs.iter().map(|a| a.value()).collect()
-                }
-            };
-            tile_cycles = tile_cycles.max(unit_cycles);
-            tile_full = tile_full.max(unit_full);
-
+            let (values, unit) =
+                self.run_unit(&weights[m * depth..(m + 1) * depth], &patch, t_r * t_c, Some(s))?;
+            sums.push(unit);
             for (lr, rr) in (r1..r_hi).enumerate() {
                 for (lc, cc) in (c1..c_hi).enumerate() {
                     writes.push(((m * r + rr) * c + cc, values[lr * t_c + lc]));
                 }
             }
         }
-        // Outside EDT mode tile_full stays 0, so savings read 0.
-        Ok((tile_cycles, tile_full.saturating_sub(tile_cycles), tile_words, writes))
+        let (cycles, saved, words) = tile_bill(&sums);
+        Ok((cycles, saved, words, writes))
+    }
+
+    /// Runs one vector unit: streams the weight row `ws` (one term per
+    /// `(z, i, j)`) against the matching rows of `cols`, `lanes` codes
+    /// each, and returns the lane values with the unit's sums.
+    /// `tier = Some(s)` runs the truncated-stream mode (top `s` weight
+    /// bits) whatever the configured arithmetic. Each weight is decoded
+    /// once for all lanes: one shared occupancy scan for the SC designs,
+    /// one range check for fixed point.
+    fn run_unit(
+        &self,
+        ws: &[i32],
+        cols: &[i32],
+        lanes: usize,
+        tier: Option<u32>,
+    ) -> Result<(Vec<i64>, UnitSums), Error> {
+        let terms = ws.iter().copied().zip(cols.chunks(lanes));
+        let mut sums = UnitSums::default();
+        let values = match (tier, self.arithmetic) {
+            (Some(s), _) => {
+                let mut mvm = BiscMvm::new(self.n, lanes, self.extra_bits);
+                for (w, xs) in terms {
+                    let t = mvm.accumulate_truncated(w, xs, s)?;
+                    sums.cycles += t;
+                    // What the full-precision serial schedule would have
+                    // billed for this term: |w| cycles.
+                    sums.full += w.unsigned_abs() as u64;
+                    sums.words += bitplane::words_in_prefix(t);
+                }
+                mvm.read()
+            }
+            (None, AccelArithmetic::ProposedSerial) => {
+                let mut mvm = BiscMvm::new(self.n, lanes, self.extra_bits);
+                for (w, xs) in terms {
+                    let k = mvm.accumulate(w, xs)?;
+                    sums.cycles += k;
+                    sums.words += bitplane::words_in_prefix(k);
+                }
+                mvm.read()
+            }
+            (None, AccelArithmetic::ProposedParallel(b)) => {
+                let mut mvm = BitParallelMvm::new(self.n, lanes, self.extra_bits, b)?;
+                for (w, xs) in terms {
+                    sums.cycles += mvm.accumulate(w, xs)?;
+                    // The columns tile the same |w|-cycle prefix.
+                    sums.words += bitplane::words_in_prefix(w.unsigned_abs() as u64);
+                }
+                mvm.read()
+            }
+            (None, AccelArithmetic::Fixed) => {
+                let mul = FixedMul::new(self.n);
+                let (lo, hi) = SaturatingAccumulator::new(self.n, self.extra_bits).range();
+                let check = |code: i32| self.n.check_signed(code as i64).map(drop);
+                let mut accs = vec![0i64; lanes];
+                for (w, xs) in terms {
+                    check(w)?;
+                    check_lane_codes(xs, check)?;
+                    // The saturating accumulator's clamp, per product.
+                    for (acc, &x) in accs.iter_mut().zip(xs) {
+                        *acc = (*acc + mul.multiply_unchecked(w, x)).clamp(lo, hi);
+                    }
+                    sums.cycles += 1; // one cycle per term
+                }
+                accs
+            }
+        };
+        Ok((values, sums))
     }
 }
 
-/// Gathers a tile's input patch once, term-major: row `(z, i, j)` of the
-/// result holds the `p = T_R·T_C` lane codes (lane `lr·T_C + lc`) that
-/// every one of the tile's `T_M` units multiplies by its weight
-/// `W[m][z][i][j]` — an im2col restricted to the tile. Lanes past the
-/// layer edge carry x = 0, like disabled PEs in hardware.
+/// Gathers the input patch of output rows `r1..r_hi` × columns
+/// `c1..c_hi` once, term-major (an im2col): row `(z, i, j)` of the
+/// result holds, on a `t_r × t_c` lane grid (lane `lr·t_c + lc`), the
+/// codes a unit multiplies by its weight `W[m][z][i][j]`. The layer-wide
+/// pass gathers the whole `R × C` output plane; the degraded recompute
+/// gathers one tile onto the engine's `T_R × T_C` lanes, where lanes past
+/// the layer edge carry x = 0, like disabled PEs in hardware.
 fn gather_patch(
     g: &ConvGeometry,
     input: &[i32],
     (r1, r_hi): (usize, usize),
     (c1, c_hi): (usize, usize),
-    tiling: Tiling,
+    (t_r, t_c): (usize, usize),
 ) -> Vec<i32> {
-    let p = tiling.lanes();
+    let p = t_r * t_c;
     let mut patch = vec![0i32; g.depth() * p];
     let taps = (0..g.z).flat_map(|z| (0..g.k).flat_map(move |i| (0..g.k).map(move |j| (z, i, j))));
     for ((z, i, j), row) in taps.zip(patch.chunks_mut(p)) {
         for (lr, rr) in (r1..r_hi).enumerate() {
             let y = (z * g.in_h + rr * g.stride + i) * g.in_w + j;
             for (lc, cc) in (c1..c_hi).enumerate() {
-                row[lr * tiling.t_c + lc] = input[y + cc * g.stride];
+                row[lr * t_c + lc] = input[y + cc * g.stride];
             }
         }
     }
     patch
 }
 
-/// Per-tile accumulator produced on a worker thread and merged by
-/// [`TileEngine::run_layer`] in deterministic tile order.
+/// Per-tile accumulator merged by [`TileEngine::run_layer`] in
+/// deterministic tile order.
 struct TileDone {
     input_words: u64,
     weight_words: u64,
@@ -774,6 +842,45 @@ mod tests {
         match engine.run_layer(&g, &[0; 16], &[0; 9]) {
             Err(Error::InvalidGeometry { .. }) => {}
             other => panic!("expected InvalidGeometry, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_tile_dimension_is_an_error_not_a_panic() {
+        let g = small_geometry();
+        let n = Precision::new(6).unwrap();
+        let (input, weights) = test_data(&g, n);
+        for tiling in [
+            Tiling { t_m: 0, t_r: 4, t_c: 4 },
+            Tiling { t_m: 16, t_r: 0, t_c: 4 },
+            Tiling { t_m: 16, t_r: 4, t_c: 0 },
+        ] {
+            let engine = TileEngine::new(n, tiling, AccelArithmetic::ProposedSerial, 2);
+            match engine.run_layer(&g, &input, &weights) {
+                Err(Error::InvalidConfig { what, .. }) => assert_eq!(what, "tiling"),
+                other => panic!("{tiling:?}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_accumulator_is_an_error_not_a_panic() {
+        let g = small_geometry();
+        let n = Precision::new(16).unwrap();
+        let (input, weights) = test_data(&g, n);
+        for arithmetic in [AccelArithmetic::ProposedSerial, AccelArithmetic::Fixed] {
+            // 16 + 46 = 62 bits is the widest accumulator; one more bit
+            // must be rejected before any unit runs.
+            let engine = TileEngine::new(n, Tiling::default(), arithmetic, 46);
+            assert!(engine.run_layer(&g, &input, &weights).is_ok());
+            let engine = TileEngine::new(n, Tiling::default(), arithmetic, 47);
+            match engine.run_layer(&g, &input, &weights) {
+                Err(Error::InvalidConfig { what, reason }) => {
+                    assert_eq!(what, "accumulator width N + A");
+                    assert!(reason.contains("63"), "{reason}");
+                }
+                other => panic!("{arithmetic:?}: expected InvalidConfig, got {other:?}"),
+            }
         }
     }
 

@@ -6,7 +6,7 @@ use sc_accel::engine::{AccelArithmetic, LayerRun, TileEngine};
 use sc_accel::layer::{ConvGeometry, Tiling};
 use sc_core::mac::{BitParallelScMac, EarlyTerminationScMac, SaturatingAccumulator, SignedScMac};
 use sc_core::rng::SmallRng;
-use sc_core::Precision;
+use sc_core::{Error, Precision};
 use sc_fixed::FixedMul;
 
 fn golden_proposed(
@@ -208,5 +208,52 @@ fn outputs_invariant_under_tiling() {
         .run_layer(&g, &input, &weights)
         .unwrap();
         assert_eq!(run_a.outputs, run_b.outputs, "ta={ta} tb={tb}");
+    }
+}
+
+/// The code-range contract, whichever arithmetic or tier runs the layer:
+/// a bad code that some output reads fails the layer, naming that code;
+/// a bad code that no output reads is never loaded.
+#[test]
+fn out_of_range_codes_fail_only_where_read() {
+    let n = Precision::new(8).unwrap();
+    // Stride 2 over a 6×6 input reads columns 0..=4 only.
+    let g = ConvGeometry { z: 2, in_h: 6, in_w: 6, m: 3, k: 3, stride: 2 };
+    assert_eq!((g.r(), g.c()), (2, 2));
+    let input: Vec<i32> = (0..g.z * 36).map(|i| ((i as i32 * 37 + 11) % 256) - 128).collect();
+    let weights: Vec<i32> = (0..g.m * g.depth()).map(|i| ((i as i32 * 13 + 5) % 41) - 20).collect();
+    let at = |z: usize, y: usize, x: usize| (z * g.in_h + y) * g.in_w + x;
+    for (arithmetic, tier) in [
+        (AccelArithmetic::ProposedSerial, None),
+        (AccelArithmetic::ProposedParallel(8), None),
+        (AccelArithmetic::Fixed, None),
+        (AccelArithmetic::ProposedSerial, Some(4)),
+    ] {
+        let engine = TileEngine::new(n, Tiling { t_m: 2, t_r: 1, t_c: 2 }, arithmetic, 2);
+        let case = format!("{arithmetic:?} tier {tier:?}");
+
+        let mut bad_input = input.clone();
+        bad_input[at(1, 2, 3)] = 300;
+        assert_eq!(
+            engine.run_layer_at(&g, &bad_input, &weights, tier),
+            Err(Error::CodeOutOfRange { code: 300, precision: 8 }),
+            "{case}"
+        );
+
+        let mut bad_weights = weights.clone();
+        bad_weights[2 * g.depth() + 4] = -129;
+        assert!(
+            matches!(
+                engine.run_layer_at(&g, &input, &bad_weights, tier),
+                Err(Error::CodeOutOfRange { code: -129, .. })
+            ),
+            "{case}"
+        );
+
+        let (mut unread, mut zeroed) = (input.clone(), input.clone());
+        unread[at(0, 3, 5)] = 300;
+        zeroed[at(0, 3, 5)] = 0;
+        let run = engine.run_layer_at(&g, &unread, &weights, tier);
+        assert_eq!(run, Ok(engine.run_layer_at(&g, &zeroed, &weights, tier).unwrap()), "{case}");
     }
 }

@@ -73,11 +73,11 @@ fn outputs_identical_with_telemetry_on_and_counters_match_traffic() {
     assert_eq!(hist.count, tiles);
     assert_eq!(hist.sum, on.cycles);
 
-    // Spans: one layer span on the caller thread. Tiles run on the
-    // sc-par pool, so per-tile telemetry is a `accel.tile.done` event
-    // fired during the deterministic merge (one per tile, nested in the
-    // layer span) rather than a worker-side span whose interleaving
-    // would depend on scheduling.
+    // Spans: one layer span on the caller thread. Output maps run on
+    // the sc-par pool, so per-tile telemetry is a `accel.tile.done`
+    // event fired during the deterministic merge (one per tile, nested
+    // in the layer span) rather than a worker-side span whose
+    // interleaving would depend on scheduling.
     let recs = collector.records();
     let enters = |name: &str| {
         recs.iter().filter(|r| r.kind == RecordKind::Enter && r.name == name).count() as u64

@@ -1,5 +1,5 @@
 //! The `sc-par` determinism contract, checked end to end: every
-//! parallelized pipeline — the accelerator tile loop, the conv layer's
+//! parallelized pipeline — the accelerator's output maps, the conv layer's
 //! float and quantized forward/backward, and the Fig. 5 sweep — must be
 //! *bitwise* identical at `SC_THREADS` ∈ {1, 2, 7}.
 //!
@@ -103,18 +103,23 @@ fn accel_layer_identical_across_thread_counts() {
         AccelArithmetic::ProposedParallel(8),
     ] {
         let engine = TileEngine::new(n, tiling, arithmetic, 8);
-        with_threads("accel layer", || {
-            let run = engine.run_layer(&g, &input, &weights).expect("valid geometry");
-            // Outputs, cycles, and traffic all participate in the
-            // fingerprint — the contract covers the counters, not just
-            // the math.
-            let mut fp: Vec<u64> = run.outputs.iter().map(|&v| v as u64).collect();
-            fp.push(run.cycles);
-            fp.push(run.traffic.input_words);
-            fp.push(run.traffic.weight_words);
-            fp.push(run.traffic.output_words);
-            fp
-        });
+        for tier in [None, Some(6), Some(4)] {
+            with_threads("accel layer", || {
+                let run = engine.run_layer_at(&g, &input, &weights, tier).expect("valid geometry");
+                // Outputs, cycles, traffic, and every tile's profile
+                // participate in the fingerprint — the contract covers
+                // the counters, not just the math.
+                let mut fp: Vec<u64> = run.outputs.iter().map(|&v| v as u64).collect();
+                fp.push(run.cycles);
+                fp.push(run.traffic.input_words);
+                fp.push(run.traffic.weight_words);
+                fp.push(run.traffic.output_words);
+                for t in &run.tiles {
+                    fp.extend([t.compute, t.verify, t.recompute, t.edt_saved]);
+                }
+                fp
+            });
+        }
     }
 }
 
@@ -126,8 +131,6 @@ fn accel_layer_under_faults_identical_across_thread_counts() {
     let input: Vec<i32> =
         (0..g.z * g.in_h * g.in_w).map(|i| ((i as i32 * 37 + 11) % (2 * half)) - half).collect();
     let weights: Vec<i32> = (0..g.m * g.depth()).map(|i| ((i as i32 * 13 + 5) % 21) - 10).collect();
-    let engine =
-        TileEngine::new(n, Tiling { t_m: 2, t_r: 3, t_c: 2 }, AccelArithmetic::ProposedSerial, 8);
     let fingerprint = |run: &sc_accel::engine::LayerRun| {
         let mut fp: Vec<u64> = run.outputs.iter().map(|&v| v as u64).collect();
         fp.push(run.cycles);
@@ -136,35 +139,44 @@ fn accel_layer_under_faults_identical_across_thread_counts() {
         fp.extend(run.degraded_tiles.iter().map(|&t| t as u64));
         fp
     };
-    // The plan is scoped *inside* the closure so it is only armed while
-    // THREADS_LOCK is held — other tests in this binary drive the same
-    // accel sites and must never observe it.
-    let run_with = |spec: &str| {
-        let _s = sc_fault::scoped(sc_fault::FaultPlan::parse(spec).unwrap());
-        fingerprint(&engine.run_layer(&g, &input, &weights).expect("valid geometry"))
-    };
-    // Fault-free reference, then the zero-rate identity: an armed plan
-    // with rate 0 must be bitwise invisible at every thread count.
-    let mut clean: Option<Vec<u64>> = None;
-    with_threads("accel layer unarmed", || {
-        let fp = run_with("");
-        clean.get_or_insert_with(|| fp.clone());
-        fp
-    });
-    let clean = clean.unwrap();
-    with_threads("accel layer zero-rate", || {
-        let fp = run_with("accel.*:flip@0;seed=99");
-        assert_eq!(fp, clean, "zero-rate plan must be bitwise identical to unarmed");
-        fp
-    });
-    // Fixed spec + seed: the faulted run (SRAM scrubs, tile retries,
-    // degradations) is itself bitwise reproducible across thread counts.
-    with_threads("accel layer faulted", || {
-        run_with(
-            "accel.sram.input:flip@0.01;accel.sram.weight:flip@0.01;\
-             accel.tile.output:flip@0.05;seed=99",
-        )
-    });
+    for arithmetic in [
+        AccelArithmetic::ProposedSerial,
+        AccelArithmetic::Fixed,
+        AccelArithmetic::ProposedParallel(8),
+    ] {
+        let engine = TileEngine::new(n, Tiling { t_m: 2, t_r: 3, t_c: 2 }, arithmetic, 8);
+        // The plan is scoped *inside* the closure so it is only armed
+        // while THREADS_LOCK is held — other tests in this binary drive
+        // the same accel sites and must never observe it.
+        let run_with = |spec: &str| {
+            let _s = sc_fault::scoped(sc_fault::FaultPlan::parse(spec).unwrap());
+            fingerprint(&engine.run_layer(&g, &input, &weights).expect("valid geometry"))
+        };
+        // Fault-free reference, then the zero-rate identity: an armed
+        // plan with rate 0 must be bitwise invisible at every thread
+        // count.
+        let mut clean: Option<Vec<u64>> = None;
+        with_threads("accel layer unarmed", || {
+            let fp = run_with("");
+            clean.get_or_insert_with(|| fp.clone());
+            fp
+        });
+        let clean = clean.unwrap();
+        with_threads("accel layer zero-rate", || {
+            let fp = run_with("accel.*:flip@0;seed=99");
+            assert_eq!(fp, clean, "{arithmetic:?}: zero-rate plan must equal unarmed");
+            fp
+        });
+        // Fixed spec + seed: the faulted run (SRAM scrubs, tile retries,
+        // degradations) is itself bitwise reproducible across thread
+        // counts.
+        with_threads("accel layer faulted", || {
+            run_with(
+                "accel.sram.input:flip@0.01;accel.sram.weight:flip@0.01;\
+                 accel.tile.output:flip@0.05;seed=99",
+            )
+        });
+    }
 }
 
 #[test]

@@ -284,7 +284,11 @@ impl UnsignedBiscMvm {
 /// Checks a term's lane codes before any lane is updated. The valid codes
 /// form one interval, so the smallest and largest code decide; only a
 /// failing term is rescanned, for the first bad code's error.
-fn check_lane_codes<T: Copy + Ord>(
+///
+/// # Errors
+///
+/// Returns the error `check` gives the first code it rejects.
+pub fn check_lane_codes<T: Copy + Ord>(
     xs: &[T],
     check: impl Fn(T) -> Result<(), Error>,
 ) -> Result<(), Error> {

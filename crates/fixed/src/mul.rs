@@ -55,12 +55,12 @@ impl FixedMul {
         let full = w as i64 * x as i64; // 2(N−1) fraction bits
         let shift = self.n.bits() - 1;
         let half = 1i64 << (shift - 1);
-        // Round half away from zero, then drop the fraction.
-        if full >= 0 {
-            (full + half) >> shift
-        } else {
-            -((-full + half) >> shift)
-        }
+        // Round half away from zero, then drop the fraction, without a
+        // branch on the sign: a negative product rounds as
+        // −⌊(−full + half) / 2^shift⌋ = ⌊(full + half − 1) / 2^shift⌋,
+        // and `full >> 63` is that −1 exactly when the product is
+        // negative.
+        (full + half + (full >> 63)) >> shift
     }
 
     /// The literal floor truncation `(w·x) >> (N−1)` (arithmetic shift).
@@ -126,6 +126,36 @@ mod tests {
         // Round-half-away is symmetric, so the grand bias is ~0 (compare
         // with 0.5·4096 ≈ 2048 for floor truncation).
         assert!(bias.abs() < 64.0, "bias {bias}");
+    }
+
+    #[test]
+    fn unchecked_rounding_matches_f64_reference() {
+        // Independent reference: w·x / 2^(N−1), exact in f64, rounded
+        // half away from zero by `f64::round`.
+        let reference = |n: Precision, w: i32, x: i32| {
+            ((w as f64 * x as f64) / n.half_scale() as f64).round() as i64
+        };
+        for bits in 2..=8u32 {
+            let (n, h) = (p(bits), 1i32 << (bits - 1));
+            let m = FixedMul::new(n);
+            for w in -h..h {
+                for x in -h..h {
+                    assert_eq!(m.multiply_unchecked(w, x), reference(n, w, x), "N={bits} {w}·{x}");
+                }
+            }
+        }
+        let mut rng = sc_core::rng::SmallRng::seed_from_u64(0xF1CED);
+        for bits in [12u32, 16] {
+            let (n, h) = (p(bits), 1i32 << (bits - 1));
+            let m = FixedMul::new(n);
+            // The range ends, where the product is largest, then samples.
+            let ends = [-h, -h + 1, -1, 0, 1, h - 1];
+            let pairs = ends.iter().flat_map(|&w| ends.iter().map(move |&x| (w, x)));
+            let sampled = (0..20_000).map(|_| (rng.gen_range_i32(-h..h), rng.gen_range_i32(-h..h)));
+            for (w, x) in pairs.chain(sampled) {
+                assert_eq!(m.multiply_unchecked(w, x), reference(n, w, x), "N={bits} {w}·{x}");
+            }
+        }
     }
 
     #[test]

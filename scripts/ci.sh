@@ -46,6 +46,13 @@ SC_THREADS=1 cargo test --workspace -q
 echo "==> cargo test (SC_THREADS=4)"
 SC_THREADS=4 cargo test --workspace -q
 
+echo "==> engine tests (SC_THREADS=7)"
+# The tier-1 contract names SC_THREADS in {1, 2, 7}. The tile engine
+# splits every layer over its output maps on the sc-par pool, so its
+# tests and the thread-count determinism suite run at 7 workers too.
+SC_THREADS=7 cargo test -q -p sc-accel
+SC_THREADS=7 cargo test -q -p sc-bench --test determinism
+
 echo "==> engine gate: golden cross-check under both execution engines"
 # The bitplane popcount fast paths of sc-rtlsim's run_to_done loops must
 # stay bitwise identical to the cycle-accurate reference whichever
