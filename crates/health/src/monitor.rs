@@ -6,7 +6,10 @@
 //!
 //! 1. call [`HealthMonitor::advance`] whenever the clock moves, *before*
 //!    processing events at the new time — this closes every window whose
-//!    end is `≤ now` and runs the SLO engine on each;
+//!    end is `≤ now` and runs the SLO engine on each. The serving-side
+//!    [`SystemState`] an incident freezes is passed as a closure, called
+//!    once per advance that closes a window and never otherwise, so the
+//!    caller pays for a capture only at window boundaries;
 //! 2. call [`HealthMonitor::sample`] / [`HealthMonitor::record_span`] /
 //!    [`HealthMonitor::note`] as requests finalize and notable events
 //!    fire;
@@ -160,7 +163,6 @@ pub struct HealthMonitor {
     floor_since: u64,
     time_in_tier: Vec<u64>,
     transitions: Vec<TierTransition>,
-    last_state: SystemState,
     reseeds: u64,
 }
 
@@ -227,7 +229,6 @@ impl HealthMonitor {
             floor_since: 0,
             time_in_tier: vec![0; max_tier + 1],
             transitions: Vec::new(),
-            last_state: SystemState::idle(),
             reseeds: 0,
         })
     }
@@ -244,16 +245,21 @@ impl HealthMonitor {
 
     /// Closes every window whose end is `≤ now`, runs the SLO engine on
     /// each, and applies verdict-driven floor moves. Call before
-    /// processing events at `now`; `state` is the serving-side state to
-    /// capture should a breach freeze an incident.
-    pub fn advance(&mut self, now: u64, state: &SystemState) {
-        self.last_state = state.clone();
+    /// processing events at `now`. `state` captures the serving-side
+    /// state a breach freezes into its incident: it is called once when
+    /// at least one window closes, and not at all otherwise. The capture's
+    /// `tier_floor` is overwritten with the floor in force at the breach.
+    pub fn advance(&mut self, now: u64, state: impl FnOnce() -> SystemState) {
+        if self.current.end() > now {
+            return;
+        }
+        let mut capture = state();
         while self.current.end() <= now {
-            self.close_window();
+            self.close_window(&mut capture);
         }
     }
 
-    fn close_window(&mut self) {
+    fn close_window(&mut self, capture: &mut SystemState) {
         let stats = self.current.freeze(false);
         self.current =
             WindowAccum::new(self.current.index() + 1, self.cfg.window, self.states.len());
@@ -270,9 +276,8 @@ impl HealthMonitor {
                         signal.fast_burn,
                         signal.slow_burn,
                     );
-                    let mut capture = self.last_state.clone();
                     capture.tier_floor = self.floor;
-                    self.recorder.freeze(&signal, &capture);
+                    self.recorder.freeze(&signal, capture);
                     self.recorder.push_event(
                         signal.cycle,
                         "slo.breach",
@@ -390,9 +395,10 @@ impl HealthMonitor {
         self.reseeds
     }
 
-    /// Closes windows up to `horizon`, flushes the trailing partial
+    /// Closes windows up to `horizon` (capturing `state` as
+    /// [`HealthMonitor::advance`] does), flushes the trailing partial
     /// window (reported, never SLO-evaluated), and produces the report.
-    pub fn finish(mut self, horizon: u64, state: &SystemState) -> HealthReport {
+    pub fn finish(mut self, horizon: u64, state: impl FnOnce() -> SystemState) -> HealthReport {
         self.advance(horizon, state);
         if !self.current.is_empty() {
             let partial = self.current.freeze(true);
@@ -565,20 +571,39 @@ mod tests {
     #[test]
     fn events_on_a_boundary_land_in_the_window_that_starts_there() {
         let mut m = monitor(vec![Objective::error_rate("errors", 0.1).with_spans(1, 1)]);
-        let idle = SystemState::idle();
-        m.advance(0, &idle);
+        m.advance(0, SystemState::idle);
         m.sample(Sample::Completed { latency: 10, degraded: false });
         // Advancing to exactly cycle 100 closes window 0 before any
         // event at 100 is recorded.
-        m.advance(100, &idle);
+        m.advance(100, SystemState::idle);
         m.sample(Sample::Error);
-        let report = m.finish(150, &idle);
+        let report = m.finish(150, SystemState::idle);
         assert_eq!(report.series.len(), 2);
         assert_eq!(report.series[0].completed, 1);
         assert_eq!(report.series[0].errors, 0);
         assert!(report.series[1].partial);
         assert_eq!(report.series[1].errors, 1);
         assert_eq!(report.closed_windows(), 1);
+    }
+
+    #[test]
+    fn state_is_captured_only_when_a_window_closes() {
+        let mut m = monitor(vec![Objective::error_rate("errors", 0.05).with_spans(1, 2)]);
+        let calls = std::cell::Cell::new(0u32);
+        let state = || {
+            calls.set(calls.get() + 1);
+            SystemState::idle()
+        };
+        m.advance(0, state);
+        m.advance(99, state);
+        assert_eq!(calls.get(), 0, "no window ends by 99");
+        m.advance(100, state);
+        assert_eq!(calls.get(), 1, "closing window 0 captures once");
+        m.advance(450, state);
+        assert_eq!(calls.get(), 2, "closing windows 1 to 3 captures once more");
+        let report = m.finish(450, state);
+        assert_eq!(calls.get(), 2, "the open window [400, 500) does not close at 450");
+        assert_eq!(report.closed_windows(), 4);
     }
 
     #[test]
@@ -589,7 +614,7 @@ mod tests {
         state.queue_depth = 9;
         // Two windows of 50% errors: fast and slow both burn 10x.
         for w in 0..2u64 {
-            m.advance(w * 100, &state);
+            m.advance(w * 100, || state.clone());
             for i in 0..10 {
                 if i % 2 == 0 {
                     m.sample(Sample::Error);
@@ -598,10 +623,10 @@ mod tests {
                 }
             }
         }
-        m.advance(200, &state);
+        m.advance(200, || state.clone());
         assert_eq!(m.verdict(), Verdict::Breached);
         assert_eq!(m.tier_floor(), 1, "one breach raises the floor one tier");
-        let report = m.finish(500, &state);
+        let report = m.finish(500, || state.clone());
         assert_eq!(report.breaches(), 1);
         assert_eq!(report.incidents.len(), 1);
         let inc = &report.incidents[0];
@@ -626,19 +651,18 @@ mod tests {
             Objective::error_rate("errors", 0.01).with_spans(1, 1).with_recovery(8),
             Objective::p99("latency", 16).with_spans(2, 2).with_recovery(8),
         ]);
-        let idle = SystemState::idle();
-        m.advance(0, &idle);
+        m.advance(0, SystemState::idle);
         for _ in 0..10 {
             m.sample(Sample::Error);
         }
-        m.advance(100, &idle); // closes window 0: error breach
+        m.advance(100, SystemState::idle); // closes window 0: error breach
         assert_eq!(m.tier_floor(), 1);
         for _ in 0..10 {
             m.sample(Sample::Completed { latency: 100, degraded: true });
         }
-        m.advance(200, &idle); // closes window 1: latency breach
+        m.advance(200, SystemState::idle); // closes window 1: latency breach
         assert_eq!(m.tier_floor(), 2, "a second objective's breach stacks the floor");
-        let report = m.finish(200, &idle);
+        let report = m.finish(200, SystemState::idle);
         assert_eq!(report.breaches(), 2);
         assert_eq!(report.incidents.len(), 2);
         assert_eq!(report.incidents[1].state.tier_floor, 1, "second incident sees the first raise");
@@ -652,16 +676,15 @@ mod tests {
         // Immediate-recovery objective so every bad window re-breaches.
         let mut m =
             monitor(vec![Objective::error_rate("errors", 0.01).with_spans(1, 1).with_recovery(1)]);
-        let idle = SystemState::idle();
         for w in 0..12u64 {
-            m.advance(w * 100, &idle);
+            m.advance(w * 100, SystemState::idle);
             if w % 2 == 0 {
                 m.sample(Sample::Error);
             } else {
                 m.sample(Sample::Completed { latency: 5, degraded: false });
             }
         }
-        let report = m.finish(1200, &idle);
+        let report = m.finish(1200, SystemState::idle);
         assert_eq!(report.breaches(), 6);
         assert_eq!(report.recoveries(), 6, "every odd window recovers the objective");
         // The floor oscillates 0 ↔ 1, never past the ladder's top tier.
@@ -676,13 +699,12 @@ mod tests {
                 Objective::goodput("goodput", 0.5).with_spans(1, 2),
                 Objective::p99("latency", 16).with_spans(1, 2),
             ]);
-            let idle = SystemState::idle();
             for w in 0..6u64 {
-                m.advance(w * 100, &idle);
+                m.advance(w * 100, SystemState::idle);
                 m.sample(Sample::Completed { latency: 10 + w, degraded: w % 2 == 0 });
                 m.sample(Sample::Shed);
             }
-            m.finish(600, &idle)
+            m.finish(600, SystemState::idle)
         };
         let a = run();
         let b = run();
@@ -693,26 +715,24 @@ mod tests {
             Objective::goodput("goodput", 0.5).with_spans(1, 2),
             Objective::p99("latency", 16).with_spans(1, 2),
         ]);
-        let idle = SystemState::idle();
         for w in 0..6u64 {
-            m.advance(w * 100, &idle);
+            m.advance(w * 100, SystemState::idle);
             m.sample(Sample::Completed { latency: 10 + w, degraded: w % 2 == 0 });
         }
-        assert_ne!(a.digest(), m.finish(600, &idle).digest());
+        assert_ne!(a.digest(), m.finish(600, SystemState::idle).digest());
     }
 
     #[test]
     fn p99_objective_counts_over_limit_completions() {
         let mut m = monitor(vec![Objective::p99("latency", 16).with_spans(1, 1)]);
-        let idle = SystemState::idle();
-        m.advance(0, &idle);
+        m.advance(0, SystemState::idle);
         for lat in [10, 10, 10, 40] {
             m.sample(Sample::Completed { latency: lat, degraded: false });
         }
-        m.advance(100, &idle);
+        m.advance(100, SystemState::idle);
         // 25% of completions over the 16-cycle limit on a 1% budget.
         assert_eq!(m.verdict(), Verdict::Breached);
-        let report = m.finish(100, &idle);
+        let report = m.finish(100, SystemState::idle);
         assert_eq!(report.series[0].over_limit, vec![1]);
         let json = report.to_json();
         assert_eq!(json.get("verdict").and_then(|j| j.as_str()), Some("breached"));

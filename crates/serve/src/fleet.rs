@@ -24,10 +24,11 @@
 //!   weight-aware cycle estimate), a duplicate launches on the best
 //!   *idle* live replica. First completion wins; the loser is cancelled
 //!   and its burned cycles billed to the concurrent
-//!   [`CycleCategory::HedgeWasted`] bucket, which rides each response's
-//!   span tree as a shadow child (attribution sums to
-//!   `latency + hedge_wasted`). A hedge whose primary *fails* is adopted
-//!   as the new primary — failover without re-queueing.
+//!   [`HedgeWasted`](sc_telemetry::CycleCategory::HedgeWasted) bucket,
+//!   which rides each response's span tree as a shadow child
+//!   (attribution sums to `latency + hedge_wasted`). A hedge whose
+//!   primary *fails* is adopted as the new primary — failover without
+//!   re-queueing.
 //! * **Chaos sites** ([`crate::sites`]): `serve.replica.crash` downs a
 //!   drawn replica for the armed window, `serve.replica.brownout`
 //!   multiplies its service time, `serve.replica.flap` re-draws up/down
@@ -39,11 +40,12 @@
 //!   restarted) replica is taken out of placement, its in-flight and
 //!   queued entries are journaled and re-dispatched to live replicas
 //!   (the stranded burn billed to the concurrent
-//!   [`CycleCategory::RecoveryReplay`] bucket), and the replica walks
-//!   down → backoff → probing → live: capped-exponential-backoff
-//!   restarts, then a ramped probation admission weight at a degraded
-//!   tier until clean SLO windows promote it back to full weight. Its
-//!   breaker and SLO verdict state reseed on rejoin.
+//!   [`RecoveryReplay`](sc_telemetry::CycleCategory::RecoveryReplay)
+//!   bucket), and the replica walks down → backoff → probing → live:
+//!   capped-exponential-backoff restarts, then a ramped probation
+//!   admission weight at a degraded tier until clean SLO windows promote
+//!   it back to full weight. Its breaker and SLO verdict state reseed on
+//!   rejoin.
 //!
 //! Event order within a tick is fixed: monitors advance, recovery
 //! lifecycle transitions (downs + stranding, restart attempts,
@@ -56,7 +58,7 @@ use std::collections::BTreeMap;
 
 use sc_health::{HealthConfig, HealthMonitor, HealthReport, Sample, SpanSummary, SystemState};
 use sc_telemetry::metrics::{counter, Counter};
-use sc_telemetry::{BackendProfile, CycleCategory, EventRecord, FoldedStacks, SpanTree};
+use sc_telemetry::{BackendProfile, EventRecord, FoldedStacks, SpanTree};
 
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::clock::VirtualClock;
@@ -65,7 +67,9 @@ use crate::placement::Placement;
 use crate::queue::{AdmissionQueue, Queued};
 use crate::recovery::{RecoveryManager, RecoveryPolicy, RecoveryStats, ReplicaPhase};
 use crate::report::{latency_percentile_of, Outcome, Response, Segment};
-use crate::server::{build_trace, metrics, settle_wait, Backend, Request, ServerConfig};
+use crate::server::{
+    build_trace, fold_timeline, metrics, settle_wait, Backend, Request, ServerConfig,
+};
 
 /// Fleet-layer tuning: the per-replica server configuration plus the
 /// fleet-only knobs.
@@ -647,6 +651,7 @@ impl Fleet {
         let mut traces: Vec<SpanTree> =
             Vec::with_capacity(if keep_traces { requests.len() } else { 0 });
         let mut folded = FoldedStacks::new();
+        let mut fold_path = String::new();
         let mut completed_by_tier = vec![0u64; cfg.degrade.tier_count()];
         let mut shed = 0u64;
         let mut timed_out = 0u64;
@@ -670,10 +675,12 @@ impl Fleet {
         let mut shard_max_depth = vec![0usize; n];
         let trace_seed = cfg.trace_seed;
 
-        // Finalization: close the timeline, graft shadow (hedge-loser
-        // and recovery-replay) spans onto the trace, and feed both the
-        // shard and the fleet monitors. Monitors are parameters so the
-        // loop can also advance them between finalizations.
+        // Finalization: close the timeline, fold it with its shadow
+        // (hedge-loser and recovery-replay) windows into the response's
+        // attribution and the folded profile, build the span tree only
+        // when it is kept, and feed both the shard and the fleet
+        // monitors. Monitors are parameters so the loop can also advance
+        // them between finalizations.
         #[allow(clippy::too_many_arguments)]
         let mut finalize = |entry: &mut Queued,
                             outcome: Outcome,
@@ -715,23 +722,8 @@ impl Fleet {
                     m.failed.incr(1);
                 }
             }
-            let mut tree = build_trace(trace_seed, entry, now);
-            let root = tree.root().id;
-            for (s, e) in &closed.shadows {
-                tree.add(root, "hedge loser", CycleCategory::HedgeWasted, *s, *e);
-            }
-            // Zero-length replay windows (stranded the tick they
-            // started) carry no burn and would be malformed spans.
-            for (s, e) in closed.replays.iter().filter(|(s, e)| e > s) {
-                tree.add(root, "recovery replay", CycleCategory::RecoveryReplay, *s, *e);
-            }
-            debug_assert_eq!(
-                tree.validate(),
-                Ok(()),
-                "span tree for request {} is malformed",
-                entry.req.id
-            );
-            let attribution = tree.attribution();
+            let attribution =
+                fold_timeline(entry, &closed.shadows, &closed.replays, &mut folded, &mut fold_path);
             debug_assert_eq!(
                 attribution.total(),
                 latency + attribution.concurrent_total(),
@@ -749,8 +741,14 @@ impl Fleet {
                 attribution,
             });
             meta.push(ResponseMeta { id: entry.req.id, replica, hedged, hedge_won });
-            folded.add_tree(&tree);
             if keep_traces {
+                let tree = build_trace(trace_seed, entry, now, &closed.shadows, &closed.replays);
+                debug_assert_eq!(
+                    tree.validate(),
+                    Ok(()),
+                    "span tree for request {} is malformed",
+                    entry.req.id
+                );
                 traces.push(tree);
             }
             let sample = match outcome {
@@ -848,37 +846,17 @@ impl Fleet {
 
             // Monitors advance on the boundary before events at `now`
             // are processed: shards in index order, then the fleet view.
+            // Each captures the serving-side state only if a window
+            // closes.
             for r in 0..n {
                 if let Some(hm) = shard_mons[r].as_mut() {
-                    let state = SystemState {
-                        queue_depth: queues[r].len(),
-                        queue_capacity: queues[r].capacity(),
-                        inflight: inflight[r].is_some() as usize,
-                        breaker: breakers[r].state().name().to_string(),
-                        breaker_trips: breakers[r].trips(),
-                        tier_floor: hm.tier_floor(),
-                        lifecycle: recovery
-                            .as_ref()
-                            .map_or(ReplicaPhase::Live, |rm| rm.phase(r))
-                            .label()
-                            .to_string(),
-                        rejoins: recovery.as_ref().map_or(0, |rm| rm.rejoins_of(r)),
-                    };
-                    hm.advance(now, &state);
+                    hm.advance(now, || {
+                        shard_state(&queues[r], inflight[r].is_some(), &breakers[r], &recovery, r)
+                    });
                 }
             }
             if let Some(hm) = fleet_mon.as_mut() {
-                let state = SystemState {
-                    queue_depth: queues.iter().map(AdmissionQueue::len).sum(),
-                    queue_capacity: queues.iter().map(AdmissionQueue::capacity).sum(),
-                    inflight: inflight.iter().flatten().count(),
-                    breaker: worst_breaker(&breakers).to_string(),
-                    breaker_trips: breakers.iter().map(CircuitBreaker::trips).sum(),
-                    tier_floor: hm.tier_floor(),
-                    lifecycle: fleet_lifecycle(&recovery, n).to_string(),
-                    rejoins: recovery.as_ref().map_or(0, |rm| rm.stats().rejoins),
-                };
-                hm.advance(now, &state);
+                hm.advance(now, || fleet_state(&queues, &inflight, &breakers, &recovery));
             }
 
             // Recovery lifecycle transitions run before completions so a
@@ -1663,7 +1641,7 @@ impl Fleet {
             }
         }
 
-        let finish_health = |hm: HealthMonitor, state: &SystemState| {
+        let finish_health = |hm: HealthMonitor, state: &dyn Fn() -> SystemState| {
             let report = hm.finish(clock.now(), state);
             m.health_windows.incr(report.closed_windows());
             m.health_breach.incr(report.breaches());
@@ -1683,17 +1661,9 @@ impl Fleet {
                     .to_string();
                 let rejoins = recovery.as_ref().map_or(0, |rm| rm.rejoins_of(r));
                 let health = shard_mons[r].take().map(|hm| {
-                    let state = SystemState {
-                        queue_depth: queues[r].len(),
-                        queue_capacity: queues[r].capacity(),
-                        inflight: 0,
-                        breaker: breakers[r].state().name().to_string(),
-                        breaker_trips: breakers[r].trips(),
-                        tier_floor: hm.tier_floor(),
-                        lifecycle: lifecycle.clone(),
-                        rejoins,
-                    };
-                    finish_health(hm, &state)
+                    finish_health(hm, &|| {
+                        shard_state(&queues[r], inflight[r].is_some(), &breakers[r], &recovery, r)
+                    })
                 });
                 ShardReport {
                     dispatched: shard_dispatched[r],
@@ -1710,19 +1680,9 @@ impl Fleet {
                 }
             })
             .collect();
-        let health = fleet_mon.take().map(|hm| {
-            let state = SystemState {
-                queue_depth: queues.iter().map(AdmissionQueue::len).sum(),
-                queue_capacity: queues.iter().map(AdmissionQueue::capacity).sum(),
-                inflight: 0,
-                breaker: worst_breaker(&breakers).to_string(),
-                breaker_trips: breakers.iter().map(CircuitBreaker::trips).sum(),
-                tier_floor: hm.tier_floor(),
-                lifecycle: fleet_lifecycle(&recovery, n).to_string(),
-                rejoins: recovery.as_ref().map_or(0, |rm| rm.stats().rejoins),
-            };
-            finish_health(hm, &state)
-        });
+        let health = fleet_mon
+            .take()
+            .map(|hm| finish_health(hm, &|| fleet_state(&queues, &inflight, &breakers, &recovery)));
 
         Ok(FleetReport {
             responses,
@@ -1781,6 +1741,52 @@ fn admits(
 ) -> bool {
     is_live(breakers, shard_mons, r, now)
         && recovery.as_ref().is_none_or(|rm| rm.admits_bucket(r, placement.bucket(request_id, r)))
+}
+
+/// Replica `r`'s serving-side state, for its shard monitor to capture
+/// when a window closes. `tier_floor` stays 0: the monitor stamps the
+/// floor in force at capture.
+fn shard_state(
+    queue: &AdmissionQueue,
+    busy: bool,
+    breaker: &CircuitBreaker,
+    recovery: &Option<RecoveryManager>,
+    r: usize,
+) -> SystemState {
+    SystemState {
+        queue_depth: queue.len(),
+        queue_capacity: queue.capacity(),
+        inflight: busy as usize,
+        breaker: breaker.state().name().to_string(),
+        breaker_trips: breaker.trips(),
+        tier_floor: 0,
+        lifecycle: recovery
+            .as_ref()
+            .map_or(ReplicaPhase::Live, |rm| rm.phase(r))
+            .label()
+            .to_string(),
+        rejoins: recovery.as_ref().map_or(0, |rm| rm.rejoins_of(r)),
+    }
+}
+
+/// The whole fleet's serving-side state, for the fleet monitor to
+/// capture when a window closes (`tier_floor` as in [`shard_state`]).
+fn fleet_state(
+    queues: &[AdmissionQueue],
+    inflight: &[Option<FleetInflight>],
+    breakers: &[CircuitBreaker],
+    recovery: &Option<RecoveryManager>,
+) -> SystemState {
+    SystemState {
+        queue_depth: queues.iter().map(AdmissionQueue::len).sum(),
+        queue_capacity: queues.iter().map(AdmissionQueue::capacity).sum(),
+        inflight: inflight.iter().flatten().count(),
+        breaker: worst_breaker(breakers).to_string(),
+        breaker_trips: breakers.iter().map(CircuitBreaker::trips).sum(),
+        tier_floor: 0,
+        lifecycle: fleet_lifecycle(recovery, queues.len()).to_string(),
+        rejoins: recovery.as_ref().map_or(0, |rm| rm.stats().rejoins),
+    }
 }
 
 /// Fleet-level lifecycle for the fleet monitor's system-state capture:

@@ -172,7 +172,11 @@ pub fn event_records_of(
                 Outcome::Completed { tier } => Some(tier as u64),
                 _ => None,
             };
+            // `u64::MAX` means no deadline; it also stands in for a
+            // response whose request is missing. Both take the slack in
+            // i128, saturated to i64, so they never read as missed.
             let deadline = deadlines.get(&r.id).copied().unwrap_or(u64::MAX);
+            let slack = i128::from(deadline) - i128::from(r.finished_at);
             EventRecord {
                 id: r.id,
                 trace: TraceId::derive(trace_seed, r.id).0,
@@ -185,7 +189,7 @@ pub fn event_records_of(
                 arrival: r.finished_at - r.latency,
                 finished_at: r.finished_at,
                 latency: r.latency,
-                deadline_slack: deadline as i64 - r.finished_at as i64,
+                deadline_slack: slack.clamp(i64::MIN.into(), i64::MAX.into()) as i64,
                 attribution: r.attribution,
             }
         })
@@ -341,6 +345,35 @@ mod tests {
             health: None,
         };
         assert_eq!(report.latency_percentile(99.0), 0);
+    }
+
+    #[test]
+    fn a_request_without_a_deadline_never_misses_it() {
+        use sc_telemetry::json::Json;
+        use sc_telemetry::{ObsConfig, ObsLog};
+
+        // Request 1 has no deadline; request 2 is missing from the
+        // workload. Both complete at tick 10.
+        let requests = [Request { id: 1, arrival: 0, deadline: u64::MAX, payload: 0 }];
+        let recs = event_records_of(0, &[completed(1, 10), completed(2, 10)], &requests);
+        for r in &recs {
+            assert_eq!(
+                r.deadline_slack,
+                i64::MAX,
+                "request {}: slack saturates, never wraps",
+                r.id
+            );
+        }
+        let mut log = ObsLog::new("unit", ObsConfig::new(100, 0));
+        let idx = log.scenario("no-deadline", "", 1);
+        log.ingest(idx, &recs);
+        let text = log.render_jsonl();
+        let scenario = text
+            .lines()
+            .map(|l| Json::parse(l).expect("log lines are JSON"))
+            .find(|j| j.get("kind").and_then(Json::as_str) == Some("scenario"))
+            .expect("a scenario line");
+        assert_eq!(scenario.get("missed_deadline").and_then(Json::as_u64), Some(0));
     }
 
     #[test]

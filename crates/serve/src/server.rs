@@ -17,14 +17,17 @@
 //! accelerator); retried requests re-enter the admission queue behind a
 //! backoff gate and compete for capacity like everyone else. This module
 //! keeps what every replica shares: the request and backend types, the
-//! `serve.*` metrics, and the replay of a request's accounting into its
-//! span tree.
+//! `serve.*` metrics, and the two readings of a request's accounting
+//! timeline: the fold into its attribution and the run's folded
+//! profile, and the replay into its span tree.
 
 use std::sync::{Arc, OnceLock};
 
 use sc_health::HealthConfig;
 use sc_telemetry::metrics::{counter, histogram, log2_bounds, Counter, Histogram};
-use sc_telemetry::{BackendProfile, CycleCategory, SpanId, SpanTree, TraceId};
+use sc_telemetry::{
+    BackendProfile, CycleAttribution, CycleCategory, FoldedStacks, SpanId, SpanTree, TraceId,
+};
 
 use crate::degrade::DegradePolicy;
 use crate::fleet::{Fleet, FleetConfig};
@@ -53,7 +56,8 @@ pub struct BackendReply {
     /// Data-dependent SC cycle count — the request's service time.
     pub cycles: u64,
     /// Where the cycles went, per layer and tile. When its total equals
-    /// `cycles` the server grafts it into the request's span tree.
+    /// the service window the server bills that window by layer and tile,
+    /// in the folded profile and, when kept, the request's span tree.
     pub profile: BackendProfile,
 }
 
@@ -166,10 +170,18 @@ pub(crate) fn settle_wait(entry: &mut Queued, now: u64) {
 }
 
 /// Replays a finalized request's accounting timeline into its causal
-/// span tree. Segments are contiguous on the virtual clock by
-/// construction, so the tree satisfies [`SpanTree::validate`]'s tiling
-/// invariant and its attribution sums exactly to the request's latency.
-pub(crate) fn build_trace(trace_seed: u64, entry: &Queued, now: u64) -> SpanTree {
+/// span tree, with its hedge-loser (`shadows`) and recovery-replay
+/// (`replays`) windows as concurrent children of the root. Segments are
+/// contiguous on the virtual clock by construction, so the tree
+/// satisfies [`SpanTree::validate`]'s tiling invariant and its
+/// attribution sums exactly to the request's latency plus its shadows.
+pub(crate) fn build_trace(
+    trace_seed: u64,
+    entry: &Queued,
+    now: u64,
+    shadows: &[(u64, u64)],
+    replays: &[(u64, u64)],
+) -> SpanTree {
     let trace = TraceId::derive(trace_seed, entry.req.id);
     let mut tree = SpanTree::new(
         trace,
@@ -201,13 +213,103 @@ pub(crate) fn build_trace(trace_seed: u64, entry: &Queued, now: u64) -> SpanTree
             }
         }
     }
+    for (s, e) in shadows {
+        tree.add(root, "hedge loser", CycleCategory::HedgeWasted, *s, *e);
+    }
+    // Zero-length replay windows (stranded the tick they started) carry
+    // no burn and would be malformed spans.
+    for (s, e) in replays.iter().filter(|(s, e)| e > s) {
+        tree.add(root, "recovery replay", CycleCategory::RecoveryReplay, *s, *e);
+    }
     tree
 }
 
+/// Folds a finalized request's timeline (the same inputs as
+/// [`build_trace`], after [`settle_wait`] has closed it at the
+/// finalization tick) straight into its [`CycleAttribution`] and into
+/// `folded`, without building the tree: every leaf the tree would hold
+/// adds its cycles under the frame path [`FoldedStacks::add_tree`] would
+/// give it (`request;queue_wait`, `request;service;<layer>;tile;mac_stream`,
+/// …). Equal to `tree.attribution()` and `folded.add_tree(&tree)` on the
+/// built tree. `path` is a scratch buffer, reused across requests.
+pub(crate) fn fold_timeline(
+    entry: &Queued,
+    shadows: &[(u64, u64)],
+    replays: &[(u64, u64)],
+    folded: &mut FoldedStacks,
+    path: &mut String,
+) -> CycleAttribution {
+    let mut attr = CycleAttribution::new();
+    let mut leaf = |frames: &[&str], category: CycleCategory, cycles: u64| {
+        if cycles == 0 {
+            return;
+        }
+        attr.add(category, cycles);
+        path.clear();
+        path.push_str(CycleCategory::Request.name());
+        for frame in frames.iter().copied().chain([category.name()]) {
+            path.push(';');
+            path.push_str(frame);
+        }
+        folded.add(path, cycles);
+    };
+    for seg in &entry.acct.segments {
+        match seg {
+            Segment::Wait { start, boundary, end } => {
+                leaf(&[], CycleCategory::BackoffWait, boundary - start);
+                leaf(&[], CycleCategory::QueueWait, end - boundary);
+            }
+            // A zero-length marker: a leaf that bills nothing.
+            Segment::Breaker { .. } => {}
+            Segment::Attempt { start, end, ok: false, .. } => {
+                leaf(&[], CycleCategory::FailureDetect, end - start);
+            }
+            Segment::Attempt { start, end, ok: true, profile } => {
+                let service = CycleCategory::Service.name();
+                let Some(p) = matching_profile(profile.as_ref(), *start, *end) else {
+                    leaf(&[service], CycleCategory::MacStream, end - start);
+                    continue;
+                };
+                for layer in &p.layers {
+                    let frames = [service, layer.name.as_str(), CycleCategory::Tile.name()];
+                    for t in &layer.tiles {
+                        leaf(&frames, CycleCategory::MacStream, t.compute);
+                        leaf(&frames, CycleCategory::DmrVerify, t.verify);
+                        leaf(&frames, CycleCategory::EdtRecompute, t.recompute);
+                    }
+                }
+            }
+        }
+    }
+    for (s, e) in shadows {
+        leaf(&[], CycleCategory::HedgeWasted, e.saturating_sub(*s));
+    }
+    for (s, e) in replays {
+        leaf(&[], CycleCategory::RecoveryReplay, e.saturating_sub(*s));
+    }
+    attr
+}
+
+/// The backend profile to lay out inside the service window
+/// `[start, end)`: only one whose non-zero total matches the window
+/// exactly. Without one (mock backends, the `.max(1)` service floor, a
+/// brownout-stretched window) the whole window is one MAC-stream leaf,
+/// so the tiling invariant still holds. [`build_trace`] and
+/// [`fold_timeline`] both decide here.
+fn matching_profile(
+    profile: Option<&BackendProfile>,
+    start: u64,
+    end: u64,
+) -> Option<&BackendProfile> {
+    profile.filter(|p| {
+        let cycles = p.cycles();
+        cycles > 0 && cycles == end - start
+    })
+}
+
 /// Lays the backend's layer/tile breakdown out contiguously inside the
-/// service window when its total matches the window exactly; otherwise
-/// (mock backends, the `.max(1)` service floor) bills the whole window
-/// as one MAC-stream leaf so the tiling invariant still holds.
+/// service window when [`matching_profile`] accepts it; otherwise bills
+/// the whole window as one MAC-stream leaf.
 fn graft_profile(
     tree: &mut SpanTree,
     svc: SpanId,
@@ -215,8 +317,7 @@ fn graft_profile(
     start: u64,
     end: u64,
 ) {
-    let matching = profile.filter(|p| p.cycles() == end - start && p.cycles() > 0);
-    let Some(p) = matching else {
+    let Some(p) = matching_profile(profile, start, end) else {
         if end > start {
             tree.add(svc, "mac stream", CycleCategory::MacStream, start, end);
         }

@@ -638,8 +638,11 @@ pub struct ObsLog {
 }
 
 impl ObsLog {
-    /// A new empty log for `bench` under `cfg`.
-    pub fn new(bench: impl Into<String>, cfg: ObsConfig) -> ObsLog {
+    /// A new empty log for `bench` under `cfg`. A zero `cfg.window` is
+    /// clamped to 1 (as [`ObsConfig::new`] does), and the header reports
+    /// the window used.
+    pub fn new(bench: impl Into<String>, mut cfg: ObsConfig) -> ObsLog {
+        cfg.window = cfg.window.max(1);
         ObsLog { bench: bench.into(), cfg, scenarios: Vec::new() }
     }
 
@@ -676,50 +679,63 @@ impl ObsLog {
     /// windows) time, O(1) added memory (amortized zero once the
     /// windows and groups exist).
     pub fn record(&mut self, idx: usize, rec: &EventRecord) {
-        let (seed, bounds) = (self.cfg.seed, self.cfg.bounds.clone());
-        let (window, reservoir, top_k) = (self.cfg.window, self.cfg.reservoir, self.cfg.top_k);
+        let cfg = &self.cfg;
+        let (seed, bounds) = (cfg.seed, cfg.bounds.as_slice());
         let sc = &mut self.scenarios[idx];
         sc.seen += 1;
-        sc.total.record(rec, &bounds, seed);
+        sc.total.record(rec, bounds, seed);
         let base = sc.total.key;
-        let w = rec.finished_at / window;
+        let w = rec.finished_at / cfg.window;
         sc.windows
             .entry(w)
             .or_insert_with(|| Agg::new(split_mix(base ^ w), bounds.len()))
-            .record(rec, &bounds, seed);
-        sc.by_outcome
-            .entry(rec.outcome.clone())
-            .or_insert_with(|| Agg::new(split_mix(base ^ fnv1a(&rec.outcome)), bounds.len()))
-            .record(rec, &bounds, seed);
+            .record(rec, bounds, seed);
+        // Outcome keys are a handful of names: clone one only the first
+        // time it is seen.
+        match sc.by_outcome.get_mut(rec.outcome.as_str()) {
+            Some(agg) => agg.record(rec, bounds, seed),
+            None => {
+                let mut agg = Agg::new(split_mix(base ^ fnv1a(&rec.outcome)), bounds.len());
+                agg.record(rec, bounds, seed);
+                sc.by_outcome.insert(rec.outcome.clone(), agg);
+            }
+        }
         if let Some(t) = rec.tier {
             sc.by_tier
                 .entry(t)
                 .or_insert_with(|| Agg::new(split_mix(base ^ 0x7139 ^ t), bounds.len()))
-                .record(rec, &bounds, seed);
+                .record(rec, bounds, seed);
         }
         if let Some(r) = rec.replica {
             sc.by_replica
                 .entry(r)
                 .or_insert_with(|| Agg::new(split_mix(base ^ 0x9e37 ^ r), bounds.len()))
-                .record(rec, &bounds, seed);
+                .record(rec, bounds, seed);
         }
         // Algorithm R over the stream: record n (1-based) replaces a
         // uniformly-drawn slot with probability K/n. The draw is keyed
         // on the per-stream record index, so the sample is a pure
         // function of the stream.
-        if sc.reservoir.len() < reservoir {
+        if sc.reservoir.len() < cfg.reservoir {
             sc.reservoir.push(rec.clone());
-        } else if reservoir > 0 {
+        } else if cfg.reservoir > 0 {
             let j = split_mix(seed ^ base ^ sc.seen) % sc.seen;
-            if (j as usize) < reservoir {
+            if (j as usize) < cfg.reservoir {
                 sc.reservoir[j as usize] = rec.clone();
             }
         }
-        if rec.completed() && top_k > 0 {
-            sc.top.insert((rec.latency, rec.id), rec.clone());
-            while sc.top.len() > top_k {
-                let first = *sc.top.keys().next().expect("non-empty");
-                sc.top.remove(&first);
+        // Top-k keeps the largest `(latency, id)` keys. A record that
+        // would be evicted at once (the map is full and its key is below
+        // the smallest kept) is never cloned in.
+        let key = (rec.latency, rec.id);
+        if rec.completed()
+            && cfg.top_k > 0
+            && (sc.top.len() < cfg.top_k
+                || sc.top.first_key_value().is_some_and(|(k, _)| key >= *k))
+        {
+            sc.top.insert(key, rec.clone());
+            if sc.top.len() > cfg.top_k {
+                sc.top.pop_first();
             }
         }
     }
@@ -1334,6 +1350,29 @@ mod tests {
             log.scenarios[0].top.iter().rev().map(|((lat, _), _)| *lat).collect();
         assert!(slowest.windows(2).all(|w| w[0] >= w[1]), "descending latency");
         assert!(slowest.iter().all(|&l| l >= 4000), "top-k catches the heavy tail");
+        // Exact: the ten largest `(latency, id)` keys over every
+        // completed record of the stream.
+        let mut keys: Vec<(u64, u64)> = (0..5000u64)
+            .filter(|i| i % 10 != 9)
+            .map(|i| (10 + (i % 7) * 30 + if i % 100 == 42 { 4000 } else { 0 }, i))
+            .collect();
+        keys.sort_unstable();
+        let kept: Vec<(u64, u64)> = log.scenarios[0].top.keys().copied().collect();
+        assert_eq!(kept, keys[keys.len() - 10..]);
+    }
+
+    #[test]
+    fn a_zero_window_is_clamped_to_one() {
+        // `ObsConfig`'s fields are public, so a literal can bypass
+        // `ObsConfig::new`'s clamp; the log clamps again.
+        let mut log = ObsLog::new("unit", ObsConfig { window: 0, ..ObsConfig::new(1000, 1) });
+        let idx = log.scenario("storm", "", 1);
+        log.record(idx, &rec(1, OUTCOME_COMPLETED, 40, 90));
+        log.record(idx, &rec(2, OUTCOME_COMPLETED, 40, 91));
+        assert_eq!(log.summary(idx).windows, 2, "one-tick windows");
+        let text = log.render_jsonl();
+        let header = Json::parse(text.lines().next().expect("a header line")).expect("JSON");
+        assert_eq!(header.get("window").and_then(Json::as_u64), Some(1));
     }
 
     #[test]

@@ -88,25 +88,32 @@ echo "==> benchmark gate: build, test and smoke-run perfbench"
 # the run length or host speed, so the 2-s run must reproduce its pin
 # below. A change meant to move a modelled statistic updates the pin
 # and says why in CHANGES.md, as for a results/baseline/ refresh.
+# Each workload also runs once traced (--trace 1), the run perf changes
+# cite per-layer rows from: run.py checks its metric set against
+# BENCHMARK.json, and it must be correct and pinned too. The traced
+# digest of accel_conv and serve_storm is the untraced one; cnn_infer's
+# rests on a shorter image prefix, so it has its own pin.
 BENCH_TARGET="${CARGO_TARGET_DIR:-$PWD/.bench_build}"
 CARGO_TARGET_DIR="$BENCH_TARGET" \
     cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 BENCH_RESULT="$(mktemp)"
-for pin in cnn_infer=0x5da69178275a374d accel_conv=0xe94c5448241851aa \
-    serve_storm=0x4a91f2bb419d1bfd; do
-    w="${pin%%=*}"
-    CARGO_TARGET_DIR="$BENCH_TARGET" \
-        python3 perfbench/run.py --workload "$w" --seed 42 --seconds 2 > "$BENCH_RESULT"
-    python3 - "$w" "${pin#*=}" "$BENCH_RESULT" <<'EOF'
+for pin in cnn_infer:0:0x5da69178275a374d accel_conv:0:0xe94c5448241851aa \
+    serve_storm:0:0x4a91f2bb419d1bfd cnn_infer:1:0x2e4694ea144a6cb8 \
+    accel_conv:1:0xe94c5448241851aa serve_storm:1:0x4a91f2bb419d1bfd; do
+    IFS=: read -r w trace pinned <<< "$pin"
+    CARGO_TARGET_DIR="$BENCH_TARGET" python3 perfbench/run.py --workload "$w" --seed 42 \
+        --seconds 2 --trace "$trace" > "$BENCH_RESULT"
+    python3 - "$w" "$trace" "$pinned" "$BENCH_RESULT" <<'EOF'
 import json, sys
-w, pinned, path = sys.argv[1:]
+w, trace, pinned, path = sys.argv[1:]
+run = f"perfbench {w} --trace {trace}"
 lines = open(path).read().splitlines()
 r = json.loads(lines[-1])
-assert r["correct"] is True, f"perfbench {w}: correct is {r['correct']!r}"
-assert r["failed"] == 0, f"perfbench {w}: {r['failed']} of {r['attempted']} operations failed"
+assert r["correct"] is True, f"{run}: correct is {r['correct']!r}"
+assert r["failed"] == 0, f"{run}: {r['failed']} of {r['attempted']} operations failed"
 digests = [l.split()[2] for l in lines if l.startswith(f"digest {w} ")]
-assert digests == [pinned], f"perfbench {w}: digest {digests} is not the pinned {pinned}"
-print(f"    {w}: {r['attempted']} operations, all correct, digest {pinned}")
+assert digests == [pinned], f"{run}: digest {digests} is not the pinned {pinned}"
+print(f"    {w} (trace {trace}): {r['attempted']} operations, all correct, digest {pinned}")
 EOF
 done
 rm -f "$BENCH_RESULT"
