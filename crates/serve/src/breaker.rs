@@ -186,7 +186,7 @@ impl CircuitBreaker {
 
     fn trip(&mut self, now: u64) {
         self.state = BreakerState::Open;
-        self.open_until = now + self.config.cooldown;
+        self.open_until = now.saturating_add(self.config.cooldown);
         self.consecutive_failures = 0;
         self.probing = false;
         self.trips += 1;

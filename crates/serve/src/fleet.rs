@@ -47,16 +47,24 @@
 //!   it back to full weight. Its breaker and SLO verdict state reseed on
 //!   rejoin.
 //!
-//! Event order within a tick is fixed: monitors advance, recovery
-//! lifecycle transitions (downs + stranding, restart attempts,
-//! probation promotions), completions in replica-index order (the
-//! deterministic race winner), queued-deadline expiries, arrivals +
-//! placement, due hedge launches in request-id order, then a dispatch
-//! sweep per replica in index order.
+//! Event order within a tick is fixed, one phase method of the loop's
+//! private `Run` each: `advance_monitors`; `recover`, the lifecycle
+//! transitions (downs, each `strand`ing the replica's work, then
+//! restart attempts and probation promotions); `complete`, in
+//! replica-index order (the deterministic race winner); `note_trips`;
+//! `expire`, the queued deadlines; `arrive` for each arrival, with
+//! placement; `launch_hedges`, due hedges in request-id order; then
+//! `dispatch`, a sweep per replica in index order. Every enqueue,
+//! finalization and placement goes through one helper (`enqueue`,
+//! `finalize`, `rank` and `first_admitting`). The report being built is
+//! the run's one tally: `Run::finish` adds its totals to the `serve.*`
+//! and `fleet.*` counters when the run ends.
 
 use std::collections::BTreeMap;
 
-use sc_health::{HealthConfig, HealthMonitor, HealthReport, Sample, SpanSummary, SystemState};
+use sc_health::{
+    HealthConfig, HealthMonitor, HealthReport, Sample, SpanSummary, SystemState, Verdict,
+};
 use sc_telemetry::metrics::{counter, Counter};
 use sc_telemetry::{BackendProfile, EventRecord, FoldedStacks, SpanTree};
 
@@ -128,7 +136,7 @@ impl Default for FleetConfig {
 }
 
 /// Per-shard aggregates for one [`Fleet::run`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardReport {
     /// Attempts started on this replica (primaries, retries, hedges).
     pub dispatched: u64,
@@ -198,7 +206,7 @@ pub struct ResponseMeta {
 }
 
 /// Aggregated result of one [`Fleet::run`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetReport {
     /// Every request's terminal record, in finalization order.
     pub responses: Vec<Response>,
@@ -366,62 +374,40 @@ struct HedgeTrack {
     launched: u32,
 }
 
-/// A request's flattened shadow bookkeeping (hedge-loser and
-/// recovery-replay windows), handed to finalization when its track
-/// closes.
-#[derive(Default)]
-struct TrackClose {
-    shadows: Vec<(u64, u64)>,
-    replays: Vec<(u64, u64)>,
-}
-
 /// Hedge dispatches draw faults at a distinct index so a duplicate's
 /// draw never collides with any primary attempt of the same request.
 const HEDGE_DRAW_BIT: u64 = 1 << 32;
 
+/// The fleet's chaos sites, resolved once per run, and the counters of
+/// the replica faults they inject.
 struct FleetSites {
     backend: Option<sc_fault::FaultSite>,
     crash: Option<sc_fault::FaultSite>,
     brownout: Option<sc_fault::FaultSite>,
     flap: Option<sc_fault::FaultSite>,
     restart_fail: Option<sc_fault::FaultSite>,
-}
-
-struct FleetCounters {
-    failover: Counter,
-    hedge_launched: Counter,
-    hedge_won: Counter,
-    hedge_cancelled: Counter,
-    hedge_failed: Counter,
-    hedge_adopted: Counter,
-    hedge_skipped: Counter,
-    hedge_wasted: Counter,
     replica_fault: Counter,
     replica_brownout: Counter,
 }
 
-impl FleetCounters {
-    fn new() -> Self {
-        FleetCounters {
-            failover: counter("fleet.failover"),
-            hedge_launched: counter("fleet.hedge.launched"),
-            hedge_won: counter("fleet.hedge.won"),
-            hedge_cancelled: counter("fleet.hedge.cancelled"),
-            hedge_failed: counter("fleet.hedge.failed"),
-            hedge_adopted: counter("fleet.hedge.adopted"),
-            hedge_skipped: counter("fleet.hedge.skipped"),
-            hedge_wasted: counter("fleet.hedge.wasted_cycles"),
+impl FleetSites {
+    fn resolve() -> Self {
+        FleetSites {
+            backend: sc_fault::site(crate::sites::BACKEND),
+            crash: sc_fault::site(crate::sites::REPLICA_CRASH),
+            brownout: sc_fault::site(crate::sites::REPLICA_BROWNOUT),
+            flap: sc_fault::site(crate::sites::REPLICA_FLAP),
+            restart_fail: sc_fault::site(crate::sites::RESTART_FAIL),
             replica_fault: counter("fleet.replica.fault"),
             replica_brownout: counter("fleet.replica.brownout"),
         }
     }
-}
 
-/// What one dispatch attempt produced.
-struct AttemptOutcome {
-    finish_in: u64,
-    error: Option<sc_core::Error>,
-    profile: Option<BackendProfile>,
+    /// Whether `serve.replica.crash` holds replica `r` down at tick `at`.
+    /// Each firing draw counts as an injection.
+    fn crashed(&self, r: usize, at: u64) -> bool {
+        self.crash.as_ref().is_some_and(|s| s.phased(r as u64, 0, at).is_some())
+    }
 }
 
 /// The sharded serving fleet. See the module docs for the event model.
@@ -495,71 +481,6 @@ impl Fleet {
         self.config.estimates.get(payload).or(self.config.estimates.last()).copied().unwrap_or(1)
     }
 
-    /// Outstanding work per replica in estimated cycles: the remaining
-    /// in-flight window plus every queued entry's payload estimate.
-    fn loads(
-        &self,
-        now: u64,
-        inflight: &[Option<FleetInflight>],
-        queues: &[AdmissionQueue],
-    ) -> Vec<u64> {
-        (0..self.config.replicas)
-            .map(|r| {
-                let busy = inflight[r].as_ref().map_or(0, |i| i.finish_at.saturating_sub(now));
-                let queued: u64 = queues[r].iter().map(|q| self.estimate(q.req.payload)).sum();
-                busy + queued
-            })
-            .collect()
-    }
-
-    /// One dispatch attempt against replica `r`: chaos sites first
-    /// (crash, flap, injected backend fault), then the real backend,
-    /// then the brownout service-time multiplier.
-    #[allow(clippy::too_many_arguments)]
-    fn attempt(
-        &self,
-        sites: &FleetSites,
-        fleet_counters: &FleetCounters,
-        backend: &mut dyn Backend,
-        r: usize,
-        request_id: u64,
-        payload: usize,
-        bits: Option<u32>,
-        draw_index: u64,
-        attempts: u32,
-        now: u64,
-    ) -> AttemptOutcome {
-        let failure_ticks = self.config.server.failure_ticks.max(1);
-        let down = |what: String| AttemptOutcome {
-            finish_in: failure_ticks,
-            error: Some(sc_core::Error::RetryExhausted { what, attempts }),
-            profile: None,
-        };
-        if sites.crash.as_ref().is_some_and(|s| s.phased(r as u64, 0, now).is_some()) {
-            fleet_counters.replica_fault.incr(1);
-            return down(format!("replica {r} is down (injected crash)"));
-        }
-        let epoch = now / self.config.flap_epoch;
-        if sites.flap.as_ref().is_some_and(|s| s.phased(r as u64, epoch, now).is_some()) {
-            fleet_counters.replica_fault.incr(1);
-            return down(format!("replica {r} is down (injected flap, epoch {epoch})"));
-        }
-        if sites.backend.as_ref().is_some_and(|s| s.transient(request_id, draw_index).is_some()) {
-            return down(format!("injected backend fault (request {request_id})"));
-        }
-        match backend.serve(payload, bits) {
-            Ok(reply) => {
-                let mut cycles = reply.cycles.max(1);
-                if sites.brownout.as_ref().is_some_and(|s| s.phased(r as u64, 0, now).is_some()) {
-                    cycles = cycles.saturating_mul(self.config.brownout_factor);
-                    fleet_counters.replica_brownout.incr(1);
-                }
-                AttemptOutcome { finish_in: cycles, error: None, profile: Some(reply.profile) }
-            }
-            Err(e) => AttemptOutcome { finish_in: failure_ticks, error: Some(e), profile: None },
-        }
-    }
-
     /// Serves `requests` across `backends` to completion and reports.
     ///
     /// # Panics
@@ -590,6 +511,8 @@ impl Fleet {
 
     /// The serving loop, over borrowed backends: [`Fleet::try_run`] and
     /// [`crate::Server::try_run`] (a one-replica fleet) both run here.
+    /// Each tick runs the [`Run`] phases in the order the module docs
+    /// give.
     pub(crate) fn serve(
         &self,
         backends: &mut [&mut dyn Backend],
@@ -616,1131 +539,879 @@ impl Fleet {
         }
         requests.sort_by_key(|r| (r.arrival, r.id));
 
-        let m = metrics();
-        let fc = FleetCounters::new();
-        let sites = FleetSites {
-            backend: sc_fault::site(crate::sites::BACKEND),
-            crash: sc_fault::site(crate::sites::REPLICA_CRASH),
-            brownout: sc_fault::site(crate::sites::REPLICA_BROWNOUT),
-            flap: sc_fault::site(crate::sites::REPLICA_FLAP),
-            restart_fail: sc_fault::site(crate::sites::RESTART_FAIL),
-        };
-        let cfg = &self.config.server;
-        let placement = Placement::new(self.config.placement_seed, n);
-        let mut recovery: Option<RecoveryManager> =
-            self.config.recovery.clone().map(|p| RecoveryManager::new(p, n));
-
+        let mut run = Run::new(self, requests.len());
+        let mut arrivals = requests.into_iter().peekable();
         let mut clock = VirtualClock::new();
-        let mut queues: Vec<AdmissionQueue> =
-            (0..n).map(|_| AdmissionQueue::new(cfg.queue_capacity, cfg.shed_policy)).collect();
-        let mut breakers: Vec<CircuitBreaker> =
-            (0..n).map(|_| CircuitBreaker::new(cfg.breaker)).collect();
-        let max_tier = cfg.degrade.tier_count() - 1;
-        let mut shard_mons: Vec<Option<HealthMonitor>> =
-            (0..n).map(|_| HealthMonitor::new(cfg.health.clone(), max_tier)).collect();
-        let mut fleet_mon = HealthMonitor::new(self.config.fleet_health.clone(), max_tier);
-        let mut noted_trips = vec![0u64; n];
-
-        let mut inflight: Vec<Option<FleetInflight>> = (0..n).map(|_| None).collect();
-        let mut tracks: BTreeMap<u64, HedgeTrack> = BTreeMap::new();
-        let mut next_arrival = 0usize;
-
-        let mut responses: Vec<Response> = Vec::with_capacity(requests.len());
-        let mut meta: Vec<ResponseMeta> = Vec::with_capacity(requests.len());
-        let keep_traces = self.config.keep_traces;
-        let mut traces: Vec<SpanTree> =
-            Vec::with_capacity(if keep_traces { requests.len() } else { 0 });
-        let mut folded = FoldedStacks::new();
-        let mut fold_path = String::new();
-        let mut completed_by_tier = vec![0u64; cfg.degrade.tier_count()];
-        let mut shed = 0u64;
-        let mut timed_out = 0u64;
-        let mut breaker_rejected = 0u64;
-        let mut failed = 0u64;
-        let mut retries = 0u64;
-        let mut failovers = 0u64;
-        let mut hedges_launched = 0u64;
-        let mut hedges_won = 0u64;
-        let mut hedges_cancelled = 0u64;
-        let mut hedges_failed = 0u64;
-        let mut hedges_adopted = 0u64;
-        let mut hedges_skipped = 0u64;
-        let mut hedge_wasted = 0u64;
-        let mut max_queue_depth = 0usize;
-        let mut shard_dispatched = vec![0u64; n];
-        let mut shard_completed = vec![0u64; n];
-        let mut shard_failed = vec![0u64; n];
-        let mut shard_cancelled = vec![0u64; n];
-        let mut shard_hedges = vec![0u64; n];
-        let mut shard_max_depth = vec![0usize; n];
-        let trace_seed = cfg.trace_seed;
-
-        // Finalization: close the timeline, fold it with its shadow
-        // (hedge-loser and recovery-replay) windows into the response's
-        // attribution and the folded profile, build the span tree only
-        // when it is kept, and feed both the shard and the fleet
-        // monitors. Monitors are parameters so the loop can also advance
-        // them between finalizations.
-        #[allow(clippy::too_many_arguments)]
-        let mut finalize = |entry: &mut Queued,
-                            outcome: Outcome,
-                            now: u64,
-                            replica: Option<usize>,
-                            closed: TrackClose,
-                            hedged: bool,
-                            hedge_won: bool,
-                            shard_mons: &mut [Option<HealthMonitor>],
-                            fleet_mon: &mut Option<HealthMonitor>| {
-            settle_wait(entry, now);
-            let latency = now.saturating_sub(entry.req.arrival);
-            match outcome {
-                Outcome::Completed { tier } => {
-                    completed_by_tier[tier] += 1;
-                    m.completed.incr(1);
-                    if tier > 0 {
-                        m.degraded.incr(1);
-                    }
-                    m.latency.record(latency);
-                    if let Some(r) = replica {
-                        shard_completed[r] += 1;
-                    }
-                }
-                Outcome::Shed => {
-                    shed += 1;
-                    m.shed.incr(1);
-                }
-                Outcome::TimedOut => {
-                    timed_out += 1;
-                    m.timeout.incr(1);
-                }
-                Outcome::BreakerOpen => {
-                    breaker_rejected += 1;
-                    m.breaker_final.incr(1);
-                }
-                Outcome::Failed => {
-                    failed += 1;
-                    m.failed.incr(1);
-                }
-            }
-            let attribution =
-                fold_timeline(entry, &closed.shadows, &closed.replays, &mut folded, &mut fold_path);
-            debug_assert_eq!(
-                attribution.total(),
-                latency + attribution.concurrent_total(),
-                "request {}: attribution must sum to latency + concurrent shadows",
-                entry.req.id
-            );
-            sc_telemetry::record_attribution(&attribution);
-            responses.push(Response {
-                id: entry.req.id,
-                payload: entry.req.payload,
-                outcome,
-                attempts: entry.attempts,
-                finished_at: now,
-                latency,
-                attribution,
-            });
-            meta.push(ResponseMeta { id: entry.req.id, replica, hedged, hedge_won });
-            if keep_traces {
-                let tree = build_trace(trace_seed, entry, now, &closed.shadows, &closed.replays);
-                debug_assert_eq!(
-                    tree.validate(),
-                    Ok(()),
-                    "span tree for request {} is malformed",
-                    entry.req.id
-                );
-                traces.push(tree);
-            }
-            let sample = match outcome {
-                Outcome::Completed { tier } => Sample::Completed { latency, degraded: tier > 0 },
-                Outcome::Shed => Sample::Shed,
-                Outcome::TimedOut => Sample::TimedOut,
-                Outcome::BreakerOpen | Outcome::Failed => Sample::Error,
-            };
-            let span = SpanSummary {
-                id: entry.req.id,
-                outcome: outcome.name().to_string(),
-                latency,
-                attempts: entry.attempts,
-                finished_at: now,
-            };
-            if let Some(hm) = replica.and_then(|r| shard_mons[r].as_mut()) {
-                hm.sample(sample);
-                hm.record_span(span.clone());
-            }
-            if let Some(hm) = fleet_mon.as_mut() {
-                hm.sample(sample);
-                hm.record_span(span);
-            }
-        };
-
-        // Removes and flattens a request's hedge/replay bookkeeping for
-        // its finalization. Any still-active duplicate must have been
-        // dealt with by the caller first.
-        let close_track = |tracks: &mut BTreeMap<u64, HedgeTrack>, id: u64| -> (TrackClose, bool) {
-            match tracks.remove(&id) {
-                Some(t) => {
-                    debug_assert!(t.active.is_none(), "request {id} finalized with a live hedge");
-                    (TrackClose { shadows: t.shadows, replays: t.replays }, t.launched > 0)
-                }
-                None => (TrackClose::default(), false),
-            }
-        };
-
-        loop {
-            // Next event over the whole fleet: completions, the next
-            // arrival, ready queue entries on idle replicas, queued
-            // deadlines, pending hedge launches, and recovery lifecycle
-            // events (restart attempts, probation boundaries, planned
-            // restarts).
-            let mut event: Option<u64> = None;
-            let mut consider = |t: u64| event = Some(event.map_or(t, |e: u64| e.min(t)));
-            // With every request served and every queue drained, the run
-            // only continues for pending lifecycle transitions — and a
-            // replica whose crash window never closes can never restart,
-            // so its backoff ladder must not keep the loop alive.
-            let traffic_done = next_arrival >= requests.len()
-                && inflight.iter().all(Option::is_none)
-                && queues.iter().all(AdmissionQueue::is_empty);
-            for r in 0..n {
-                match &inflight[r] {
-                    Some(inf) => consider(inf.finish_at),
-                    None => {
-                        let down = recovery.as_ref().is_some_and(|rm| rm.is_down(r));
-                        if !down {
-                            if let Some(t) = queues[r].next_ready_at() {
-                                consider(t);
-                            }
-                        }
-                    }
-                }
-                if let Some(t) = queues[r].next_deadline_at() {
-                    consider(t);
-                }
-                if let Some(rm) = recovery.as_ref() {
-                    let hopeless = traffic_done
-                        && rm.is_down(r)
-                        && sites
-                            .crash
-                            .as_ref()
-                            .is_some_and(|s| s.phased(r as u64, 0, u64::MAX).is_some());
-                    if !hopeless {
-                        if let Some(t) = rm.next_event_at(r) {
-                            consider(t);
-                        }
-                    }
-                }
-            }
-            if let Some(t) = recovery.as_ref().and_then(RecoveryManager::next_planned_at) {
-                consider(t);
-            }
-            if let Some(r) = requests.get(next_arrival) {
-                consider(r.arrival);
-            }
-            for t in tracks.values().filter_map(|t| t.hedge_at) {
-                consider(t);
-            }
-            let Some(t) = event else { break };
+        while let Some(t) = run.next_event(arrivals.peek().map(|r| r.arrival)) {
             let now = t.max(clock.now());
             clock.advance_to(now);
-
-            // Monitors advance on the boundary before events at `now`
-            // are processed: shards in index order, then the fleet view.
-            // Each captures the serving-side state only if a window
-            // closes.
-            for r in 0..n {
-                if let Some(hm) = shard_mons[r].as_mut() {
-                    hm.advance(now, || {
-                        shard_state(&queues[r], inflight[r].is_some(), &breakers[r], &recovery, r)
-                    });
-                }
+            run.advance_monitors(now);
+            run.recover(now);
+            run.complete(now);
+            run.note_trips(now);
+            run.expire(now);
+            while let Some(req) = arrivals.next_if(|r| r.arrival <= now) {
+                run.arrive(req, now);
             }
-            if let Some(hm) = fleet_mon.as_mut() {
-                hm.advance(now, || fleet_state(&queues, &inflight, &breakers, &recovery));
-            }
-
-            // Recovery lifecycle transitions run before completions so a
-            // crash at `now` strands the replica's work rather than
-            // letting it complete.
-            if let Some(rm) = recovery.as_mut() {
-                // Downs: planned restarts due now, plus replicas whose
-                // crash window just opened.
-                let mut downs = rm.due_planned(now);
-                for r in 0..n {
-                    if !rm.is_down(r)
-                        && sites
-                            .crash
-                            .as_ref()
-                            .is_some_and(|s| s.phased(r as u64, 0, now).is_some())
-                    {
-                        downs.push(r);
-                    }
-                }
-                downs.sort_unstable();
-                downs.dedup();
-                for r in downs {
-                    if !rm.mark_down(r, now) {
-                        continue;
-                    }
-                    let detail = format!("replica={r}");
-                    if let Some(hm) = shard_mons[r].as_mut() {
-                        hm.note(now, "serve.recovery.down", detail.clone());
-                    }
-                    if let Some(hm) = fleet_mon.as_mut() {
-                        hm.note(now, "serve.recovery.down", detail);
-                    }
-                    // Strand the in-flight attempt — unless it finishes
-                    // at `now` exactly, in which case the completion
-                    // pass below would have raced the crash and the
-                    // crash must not un-complete it. (It runs after this
-                    // block, so leave it in place.)
-                    if inflight[r].as_ref().is_some_and(|i| i.finish_at > now) {
-                        let inf = inflight[r].take().expect("checked above");
-                        let id = inf.request_id;
-                        match inf.entry {
-                            Some(mut entry) => {
-                                if let Some((r2, th)) =
-                                    tracks.get_mut(&id).and_then(|t| t.active.take())
-                                {
-                                    // A live duplicate adopts ownership:
-                                    // failover without re-queueing, the
-                                    // stranded overlap billed exactly
-                                    // like a failed primary's.
-                                    entry.acct.segments.push(Segment::Attempt {
-                                        start: entry.acct.marker,
-                                        end: now,
-                                        ok: false,
-                                        profile: inf.profile,
-                                    });
-                                    entry.acct.marker = now;
-                                    tracks
-                                        .get_mut(&id)
-                                        .expect("track exists")
-                                        .shadows
-                                        .push((th, now));
-                                    hedge_wasted += now - th;
-                                    fc.hedge_wasted.incr(now - th);
-                                    hedges_adopted += 1;
-                                    fc.hedge_adopted.incr(1);
-                                    let adopted =
-                                        inflight[r2].as_mut().expect("hedge track out of sync");
-                                    debug_assert_eq!(adopted.request_id, id);
-                                    adopted.entry = Some(entry);
-                                } else {
-                                    // Journal the stranded window as
-                                    // concurrent replay burn and
-                                    // re-dispatch. The foreground
-                                    // timeline keeps its marker, so the
-                                    // stranded window is *also* billed
-                                    // as queue wait on the next dispatch
-                                    // — the identity stays exact because
-                                    // replay is concurrent, like a
-                                    // hedge loser's burn.
-                                    let track = tracks.entry(id).or_default();
-                                    track.hedge_at = None;
-                                    track.replays.push((inf.start, now));
-                                    rm.note_replayed_inflight(now - inf.start);
-                                    entry.not_before = now;
-                                    let loads = self.loads(now, &inflight, &queues);
-                                    let order = placement.rank(id, &loads);
-                                    let target = order
-                                        .iter()
-                                        .copied()
-                                        .find(|&c| {
-                                            c != r
-                                                && is_live(&breakers, &shard_mons, c, now)
-                                                && rm.admits_bucket(c, placement.bucket(id, c))
-                                        })
-                                        .or_else(|| {
-                                            order
-                                                .iter()
-                                                .copied()
-                                                .find(|&c| c != r && !rm.is_down(c))
-                                        })
-                                        .unwrap_or(order[0]);
-                                    if target != r {
-                                        failovers += 1;
-                                        fc.failover.incr(1);
-                                    }
-                                    if let Some(mut victim) = queues[target].push(entry) {
-                                        let vid = victim.req.id;
-                                        let (closed, hedged) = close_track(&mut tracks, vid);
-                                        finalize(
-                                            &mut victim,
-                                            Outcome::Shed,
-                                            now,
-                                            Some(target),
-                                            closed,
-                                            hedged,
-                                            false,
-                                            &mut shard_mons,
-                                            &mut fleet_mon,
-                                        );
-                                    }
-                                    shard_max_depth[target] =
-                                        shard_max_depth[target].max(queues[target].len());
-                                    max_queue_depth = max_queue_depth.max(queues[target].len());
-                                }
-                            }
-                            // A stranded hedge duplicate dies quietly:
-                            // shadow burn, the owner runs on elsewhere.
-                            None => {
-                                if let Some(t) = tracks.get_mut(&id) {
-                                    t.active = None;
-                                    t.shadows.push((inf.start, now));
-                                }
-                                hedge_wasted += now - inf.start;
-                                fc.hedge_wasted.incr(now - inf.start);
-                                hedges_failed += 1;
-                                fc.hedge_failed.incr(1);
-                                shard_cancelled[r] += 1;
-                            }
-                        }
-                    }
-                    // Drain the queue: every stranded entry re-places
-                    // onto a surviving replica, keeping its backoff.
-                    for entry in queues[r].drain() {
-                        let id = entry.req.id;
-                        rm.note_replayed_queued();
-                        if let Some(t) = tracks.get_mut(&id) {
-                            t.hedge_at = None;
-                        }
-                        let loads = self.loads(now, &inflight, &queues);
-                        let order = placement.rank(id, &loads);
-                        let target = order
-                            .iter()
-                            .copied()
-                            .find(|&c| {
-                                c != r
-                                    && is_live(&breakers, &shard_mons, c, now)
-                                    && rm.admits_bucket(c, placement.bucket(id, c))
-                            })
-                            .or_else(|| order.iter().copied().find(|&c| c != r && !rm.is_down(c)))
-                            .unwrap_or(order[0]);
-                        if target != r {
-                            failovers += 1;
-                            fc.failover.incr(1);
-                        }
-                        if let Some(mut victim) = queues[target].push(entry) {
-                            let vid = victim.req.id;
-                            let (closed, hedged) = close_track(&mut tracks, vid);
-                            finalize(
-                                &mut victim,
-                                Outcome::Shed,
-                                now,
-                                Some(target),
-                                closed,
-                                hedged,
-                                false,
-                                &mut shard_mons,
-                                &mut fleet_mon,
-                            );
-                        }
-                        shard_max_depth[target] = shard_max_depth[target].max(queues[target].len());
-                        max_queue_depth = max_queue_depth.max(queues[target].len());
-                    }
-                }
-                // Restart attempts due: blocked while the crash window
-                // is still open or the restart-fail site fires for this
-                // (replica, attempt); a success reseeds the replica's
-                // breaker and SLO verdict state for a fresh probation.
-                for r in 0..n {
-                    let ReplicaPhase::Down { attempt, restart_at, .. } = rm.phase(r) else {
-                        continue;
-                    };
-                    if restart_at > now {
-                        continue;
-                    }
-                    let blocked =
-                        sites.crash.as_ref().is_some_and(|s| s.phased(r as u64, 0, now).is_some())
-                            || sites.restart_fail.as_ref().is_some_and(|s| {
-                                s.transient(r as u64, u64::from(attempt + 1)).is_some()
-                            });
-                    if rm.try_restart(r, now, blocked) {
-                        breakers[r] = CircuitBreaker::new(cfg.breaker);
-                        noted_trips[r] = 0;
-                        if let Some(hm) = shard_mons[r].as_mut() {
-                            hm.reseed(now, &format!("replica {r} rejoin"));
-                        }
-                        if let Some(hm) = fleet_mon.as_mut() {
-                            hm.note(now, "serve.recovery.rejoin", format!("replica={r}"));
-                        }
-                    }
-                }
-                // Probation boundaries due: a breached shard SLO (or a
-                // failed attempt during the stage) reruns the stage.
-                for (r, mon) in shard_mons.iter().enumerate() {
-                    let ReplicaPhase::Probing { promote_at, .. } = rm.phase(r) else {
-                        continue;
-                    };
-                    if promote_at > now {
-                        continue;
-                    }
-                    let slo_ok =
-                        mon.as_ref().is_none_or(|hm| hm.verdict() != sc_health::Verdict::Breached);
-                    rm.evaluate_probation(r, now, slo_ok);
-                }
-            }
-
-            // 1. Completions, in replica-index order — the deterministic
-            // winner of any same-tick hedge race. A completion may
-            // cancel or adopt the duplicate on another replica.
-            for r in 0..n {
-                if inflight[r].as_ref().is_none_or(|i| i.finish_at > now) {
-                    continue;
-                }
-                let inf = inflight[r].take().expect("checked above");
-                let id = inf.request_id;
-                match inf.entry {
-                    // Owner attempt completing (primary, or an adopted
-                    // hedge).
-                    Some(mut entry) => {
-                        entry.acct.segments.push(Segment::Attempt {
-                            start: entry.acct.marker,
-                            end: now,
-                            ok: inf.error.is_none(),
-                            profile: inf.profile,
-                        });
-                        entry.acct.marker = now;
-                        match inf.error {
-                            None => {
-                                breakers[r].on_success(now);
-                                // Cancel the losing duplicate, billing
-                                // its burn as a shadow.
-                                if let Some((r2, th)) =
-                                    tracks.get_mut(&id).and_then(|t| t.active.take())
-                                {
-                                    let loser = inflight[r2].take();
-                                    debug_assert!(
-                                        loser.is_some_and(|l| l.request_id == id),
-                                        "hedge track out of sync for request {id}"
-                                    );
-                                    tracks
-                                        .get_mut(&id)
-                                        .expect("track exists")
-                                        .shadows
-                                        .push((th, now));
-                                    hedge_wasted += now - th;
-                                    fc.hedge_wasted.incr(now - th);
-                                    hedges_cancelled += 1;
-                                    fc.hedge_cancelled.incr(1);
-                                    shard_cancelled[r2] += 1;
-                                }
-                                let (closed, hedged) = close_track(&mut tracks, id);
-                                let outcome = if now >= entry.req.deadline {
-                                    Outcome::TimedOut
-                                } else {
-                                    Outcome::Completed { tier: inf.tier }
-                                };
-                                finalize(
-                                    &mut entry,
-                                    outcome,
-                                    now,
-                                    Some(r),
-                                    closed,
-                                    hedged,
-                                    false,
-                                    &mut shard_mons,
-                                    &mut fleet_mon,
-                                );
-                            }
-                            Some(e) => {
-                                breakers[r].on_failure(now);
-                                if let Some(rm) = recovery.as_mut() {
-                                    rm.note_attempt_failure(r);
-                                }
-                                shard_failed[r] += 1;
-                                sc_telemetry::event!("serve.attempt_failed", now, e);
-                                // A live duplicate is adopted as the new
-                                // owner: failover without re-queueing.
-                                // Its pre-failure overlap is shadow burn.
-                                if let Some((r2, th)) =
-                                    tracks.get_mut(&id).and_then(|t| t.active.take())
-                                {
-                                    tracks
-                                        .get_mut(&id)
-                                        .expect("track exists")
-                                        .shadows
-                                        .push((th, now));
-                                    hedge_wasted += now - th;
-                                    fc.hedge_wasted.incr(now - th);
-                                    hedges_adopted += 1;
-                                    fc.hedge_adopted.incr(1);
-                                    let adopted =
-                                        inflight[r2].as_mut().expect("hedge track out of sync");
-                                    debug_assert_eq!(adopted.request_id, id);
-                                    adopted.entry = Some(entry);
-                                } else if entry.attempts >= cfg.retry.max_attempts {
-                                    let (closed, hedged) = close_track(&mut tracks, id);
-                                    finalize(
-                                        &mut entry,
-                                        Outcome::Failed,
-                                        now,
-                                        Some(r),
-                                        closed,
-                                        hedged,
-                                        false,
-                                        &mut shard_mons,
-                                        &mut fleet_mon,
-                                    );
-                                } else {
-                                    let wait = cfg.retry.backoff(id, entry.attempts);
-                                    entry.not_before = now + wait;
-                                    if entry.not_before >= entry.req.deadline {
-                                        let (closed, hedged) = close_track(&mut tracks, id);
-                                        finalize(
-                                            &mut entry,
-                                            Outcome::TimedOut,
-                                            now,
-                                            Some(r),
-                                            closed,
-                                            hedged,
-                                            false,
-                                            &mut shard_mons,
-                                            &mut fleet_mon,
-                                        );
-                                    } else {
-                                        // Retry placement: first live
-                                        // (and, under recovery,
-                                        // admitting) replica in hash
-                                        // order.
-                                        if let Some(t) = tracks.get_mut(&id) {
-                                            t.hedge_at = None;
-                                        }
-                                        let loads = self.loads(now, &inflight, &queues);
-                                        let order = placement.rank(id, &loads);
-                                        let target = order
-                                            .iter()
-                                            .copied()
-                                            .find(|&c| {
-                                                admits(
-                                                    &breakers,
-                                                    &shard_mons,
-                                                    &recovery,
-                                                    &placement,
-                                                    id,
-                                                    c,
-                                                    now,
-                                                )
-                                            })
-                                            .unwrap_or(order[0]);
-                                        if target != r {
-                                            failovers += 1;
-                                            fc.failover.incr(1);
-                                        }
-                                        if let Some(mut victim) = queues[target].push(entry) {
-                                            let vid = victim.req.id;
-                                            let (closed, hedged) = close_track(&mut tracks, vid);
-                                            finalize(
-                                                &mut victim,
-                                                Outcome::Shed,
-                                                now,
-                                                Some(target),
-                                                closed,
-                                                hedged,
-                                                false,
-                                                &mut shard_mons,
-                                                &mut fleet_mon,
-                                            );
-                                        }
-                                        shard_max_depth[target] =
-                                            shard_max_depth[target].max(queues[target].len());
-                                        max_queue_depth = max_queue_depth.max(queues[target].len());
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    // Hedge duplicate completing while the owner still
-                    // runs elsewhere.
-                    None => {
-                        let owner = (0..n).find(|&q| {
-                            inflight[q]
-                                .as_ref()
-                                .is_some_and(|i| i.entry.as_ref().is_some_and(|e| e.req.id == id))
-                        });
-                        match inf.error {
-                            None => {
-                                // The hedge wins: the foreground becomes
-                                // hedge-delay backoff + the duplicate's
-                                // service window; the primary's whole
-                                // occupation is shadow burn.
-                                breakers[r].on_success(now);
-                                let Some(rp) = owner else {
-                                    debug_assert!(false, "hedge {id} completed with no owner");
-                                    continue;
-                                };
-                                let mut entry = inflight[rp]
-                                    .take()
-                                    .and_then(|i| i.entry)
-                                    .expect("owner holds the entry");
-                                let t0 = entry.acct.marker;
-                                let th = inf.start;
-                                if let Some(t) = tracks.get_mut(&id) {
-                                    t.active = None;
-                                    t.shadows.push((t0, now));
-                                }
-                                hedge_wasted += now - t0;
-                                fc.hedge_wasted.incr(now - t0);
-                                hedges_won += 1;
-                                fc.hedge_won.incr(1);
-                                shard_cancelled[rp] += 1;
-                                entry.acct.segments.push(Segment::Wait {
-                                    start: t0,
-                                    boundary: th,
-                                    end: th,
-                                });
-                                entry.acct.segments.push(Segment::Attempt {
-                                    start: th,
-                                    end: now,
-                                    ok: true,
-                                    profile: inf.profile,
-                                });
-                                entry.acct.marker = now;
-                                let (closed, hedged) = close_track(&mut tracks, id);
-                                let outcome = if now >= entry.req.deadline {
-                                    Outcome::TimedOut
-                                } else {
-                                    Outcome::Completed { tier: inf.tier }
-                                };
-                                finalize(
-                                    &mut entry,
-                                    outcome,
-                                    now,
-                                    Some(r),
-                                    closed,
-                                    hedged,
-                                    true,
-                                    &mut shard_mons,
-                                    &mut fleet_mon,
-                                );
-                            }
-                            Some(_) => {
-                                // The hedge loses quietly: its replica's
-                                // breaker hears the failure, the burn is
-                                // shadow-billed, and the owner runs on.
-                                breakers[r].on_failure(now);
-                                if let Some(rm) = recovery.as_mut() {
-                                    rm.note_attempt_failure(r);
-                                }
-                                shard_failed[r] += 1;
-                                debug_assert!(owner.is_some(), "lost hedge {id} with no owner");
-                                if let Some(t) = tracks.get_mut(&id) {
-                                    t.active = None;
-                                    t.shadows.push((inf.start, now));
-                                }
-                                hedge_wasted += now - inf.start;
-                                fc.hedge_wasted.incr(now - inf.start);
-                                hedges_failed += 1;
-                                fc.hedge_failed.incr(1);
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Surface new breaker trips to the recorders as they happen.
-            for r in 0..n {
-                if breakers[r].trips() > noted_trips[r] {
-                    noted_trips[r] = breakers[r].trips();
-                    let detail = format!("replica={r} trips={}", noted_trips[r]);
-                    if let Some(hm) = shard_mons[r].as_mut() {
-                        hm.note(now, "serve.breaker.trip", detail.clone());
-                    }
-                    if let Some(hm) = fleet_mon.as_mut() {
-                        hm.note(now, "serve.breaker.trip", detail);
-                    }
-                }
-            }
-
-            // 2. Expired deadlines among the queued, per replica.
-            for (r, queue) in queues.iter_mut().enumerate() {
-                for mut dead in queue.drop_expired(now) {
-                    let (closed, hedged) = close_track(&mut tracks, dead.req.id);
-                    finalize(
-                        &mut dead,
-                        Outcome::TimedOut,
-                        now,
-                        Some(r),
-                        closed,
-                        hedged,
-                        false,
-                        &mut shard_mons,
-                        &mut fleet_mon,
-                    );
-                }
-            }
-
-            // 3. Arrivals: place by rendezvous hash, skipping non-live
-            // replicas (breaker would reject, or shard SLO breached)
-            // and replicas whose recovery phase does not admit the
-            // request's score bucket — each skip is a failover.
-            while requests.get(next_arrival).is_some_and(|r| r.arrival <= now) {
-                let req = requests[next_arrival];
-                next_arrival += 1;
-                let mut entry = Queued::fresh(req);
-                if req.deadline <= now {
-                    finalize(
-                        &mut entry,
-                        Outcome::TimedOut,
-                        now,
-                        None,
-                        TrackClose::default(),
-                        false,
-                        false,
-                        &mut shard_mons,
-                        &mut fleet_mon,
-                    );
-                    continue;
-                }
-                m.admitted.incr(1);
-                let loads = self.loads(now, &inflight, &queues);
-                let order = placement.rank(req.id, &loads);
-                let chosen = order
-                    .iter()
-                    .copied()
-                    .find(|&c| {
-                        admits(&breakers, &shard_mons, &recovery, &placement, req.id, c, now)
-                    })
-                    .unwrap_or(order[0]);
-                if chosen != order[0] {
-                    failovers += 1;
-                    fc.failover.incr(1);
-                }
-                if let Some(mut victim) = queues[chosen].push(entry) {
-                    let vid = victim.req.id;
-                    let (closed, hedged) = close_track(&mut tracks, vid);
-                    finalize(
-                        &mut victim,
-                        Outcome::Shed,
-                        now,
-                        Some(chosen),
-                        closed,
-                        hedged,
-                        false,
-                        &mut shard_mons,
-                        &mut fleet_mon,
-                    );
-                }
-                shard_max_depth[chosen] = shard_max_depth[chosen].max(queues[chosen].len());
-                max_queue_depth = max_queue_depth.max(queues[chosen].len());
-            }
-
-            // 4. Due hedge launches, in request-id order. A hedge only
-            // launches onto an *idle*, live, full-weight replica
-            // distinct from the owner's — it never queues, never evicts
-            // real work, and never targets a probing replica.
-            let due: Vec<u64> = tracks
-                .iter()
-                .filter(|(_, t)| t.hedge_at.is_some_and(|h| h <= now))
-                .map(|(&id, _)| id)
-                .collect();
-            for id in due {
-                tracks.get_mut(&id).expect("due track exists").hedge_at = None;
-                let owner = (0..n).find(|&q| {
-                    inflight[q]
-                        .as_ref()
-                        .is_some_and(|i| i.entry.as_ref().is_some_and(|e| e.req.id == id))
-                });
-                let Some(rp) = owner else { continue };
-                let (payload, attempts) = {
-                    let e = inflight[rp].as_ref().and_then(|i| i.entry.as_ref()).expect("owner");
-                    (e.req.payload, e.attempts)
-                };
-                let loads = self.loads(now, &inflight, &queues);
-                let order = placement.rank(id, &loads);
-                let Some(r2) = order.iter().copied().find(|&c| {
-                    c != rp
-                        && inflight[c].is_none()
-                        && is_live(&breakers, &shard_mons, c, now)
-                        && recovery.as_ref().is_none_or(|rm| rm.is_full_weight(c))
-                }) else {
-                    hedges_skipped += 1;
-                    fc.hedge_skipped.incr(1);
-                    continue;
-                };
-                if !breakers[r2].admits(now) {
-                    hedges_skipped += 1;
-                    fc.hedge_skipped.incr(1);
-                    continue;
-                }
-                let (occ_tier, occ_bits) =
-                    cfg.degrade.tier_for(queues[r2].len(), queues[r2].capacity());
-                let floor = effective_floor(&shard_mons, &fleet_mon, r2);
-                let (tier, bits) = if floor > occ_tier {
-                    (floor, cfg.degrade.bits_for(floor))
-                } else {
-                    (occ_tier, occ_bits)
-                };
-                let out = self.attempt(
-                    &sites,
-                    &fc,
-                    &mut *backends[r2],
-                    r2,
-                    id,
-                    payload,
-                    bits,
-                    attempts as u64 | HEDGE_DRAW_BIT,
-                    attempts,
-                    now,
-                );
-                inflight[r2] = Some(FleetInflight {
-                    entry: None,
-                    request_id: id,
-                    tier,
-                    start: now,
-                    finish_at: now + out.finish_in,
-                    error: out.error,
-                    profile: out.profile,
-                });
-                let track = tracks.get_mut(&id).expect("due track exists");
-                track.active = Some((r2, now));
-                track.launched += 1;
-                hedges_launched += 1;
-                fc.hedge_launched.incr(1);
-                shard_dispatched[r2] += 1;
-                shard_hedges[r2] += 1;
-            }
-
-            // 5. Dispatch sweep, per replica in index order. The tier is
-            // sampled from occupancy before the pop (the dispatched
-            // request counts toward its own pressure), floored by the
-            // worse of the shard and fleet SLO verdict floors — and by
-            // the probation tier while the replica is probing. Down
-            // replicas dispatch nothing.
-            for r in 0..n {
-                if recovery.as_ref().is_some_and(|rm| rm.is_down(r)) {
-                    continue;
-                }
-                while inflight[r].is_none() {
-                    let (occ_tier, occ_bits) =
-                        cfg.degrade.tier_for(queues[r].len(), queues[r].capacity());
-                    let floor = effective_floor(&shard_mons, &fleet_mon, r)
-                        .max(recovery.as_ref().map_or(0, |rm| rm.tier_floor(r, max_tier)));
-                    let (tier, bits) = if floor > occ_tier {
-                        (floor, cfg.degrade.bits_for(floor))
-                    } else {
-                        (occ_tier, occ_bits)
-                    };
-                    let Some(mut entry) = queues[r].pop_ready(now) else { break };
-                    let id = entry.req.id;
-                    settle_wait(&mut entry, now);
-                    entry.attempts += 1;
-                    if entry.attempts > 1 {
-                        retries += 1;
-                        m.retry.incr(1);
-                    }
-                    if !breakers[r].admits(now) {
-                        entry.acct.segments.push(Segment::Breaker { at: now });
-                        if entry.attempts >= cfg.retry.max_attempts {
-                            let (closed, hedged) = close_track(&mut tracks, id);
-                            finalize(
-                                &mut entry,
-                                Outcome::BreakerOpen,
-                                now,
-                                Some(r),
-                                closed,
-                                hedged,
-                                false,
-                                &mut shard_mons,
-                                &mut fleet_mon,
-                            );
-                            continue;
-                        }
-                        // Breaker failover: hand the entry to the next
-                        // live (and admitting) replica immediately; only
-                        // when nobody is does it back off on this queue.
-                        let loads = self.loads(now, &inflight, &queues);
-                        let order = placement.rank(id, &loads);
-                        let target = order.iter().copied().find(|&c| {
-                            c != r
-                                && admits(&breakers, &shard_mons, &recovery, &placement, id, c, now)
-                        });
-                        match target {
-                            Some(rc) => {
-                                failovers += 1;
-                                fc.failover.incr(1);
-                                entry.not_before = now;
-                                if let Some(mut victim) = queues[rc].push(entry) {
-                                    let vid = victim.req.id;
-                                    let (closed, hedged) = close_track(&mut tracks, vid);
-                                    finalize(
-                                        &mut victim,
-                                        Outcome::Shed,
-                                        now,
-                                        Some(rc),
-                                        closed,
-                                        hedged,
-                                        false,
-                                        &mut shard_mons,
-                                        &mut fleet_mon,
-                                    );
-                                }
-                                shard_max_depth[rc] = shard_max_depth[rc].max(queues[rc].len());
-                                max_queue_depth = max_queue_depth.max(queues[rc].len());
-                            }
-                            None => {
-                                let wait = cfg.retry.backoff(id, entry.attempts);
-                                entry.not_before = now + wait;
-                                if entry.not_before >= entry.req.deadline {
-                                    let (closed, hedged) = close_track(&mut tracks, id);
-                                    finalize(
-                                        &mut entry,
-                                        Outcome::TimedOut,
-                                        now,
-                                        Some(r),
-                                        closed,
-                                        hedged,
-                                        false,
-                                        &mut shard_mons,
-                                        &mut fleet_mon,
-                                    );
-                                } else {
-                                    // Space is guaranteed: we just popped.
-                                    let victim = queues[r].push(entry);
-                                    debug_assert!(victim.is_none());
-                                }
-                            }
-                        }
-                        continue;
-                    }
-                    let out = self.attempt(
-                        &sites,
-                        &fc,
-                        &mut *backends[r],
-                        r,
-                        id,
-                        entry.req.payload,
-                        bits,
-                        entry.attempts as u64,
-                        entry.attempts,
-                        now,
-                    );
-                    let finish_at = now + out.finish_in;
-                    // Schedule the hedge for this attempt: it fires only
-                    // if the attempt is still in flight at the delay.
-                    if let Some(hedge) = self.config.hedge.as_ref() {
-                        if n > 1 {
-                            let at = now + hedge.delay(self.estimate(entry.req.payload));
-                            if at < finish_at {
-                                tracks.entry(id).or_default().hedge_at = Some(at);
-                            }
-                        }
-                    }
-                    inflight[r] = Some(FleetInflight {
-                        request_id: id,
-                        entry: Some(entry),
-                        tier,
-                        start: now,
-                        finish_at,
-                        error: out.error,
-                        profile: out.profile,
-                    });
-                    shard_dispatched[r] += 1;
-                }
-            }
+            run.launch_hedges(now, backends);
+            run.dispatch(now, backends);
         }
-
-        let finish_health = |hm: HealthMonitor, state: &dyn Fn() -> SystemState| {
-            let report = hm.finish(clock.now(), state);
-            m.health_windows.incr(report.closed_windows());
-            m.health_breach.incr(report.breaches());
-            m.health_recover.incr(report.recoveries());
-            m.health_incident.incr(report.incidents.len() as u64);
-            m.health_floor_raise
-                .incr(report.transitions.iter().filter(|t| t.to > t.from).count() as u64);
-            report
-        };
-
-        let shards: Vec<ShardReport> = (0..n)
-            .map(|r| {
-                let lifecycle = recovery
-                    .as_ref()
-                    .map_or(ReplicaPhase::Live, |rm| rm.phase(r))
-                    .label()
-                    .to_string();
-                let rejoins = recovery.as_ref().map_or(0, |rm| rm.rejoins_of(r));
-                let health = shard_mons[r].take().map(|hm| {
-                    finish_health(hm, &|| {
-                        shard_state(&queues[r], inflight[r].is_some(), &breakers[r], &recovery, r)
-                    })
-                });
-                ShardReport {
-                    dispatched: shard_dispatched[r],
-                    completed: shard_completed[r],
-                    failed_attempts: shard_failed[r],
-                    cancelled: shard_cancelled[r],
-                    hedges_launched: shard_hedges[r],
-                    breaker_trips: breakers[r].trips(),
-                    breaker_state: breakers[r].state().name().to_string(),
-                    max_queue_depth: shard_max_depth[r],
-                    lifecycle,
-                    rejoins,
-                    health,
-                }
-            })
-            .collect();
-        let health = fleet_mon
-            .take()
-            .map(|hm| finish_health(hm, &|| fleet_state(&queues, &inflight, &breakers, &recovery)));
-
-        Ok(FleetReport {
-            responses,
-            meta,
-            completed_by_tier,
-            shed,
-            timed_out,
-            breaker_rejected,
-            failed,
-            retries,
-            failovers,
-            hedges_launched,
-            hedges_won,
-            hedges_cancelled,
-            hedges_failed,
-            hedges_adopted,
-            hedges_skipped,
-            hedge_wasted_cycles: hedge_wasted,
-            max_queue_depth,
-            horizon: clock.now(),
-            traces,
-            folded,
-            shards,
-            health,
-            recovery: recovery.as_ref().map(RecoveryManager::stats).unwrap_or_default(),
-        })
+        Ok(run.finish(clock.now()))
     }
 }
 
-/// A replica is live when its breaker would admit a dispatch and its
-/// shard SLO verdict is not Breached. Placement and failover skip
-/// non-live replicas.
-fn is_live(
-    breakers: &[CircuitBreaker],
-    shard_mons: &[Option<HealthMonitor>],
-    r: usize,
-    now: u64,
-) -> bool {
-    breakers[r].would_admit(now)
-        && shard_mons[r].as_ref().is_none_or(|hm| hm.verdict() != sc_health::Verdict::Breached)
+/// One run of the serving loop: the state [`Fleet::serve`] keeps
+/// between ticks, with one method per phase of a tick. `out` is the
+/// run's one tally; [`Run::finish`] publishes it to the counters.
+struct Run<'f> {
+    fleet: &'f Fleet,
+    sites: FleetSites,
+    placement: Placement,
+    recovery: Option<RecoveryManager>,
+    queues: Vec<AdmissionQueue>,
+    breakers: Vec<CircuitBreaker>,
+    shard_mons: Vec<Option<HealthMonitor>>,
+    fleet_mon: Option<HealthMonitor>,
+    /// Breaker trips already noted to the monitors, per replica.
+    noted_trips: Vec<u64>,
+    inflight: Vec<Option<FleetInflight>>,
+    tracks: BTreeMap<u64, HedgeTrack>,
+    /// Scratch frame path for [`fold_timeline`], reused across requests.
+    fold_path: String,
+    out: FleetReport,
 }
 
-/// A replica admits `request_id` when it is live *and*, under an armed
-/// recovery policy, its lifecycle phase admits the request's
-/// rendezvous-score bucket: probing replicas take only their stage's
-/// ramped fraction, down replicas take nothing. Placement, retry, and
-/// breaker failover all route through this.
-fn admits(
-    breakers: &[CircuitBreaker],
-    shard_mons: &[Option<HealthMonitor>],
-    recovery: &Option<RecoveryManager>,
-    placement: &Placement,
-    request_id: u64,
-    r: usize,
-    now: u64,
-) -> bool {
-    is_live(breakers, shard_mons, r, now)
-        && recovery.as_ref().is_none_or(|rm| rm.admits_bucket(r, placement.bucket(request_id, r)))
+impl<'f> Run<'f> {
+    /// A run of `fleet` over `requests` requests, before its first tick.
+    fn new(fleet: &'f Fleet, requests: usize) -> Self {
+        let n = fleet.config.replicas;
+        let cfg = &fleet.config.server;
+        let tiers = cfg.degrade.tier_count();
+        let kept = if fleet.config.keep_traces { requests } else { 0 };
+        Run {
+            fleet,
+            sites: FleetSites::resolve(),
+            placement: Placement::new(fleet.config.placement_seed, n),
+            recovery: fleet.config.recovery.clone().map(|p| RecoveryManager::new(p, n)),
+            queues: (0..n)
+                .map(|_| AdmissionQueue::new(cfg.queue_capacity, cfg.shed_policy))
+                .collect(),
+            breakers: (0..n).map(|_| CircuitBreaker::new(cfg.breaker)).collect(),
+            shard_mons: (0..n).map(|_| HealthMonitor::new(cfg.health.clone(), tiers - 1)).collect(),
+            fleet_mon: HealthMonitor::new(fleet.config.fleet_health.clone(), tiers - 1),
+            noted_trips: vec![0; n],
+            inflight: (0..n).map(|_| None).collect(),
+            tracks: BTreeMap::new(),
+            fold_path: String::new(),
+            out: FleetReport {
+                responses: Vec::with_capacity(requests),
+                meta: Vec::with_capacity(requests),
+                traces: Vec::with_capacity(kept),
+                completed_by_tier: vec![0; tiers],
+                shards: vec![ShardReport::default(); n],
+                ..FleetReport::default()
+            },
+        }
+    }
+
+    /// The next event tick over the whole fleet: completions, the next
+    /// arrival (`next_arrival`), ready queue entries on idle replicas,
+    /// queued deadlines, pending hedge launches, and recovery lifecycle
+    /// events. `None` ends the run.
+    fn next_event(&self, next_arrival: Option<u64>) -> Option<u64> {
+        let mut event: Option<u64> = None;
+        let mut consider = |t: u64| event = Some(event.map_or(t, |e: u64| e.min(t)));
+        // With every request served and every queue drained, the run
+        // only continues for pending lifecycle transitions — and a
+        // replica whose crash window never closes can never restart, so
+        // its backoff ladder must not keep the loop alive.
+        let traffic_done = next_arrival.is_none()
+            && self.inflight.iter().all(Option::is_none)
+            && self.queues.iter().all(AdmissionQueue::is_empty);
+        for (r, queue) in self.queues.iter().enumerate() {
+            match &self.inflight[r] {
+                Some(inf) => consider(inf.finish_at),
+                None if !self.is_down(r) => {
+                    if let Some(t) = queue.next_ready_at() {
+                        consider(t);
+                    }
+                }
+                None => {}
+            }
+            if let Some(t) = queue.next_deadline_at() {
+                consider(t);
+            }
+            if let Some(rm) = &self.recovery {
+                let hopeless = traffic_done && rm.is_down(r) && self.sites.crashed(r, u64::MAX);
+                if let Some(t) = rm.next_event_at(r).filter(|_| !hopeless) {
+                    consider(t);
+                }
+            }
+        }
+        if let Some(t) = self.recovery.as_ref().and_then(RecoveryManager::next_planned_at) {
+            consider(t);
+        }
+        if let Some(t) = next_arrival {
+            consider(t);
+        }
+        for t in self.tracks.values().filter_map(|t| t.hedge_at) {
+            consider(t);
+        }
+        event
+    }
+
+    /// Advances the monitors to `now`, before any event at `now` is
+    /// processed: shards in index order, then the fleet view. Each
+    /// captures the serving-side state only if a window closes.
+    fn advance_monitors(&mut self, now: u64) {
+        for (r, mon) in self.shard_mons.iter_mut().enumerate() {
+            if let Some(hm) = mon {
+                hm.advance(now, || {
+                    shard_state(
+                        &self.queues[r],
+                        self.inflight[r].is_some(),
+                        &self.breakers[r],
+                        &self.recovery,
+                        r,
+                    )
+                });
+            }
+        }
+        if let Some(hm) = self.fleet_mon.as_mut() {
+            hm.advance(now, || {
+                fleet_state(&self.queues, &self.inflight, &self.breakers, &self.recovery)
+            });
+        }
+    }
+
+    /// Recovery lifecycle transitions due at `now`. They run before
+    /// completions, so a crash at `now` strands the replica's work rather
+    /// than letting it complete. Downs come first (planned restarts due,
+    /// and replicas whose crash window just opened), then restart
+    /// attempts, then probation boundaries.
+    fn recover(&mut self, now: u64) {
+        let Some(rm) = self.recovery.as_mut() else { return };
+        let mut downs = rm.due_planned(now);
+        downs.extend(
+            (0..self.queues.len()).filter(|&r| !rm.is_down(r) && self.sites.crashed(r, now)),
+        );
+        downs.sort_unstable();
+        downs.dedup();
+        for r in downs {
+            if self.recovery.as_mut().is_some_and(|rm| rm.mark_down(r, now)) {
+                self.note(r, now, "serve.recovery.down", format!("replica={r}"));
+                self.strand(r, now);
+            }
+        }
+        let Some(rm) = self.recovery.as_mut() else { return };
+        // A restart is blocked while the crash window is still open or
+        // the restart-fail site fires for this (replica, attempt); a
+        // success reseeds the replica's breaker and SLO verdict state
+        // for a fresh probation.
+        for r in 0..self.queues.len() {
+            let ReplicaPhase::Down { attempt, restart_at, .. } = rm.phase(r) else { continue };
+            if restart_at > now {
+                continue;
+            }
+            let blocked = self.sites.crashed(r, now)
+                || self
+                    .sites
+                    .restart_fail
+                    .as_ref()
+                    .is_some_and(|s| s.transient(r as u64, u64::from(attempt + 1)).is_some());
+            if rm.try_restart(r, now, blocked) {
+                self.breakers[r] = CircuitBreaker::new(self.fleet.config.server.breaker);
+                self.noted_trips[r] = 0;
+                if let Some(hm) = self.shard_mons[r].as_mut() {
+                    hm.reseed(now, &format!("replica {r} rejoin"));
+                }
+                if let Some(hm) = self.fleet_mon.as_mut() {
+                    hm.note(now, "serve.recovery.rejoin", format!("replica={r}"));
+                }
+            }
+        }
+        // A probation boundary with a breached shard SLO (or a failed
+        // attempt during the stage) reruns the stage.
+        for (r, mon) in self.shard_mons.iter().enumerate() {
+            let ReplicaPhase::Probing { promote_at, .. } = rm.phase(r) else { continue };
+            if promote_at <= now {
+                let slo_ok = mon.as_ref().is_none_or(|hm| hm.verdict() != Verdict::Breached);
+                rm.evaluate_probation(r, now, slo_ok);
+            }
+        }
+    }
+
+    /// Strands replica `r`'s work as it goes down at `now`. An in-flight
+    /// owner attempt is adopted by its live duplicate, or else journaled
+    /// as replay burn and re-placed; a stranded duplicate dies quietly as
+    /// shadow burn. Every queued entry then re-places, keeping its
+    /// backoff.
+    fn strand(&mut self, r: usize, now: u64) {
+        // An attempt that finishes at `now` exactly is left in place: the
+        // completion pass raced the crash, and the crash must not
+        // un-complete it.
+        if let Some(inf) = self.inflight[r].take_if(|i| i.finish_at > now) {
+            let id = inf.request_id;
+            match inf.entry {
+                Some(mut entry) => match self.tracks.get_mut(&id).and_then(|t| t.active.take()) {
+                    // The duplicate adopts ownership, the stranded
+                    // overlap billed exactly like a failed primary's.
+                    Some((r2, th)) => {
+                        close_attempt(&mut entry, now, false, inf.profile);
+                        self.adopt(id, r2, th, entry, now);
+                    }
+                    // The stranded window is concurrent replay burn. The
+                    // foreground keeps its marker, so the window is *also*
+                    // billed as queue wait on the next dispatch; the
+                    // identity stays exact because replay is concurrent,
+                    // like a hedge loser's burn.
+                    None => {
+                        self.tracks.entry(id).or_default().replays.push((inf.start, now));
+                        if let Some(rm) = self.recovery.as_mut() {
+                            rm.note_replayed_inflight(now - inf.start);
+                        }
+                        entry.not_before = now;
+                        self.re_place(r, entry, now);
+                    }
+                },
+                None => {
+                    self.shadow(id, inf.start, now);
+                    self.out.hedges_failed += 1;
+                    self.out.shards[r].cancelled += 1;
+                }
+            }
+        }
+        for entry in self.queues[r].drain() {
+            if let Some(rm) = self.recovery.as_mut() {
+                rm.note_replayed_queued();
+            }
+            self.re_place(r, entry, now);
+        }
+    }
+
+    /// Re-places an entry stranded on replica `r`: onto the first other
+    /// replica that admits it, else the first other replica not down,
+    /// else its rank leader. Its pending hedge is void; landing off `r`
+    /// is a failover.
+    fn re_place(&mut self, r: usize, entry: Queued, now: u64) {
+        let id = entry.req.id;
+        if let Some(t) = self.tracks.get_mut(&id) {
+            t.hedge_at = None;
+        }
+        let order = self.rank(id, now);
+        let target = self
+            .first_admitting(&order, id, now, Some(r))
+            .or_else(|| order.iter().copied().find(|&c| c != r && !self.is_down(c)))
+            .unwrap_or(order[0]);
+        if target != r {
+            self.out.failovers += 1;
+        }
+        self.enqueue(target, entry, now);
+    }
+
+    /// Re-queues `entry` after its attempt on replica `r` failed: onto
+    /// the first replica that admits it, else its rank leader. Its
+    /// pending hedge is void; landing off `r` is a failover.
+    fn retry(&mut self, r: usize, entry: Queued, now: u64) {
+        let id = entry.req.id;
+        if let Some(t) = self.tracks.get_mut(&id) {
+            t.hedge_at = None;
+        }
+        let order = self.rank(id, now);
+        let target = self.first_admitting(&order, id, now, None).unwrap_or(order[0]);
+        if target != r {
+            self.out.failovers += 1;
+        }
+        self.enqueue(target, entry, now);
+    }
+
+    /// Completions due at `now`, in replica-index order — the
+    /// deterministic winner of any same-tick hedge race. A completion
+    /// may cancel or adopt the duplicate on another replica.
+    fn complete(&mut self, now: u64) {
+        let max_attempts = self.fleet.config.server.retry.max_attempts;
+        for r in 0..self.inflight.len() {
+            let Some(inf) = self.inflight[r].take_if(|i| i.finish_at <= now) else { continue };
+            let id = inf.request_id;
+            match inf.entry {
+                // Owner attempt completing (primary, or an adopted hedge).
+                Some(mut entry) => {
+                    close_attempt(&mut entry, now, inf.error.is_none(), inf.profile);
+                    match inf.error {
+                        None => {
+                            self.breakers[r].on_success(now);
+                            // Cancel the losing duplicate, billing its
+                            // burn as a shadow.
+                            if let Some((r2, th)) =
+                                self.tracks.get_mut(&id).and_then(|t| t.active.take())
+                            {
+                                let loser = self.inflight[r2].take();
+                                debug_assert!(
+                                    loser.is_some_and(|l| l.request_id == id),
+                                    "hedge track out of sync for request {id}"
+                                );
+                                self.shadow(id, th, now);
+                                self.out.hedges_cancelled += 1;
+                                self.out.shards[r2].cancelled += 1;
+                            }
+                            self.served(entry, inf.tier, now, r, false);
+                        }
+                        Some(e) => {
+                            self.attempt_failed(r, now);
+                            sc_telemetry::event!("serve.attempt_failed", now, e);
+                            // A live duplicate is adopted as the new
+                            // owner: failover without re-queueing. Its
+                            // pre-failure overlap is shadow burn.
+                            if let Some((r2, th)) =
+                                self.tracks.get_mut(&id).and_then(|t| t.active.take())
+                            {
+                                self.adopt(id, r2, th, entry, now);
+                            } else if entry.attempts >= max_attempts {
+                                self.finalize(entry, Outcome::Failed, now, Some(r), false);
+                            } else if let Some(entry) = self.back_off(entry, r, now) {
+                                self.retry(r, entry, now);
+                            }
+                        }
+                    }
+                }
+                // A hedge duplicate completing while its owner still runs
+                // elsewhere.
+                None => match inf.error {
+                    // The hedge wins: the foreground becomes hedge-delay
+                    // backoff plus the duplicate's service window; the
+                    // owner's whole occupation is shadow burn.
+                    None => {
+                        self.breakers[r].on_success(now);
+                        let Some(rp) = self.owner_of(id) else {
+                            debug_assert!(false, "hedge {id} completed with no owner");
+                            continue;
+                        };
+                        let mut entry = self.inflight[rp]
+                            .take()
+                            .and_then(|i| i.entry)
+                            .expect("owner holds the entry");
+                        let (t0, th) = (entry.acct.marker, inf.start);
+                        self.shadow(id, t0, now);
+                        self.out.hedges_won += 1;
+                        self.out.shards[rp].cancelled += 1;
+                        entry.acct.segments.push(Segment::Wait {
+                            start: t0,
+                            boundary: th,
+                            end: th,
+                        });
+                        entry.acct.marker = th;
+                        close_attempt(&mut entry, now, true, inf.profile);
+                        self.served(entry, inf.tier, now, r, true);
+                    }
+                    // The hedge loses quietly: its replica's breaker hears
+                    // the failure, the burn is shadow-billed, and the owner
+                    // runs on.
+                    Some(_) => {
+                        self.attempt_failed(r, now);
+                        debug_assert!(self.owner_of(id).is_some(), "lost hedge {id} with no owner");
+                        self.shadow(id, inf.start, now);
+                        self.out.hedges_failed += 1;
+                    }
+                },
+            }
+        }
+    }
+
+    /// Notes each breaker trip since the last tick to the monitors.
+    fn note_trips(&mut self, now: u64) {
+        for r in 0..self.breakers.len() {
+            let trips = self.breakers[r].trips();
+            if trips > self.noted_trips[r] {
+                self.noted_trips[r] = trips;
+                self.note(r, now, "serve.breaker.trip", format!("replica={r} trips={trips}"));
+            }
+        }
+    }
+
+    /// Finalizes the queued entries whose deadline passed by `now`, per
+    /// replica.
+    fn expire(&mut self, now: u64) {
+        for r in 0..self.queues.len() {
+            for dead in self.queues[r].drop_expired(now) {
+                self.finalize(dead, Outcome::TimedOut, now, Some(r), false);
+            }
+        }
+    }
+
+    /// Admits an arrival: places it by rendezvous hash on the first
+    /// replica that admits it (a skip past the rank leader is a
+    /// failover), or times it out if it is dead on arrival.
+    fn arrive(&mut self, req: Request, now: u64) {
+        let entry = Queued::fresh(req);
+        if req.deadline <= now {
+            self.finalize(entry, Outcome::TimedOut, now, None, false);
+            return;
+        }
+        metrics().admitted.incr(1);
+        let order = self.rank(req.id, now);
+        let chosen = self.first_admitting(&order, req.id, now, None).unwrap_or(order[0]);
+        if chosen != order[0] {
+            self.out.failovers += 1;
+        }
+        self.enqueue(chosen, entry, now);
+    }
+
+    /// Launches the hedges due at `now`, in request-id order. A hedge
+    /// launches only onto an *idle*, live, full-weight replica other than
+    /// the owner's: it never queues, never evicts real work, and never
+    /// targets a probing replica. Without one, or when its breaker
+    /// refuses, the hedge is skipped.
+    fn launch_hedges(&mut self, now: u64, backends: &mut [&mut dyn Backend]) {
+        let due: Vec<u64> = self
+            .tracks
+            .iter()
+            .filter(|(_, t)| t.hedge_at.is_some_and(|h| h <= now))
+            .map(|(&id, _)| id)
+            .collect();
+        for id in due {
+            self.tracks.get_mut(&id).expect("due track exists").hedge_at = None;
+            let Some(rp) = self.owner_of(id) else { continue };
+            let order = self.rank(id, now);
+            let idle = order.iter().copied().find(|&c| {
+                c != rp
+                    && self.inflight[c].is_none()
+                    && self.is_live(c, now)
+                    && self.recovery.as_ref().is_none_or(|rm| rm.is_full_weight(c))
+            });
+            let Some(r2) = idle.filter(|&c| self.breakers[c].admits(now)) else {
+                self.out.hedges_skipped += 1;
+                continue;
+            };
+            let tier = self.tier_on(r2);
+            let owner = self.inflight[rp].as_ref().and_then(|i| i.entry.as_ref()).expect("owner");
+            let duplicate = self.attempt(&mut *backends[r2], r2, owner, tier, true, now);
+            self.inflight[r2] = Some(duplicate);
+            let track = self.tracks.get_mut(&id).expect("due track exists");
+            track.active = Some((r2, now));
+            track.launched += 1;
+            self.out.hedges_launched += 1;
+            self.out.shards[r2].dispatched += 1;
+            self.out.shards[r2].hedges_launched += 1;
+        }
+    }
+
+    /// The dispatch sweep, per replica in index order; down replicas
+    /// dispatch nothing. The tier is sampled before the pop, so the
+    /// dispatched request counts toward its own pressure. An entry whose
+    /// breaker refuses it fails over at once to the next admitting
+    /// replica, and backs off on its own queue only when none admits.
+    fn dispatch(&mut self, now: u64, backends: &mut [&mut dyn Backend]) {
+        let max_attempts = self.fleet.config.server.retry.max_attempts;
+        for (r, backend) in backends.iter_mut().enumerate() {
+            if self.is_down(r) {
+                continue;
+            }
+            while self.inflight[r].is_none() {
+                let tier = self.tier_on(r);
+                let Some(mut entry) = self.queues[r].pop_ready(now) else { break };
+                let id = entry.req.id;
+                settle_wait(&mut entry, now);
+                entry.attempts += 1;
+                if entry.attempts > 1 {
+                    self.out.retries += 1;
+                }
+                if !self.breakers[r].admits(now) {
+                    entry.acct.segments.push(Segment::Breaker { at: now });
+                    if entry.attempts >= max_attempts {
+                        self.finalize(entry, Outcome::BreakerOpen, now, Some(r), false);
+                        continue;
+                    }
+                    let order = self.rank(id, now);
+                    if let Some(rc) = self.first_admitting(&order, id, now, Some(r)) {
+                        self.out.failovers += 1;
+                        entry.not_before = now;
+                        self.enqueue(rc, entry, now);
+                    } else if let Some(entry) = self.back_off(entry, r, now) {
+                        // The queue just popped, so the re-push neither
+                        // sheds nor moves the peak depth.
+                        self.enqueue(r, entry, now);
+                    }
+                    continue;
+                }
+                let mut attempt = self.attempt(&mut **backend, r, &entry, tier, false, now);
+                // Schedule the hedge for this attempt: it fires only if
+                // the attempt is still in flight at the delay.
+                if let Some(hedge) =
+                    self.fleet.config.hedge.as_ref().filter(|_| self.queues.len() > 1)
+                {
+                    let at =
+                        now.saturating_add(hedge.delay(self.fleet.estimate(entry.req.payload)));
+                    if at < attempt.finish_at {
+                        self.tracks.entry(id).or_default().hedge_at = Some(at);
+                    }
+                }
+                attempt.entry = Some(entry);
+                self.inflight[r] = Some(attempt);
+                self.out.shards[r].dispatched += 1;
+            }
+        }
+    }
+
+    /// Closes the monitors at `horizon`, stamps the final breaker,
+    /// lifecycle and recovery state into the report, and publishes the
+    /// report's totals to the `serve.*` and `fleet.*` counters.
+    fn finish(mut self, horizon: u64) -> FleetReport {
+        for r in 0..self.queues.len() {
+            let state = shard_state(
+                &self.queues[r],
+                self.inflight[r].is_some(),
+                &self.breakers[r],
+                &self.recovery,
+                r,
+            );
+            let shard = &mut self.out.shards[r];
+            shard.breaker_trips = state.breaker_trips;
+            shard.breaker_state = state.breaker.clone();
+            shard.lifecycle = state.lifecycle.clone();
+            shard.rejoins = state.rejoins;
+            shard.health = self.shard_mons[r].take().map(|hm| close_monitor(hm, horizon, || state));
+        }
+        self.out.health = self.fleet_mon.take().map(|hm| {
+            close_monitor(hm, horizon, || {
+                fleet_state(&self.queues, &self.inflight, &self.breakers, &self.recovery)
+            })
+        });
+        self.out.horizon = horizon;
+        self.out.recovery = self.recovery.as_ref().map(RecoveryManager::stats).unwrap_or_default();
+        let (m, out) = (metrics(), self.out);
+        for (published, total) in [
+            (&m.completed, out.completed()),
+            (&m.degraded, out.degraded()),
+            (&m.shed, out.shed),
+            (&m.timeout, out.timed_out),
+            (&m.breaker_final, out.breaker_rejected),
+            (&m.failed, out.failed),
+            (&m.retry, out.retries),
+            (&counter("fleet.failover"), out.failovers),
+            (&counter("fleet.hedge.launched"), out.hedges_launched),
+            (&counter("fleet.hedge.won"), out.hedges_won),
+            (&counter("fleet.hedge.cancelled"), out.hedges_cancelled),
+            (&counter("fleet.hedge.failed"), out.hedges_failed),
+            (&counter("fleet.hedge.adopted"), out.hedges_adopted),
+            (&counter("fleet.hedge.skipped"), out.hedges_skipped),
+            (&counter("fleet.hedge.wasted_cycles"), out.hedge_wasted_cycles),
+        ] {
+            published.incr(total);
+        }
+        out
+    }
+
+    /// Settles `entry` as `outcome` at `now` on `replica` (`None` when
+    /// it never reached one). Closes the request's hedge track, folds
+    /// its timeline and the track's shadow windows into its attribution
+    /// and the folded profile, builds its span tree only when kept, and
+    /// feeds the shard and then the fleet monitor.
+    fn finalize(
+        &mut self,
+        mut entry: Queued,
+        outcome: Outcome,
+        now: u64,
+        replica: Option<usize>,
+        hedge_won: bool,
+    ) {
+        let id = entry.req.id;
+        let track = self.tracks.remove(&id).unwrap_or_default();
+        debug_assert!(track.active.is_none(), "request {id} finalized with a live hedge");
+        settle_wait(&mut entry, now);
+        let latency = now.saturating_sub(entry.req.arrival);
+        let out = &mut self.out;
+        match outcome {
+            Outcome::Completed { tier } => {
+                out.completed_by_tier[tier] += 1;
+                metrics().latency.record(latency);
+                if let Some(r) = replica {
+                    out.shards[r].completed += 1;
+                }
+            }
+            Outcome::Shed => out.shed += 1,
+            Outcome::TimedOut => out.timed_out += 1,
+            Outcome::BreakerOpen => out.breaker_rejected += 1,
+            Outcome::Failed => out.failed += 1,
+        }
+        let attribution = fold_timeline(
+            &entry,
+            &track.shadows,
+            &track.replays,
+            &mut out.folded,
+            &mut self.fold_path,
+        );
+        debug_assert_eq!(
+            attribution.total(),
+            latency + attribution.concurrent_total(),
+            "request {id}: attribution must sum to latency + concurrent shadows"
+        );
+        sc_telemetry::record_attribution(&attribution);
+        out.responses.push(Response {
+            id,
+            payload: entry.req.payload,
+            outcome,
+            attempts: entry.attempts,
+            finished_at: now,
+            latency,
+            attribution,
+        });
+        out.meta.push(ResponseMeta { id, replica, hedged: track.launched > 0, hedge_won });
+        if self.fleet.config.keep_traces {
+            let seed = self.fleet.config.server.trace_seed;
+            let tree = build_trace(seed, &entry, now, &track.shadows, &track.replays);
+            debug_assert_eq!(tree.validate(), Ok(()), "span tree for request {id} is malformed");
+            out.traces.push(tree);
+        }
+        let sample = match outcome {
+            Outcome::Completed { tier } => Sample::Completed { latency, degraded: tier > 0 },
+            Outcome::Shed => Sample::Shed,
+            Outcome::TimedOut => Sample::TimedOut,
+            Outcome::BreakerOpen | Outcome::Failed => Sample::Error,
+        };
+        let span = SpanSummary {
+            id,
+            outcome: outcome.name().to_string(),
+            latency,
+            attempts: entry.attempts,
+            finished_at: now,
+        };
+        if let Some(hm) = replica.and_then(|r| self.shard_mons[r].as_mut()) {
+            hm.sample(sample);
+            hm.record_span(span.clone());
+        }
+        if let Some(hm) = self.fleet_mon.as_mut() {
+            hm.sample(sample);
+            hm.record_span(span);
+        }
+    }
+
+    /// Settles a served request: completed at `tier`, or timed out if it
+    /// finished at or past its deadline.
+    fn served(&mut self, entry: Queued, tier: usize, now: u64, r: usize, hedge_won: bool) {
+        let outcome =
+            if now >= entry.req.deadline { Outcome::TimedOut } else { Outcome::Completed { tier } };
+        self.finalize(entry, outcome, now, Some(r), hedge_won);
+    }
+
+    /// Pushes `entry` onto replica `r`'s queue, finalizes the shed
+    /// victim if the queue was full, and tracks the peak depth.
+    fn enqueue(&mut self, r: usize, entry: Queued, now: u64) {
+        if let Some(victim) = self.queues[r].push(entry) {
+            self.finalize(victim, Outcome::Shed, now, Some(r), false);
+        }
+        let depth = self.queues[r].len();
+        self.out.shards[r].max_queue_depth = self.out.shards[r].max_queue_depth.max(depth);
+        self.out.max_queue_depth = self.out.max_queue_depth.max(depth);
+    }
+
+    /// Gates `entry`'s retry behind its backoff, or finalizes it as timed
+    /// out on replica `r` when the gate would open at or past its
+    /// deadline.
+    fn back_off(&mut self, mut entry: Queued, r: usize, now: u64) -> Option<Queued> {
+        entry.not_before = now
+            .saturating_add(self.fleet.config.server.retry.backoff(entry.req.id, entry.attempts));
+        if entry.not_before < entry.req.deadline {
+            return Some(entry);
+        }
+        self.finalize(entry, Outcome::TimedOut, now, Some(r), false);
+        None
+    }
+
+    /// Books a failed attempt on replica `r`: its breaker hears the
+    /// failure, a probation stage in progress turns dirty, and the shard
+    /// counts it.
+    fn attempt_failed(&mut self, r: usize, now: u64) {
+        self.breakers[r].on_failure(now);
+        if let Some(rm) = self.recovery.as_mut() {
+            rm.note_attempt_failure(r);
+        }
+        self.out.shards[r].failed_attempts += 1;
+    }
+
+    /// Bills the losing side of request `id`'s hedge race, burned over
+    /// `[from, now)`, as a hedge-loser shadow.
+    fn shadow(&mut self, id: u64, from: u64, now: u64) {
+        if let Some(t) = self.tracks.get_mut(&id) {
+            t.active = None;
+            t.shadows.push((from, now));
+        }
+        self.out.hedge_wasted_cycles += now - from;
+    }
+
+    /// Hands `entry`, whose owner attempt just ended without a result,
+    /// to its live duplicate on replica `r2` (launched at `th`): the
+    /// overlap so far is shadow burn.
+    fn adopt(&mut self, id: u64, r2: usize, th: u64, entry: Queued, now: u64) {
+        self.shadow(id, th, now);
+        self.out.hedges_adopted += 1;
+        let adopted = self.inflight[r2].as_mut().expect("hedge track out of sync");
+        debug_assert_eq!(adopted.request_id, id);
+        adopted.entry = Some(entry);
+    }
+
+    /// One dispatch attempt of `entry` on replica `r` at `tier` (and
+    /// its effective bits): chaos sites first (crash, flap, injected
+    /// backend fault), then the real backend, then the brownout
+    /// service-time multiplier. The attempt starts unowned; a `hedge`
+    /// duplicate draws its backend fault at [`HEDGE_DRAW_BIT`].
+    fn attempt(
+        &self,
+        backend: &mut dyn Backend,
+        r: usize,
+        entry: &Queued,
+        (tier, bits): (usize, Option<u32>),
+        hedge: bool,
+        now: u64,
+    ) -> FleetInflight {
+        let (id, attempts) = (entry.req.id, entry.attempts);
+        let failure_ticks = self.fleet.config.server.failure_ticks.max(1);
+        let lasting = |ticks: u64, error, profile| FleetInflight {
+            entry: None,
+            request_id: id,
+            tier,
+            start: now,
+            finish_at: now.saturating_add(ticks),
+            error,
+            profile,
+        };
+        let down = |what: String| {
+            lasting(failure_ticks, Some(sc_core::Error::RetryExhausted { what, attempts }), None)
+        };
+        let sites = &self.sites;
+        if sites.crashed(r, now) {
+            sites.replica_fault.incr(1);
+            return down(format!("replica {r} is down (injected crash)"));
+        }
+        let epoch = now / self.fleet.config.flap_epoch;
+        if sites.flap.as_ref().is_some_and(|s| s.phased(r as u64, epoch, now).is_some()) {
+            sites.replica_fault.incr(1);
+            return down(format!("replica {r} is down (injected flap, epoch {epoch})"));
+        }
+        let draw = u64::from(attempts) | if hedge { HEDGE_DRAW_BIT } else { 0 };
+        if sites.backend.as_ref().is_some_and(|s| s.transient(id, draw).is_some()) {
+            return down(format!("injected backend fault (request {id})"));
+        }
+        match backend.serve(entry.req.payload, bits) {
+            Ok(reply) => {
+                let mut cycles = reply.cycles.max(1);
+                if sites.brownout.as_ref().is_some_and(|s| s.phased(r as u64, 0, now).is_some()) {
+                    cycles = cycles.saturating_mul(self.fleet.config.brownout_factor);
+                    sites.replica_brownout.incr(1);
+                }
+                lasting(cycles, None, Some(reply.profile))
+            }
+            Err(e) => lasting(failure_ticks, Some(e), None),
+        }
+    }
+
+    /// Every replica ranked best-first for request `id` at `now`, by
+    /// rendezvous score and then by outstanding work in estimated
+    /// cycles: the remaining in-flight window plus every queued entry's
+    /// payload estimate.
+    fn rank(&self, id: u64, now: u64) -> Vec<usize> {
+        let loads: Vec<u64> = (0..self.queues.len())
+            .map(|r| {
+                let busy = self.inflight[r].as_ref().map_or(0, |i| i.finish_at.saturating_sub(now));
+                let queued: u64 =
+                    self.queues[r].iter().map(|q| self.fleet.estimate(q.req.payload)).sum();
+                busy.saturating_add(queued)
+            })
+            .collect();
+        self.placement.rank(id, &loads)
+    }
+
+    /// The first replica in `order`, other than `avoid`, that admits
+    /// request `id`: it is live and, under recovery, its lifecycle phase
+    /// admits the request's rendezvous-score bucket (a probing replica
+    /// takes only its stage's fraction, a down one nothing).
+    fn first_admitting(
+        &self,
+        order: &[usize],
+        id: u64,
+        now: u64,
+        avoid: Option<usize>,
+    ) -> Option<usize> {
+        order.iter().copied().find(|&c| {
+            Some(c) != avoid
+                && self.is_live(c, now)
+                && self
+                    .recovery
+                    .as_ref()
+                    .is_none_or(|rm| rm.admits_bucket(c, self.placement.bucket(id, c)))
+        })
+    }
+
+    /// A replica is live when its breaker would admit a dispatch and its
+    /// shard SLO verdict is not Breached.
+    fn is_live(&self, r: usize, now: u64) -> bool {
+        self.breakers[r].would_admit(now)
+            && self.shard_mons[r].as_ref().is_none_or(|hm| hm.verdict() != Verdict::Breached)
+    }
+
+    fn is_down(&self, r: usize) -> bool {
+        self.recovery.as_ref().is_some_and(|rm| rm.is_down(r))
+    }
+
+    /// The replica running request `id`'s owner attempt.
+    fn owner_of(&self, id: u64) -> Option<usize> {
+        self.inflight.iter().position(|i| {
+            i.as_ref().is_some_and(|i| i.entry.as_ref().is_some_and(|e| e.req.id == id))
+        })
+    }
+
+    /// The tier (and effective bits) of a dispatch on replica `r`: the
+    /// occupancy tier, floored by the worse of the shard and fleet SLO
+    /// floors and, while `r` is probing, by the probation tier.
+    fn tier_on(&self, r: usize) -> (usize, Option<u32>) {
+        let degrade = &self.fleet.config.server.degrade;
+        let (occ_tier, occ_bits) =
+            degrade.tier_for(self.queues[r].len(), self.queues[r].capacity());
+        let slo = |hm: &Option<HealthMonitor>| hm.as_ref().map_or(0, HealthMonitor::tier_floor);
+        let probation =
+            self.recovery.as_ref().map_or(0, |rm| rm.tier_floor(r, degrade.tier_count() - 1));
+        let floor = slo(&self.shard_mons[r]).max(slo(&self.fleet_mon)).max(probation);
+        if floor > occ_tier {
+            (floor, degrade.bits_for(floor))
+        } else {
+            (occ_tier, occ_bits)
+        }
+    }
+
+    /// Notes `what` to replica `r`'s shard monitor, then to the fleet
+    /// monitor.
+    fn note(&mut self, r: usize, now: u64, what: &str, detail: String) {
+        if let Some(hm) = self.shard_mons[r].as_mut() {
+            hm.note(now, what, detail.clone());
+        }
+        if let Some(hm) = self.fleet_mon.as_mut() {
+            hm.note(now, what, detail);
+        }
+    }
+}
+
+/// Closes `entry`'s attempt window, `[marker, now)`, as a
+/// [`Segment::Attempt`].
+fn close_attempt(entry: &mut Queued, now: u64, ok: bool, profile: Option<BackendProfile>) {
+    let start = entry.acct.marker;
+    entry.acct.segments.push(Segment::Attempt { start, end: now, ok, profile });
+    entry.acct.marker = now;
+}
+
+/// Closes a monitor's last window at `horizon` and counts its windows,
+/// breaches, recoveries, incidents and floor raises.
+fn close_monitor(
+    hm: HealthMonitor,
+    horizon: u64,
+    state: impl FnOnce() -> SystemState,
+) -> HealthReport {
+    let m = metrics();
+    let report = hm.finish(horizon, state);
+    m.health_windows.incr(report.closed_windows());
+    m.health_breach.incr(report.breaches());
+    m.health_recover.incr(report.recoveries());
+    m.health_incident.incr(report.incidents.len() as u64);
+    m.health_floor_raise.incr(report.transitions.iter().filter(|t| t.to > t.from).count() as u64);
+    report
 }
 
 /// Replica `r`'s serving-side state, for its shard monitor to capture
@@ -1801,18 +1472,6 @@ fn fleet_lifecycle(recovery: &Option<RecoveryManager>, n: usize) -> &'static str
     } else {
         "live"
     }
-}
-
-/// The degradation-tier floor in force for a dispatch on replica `r`:
-/// the worse of the shard's and the fleet's verdict-driven floors.
-fn effective_floor(
-    shard_mons: &[Option<HealthMonitor>],
-    fleet_mon: &Option<HealthMonitor>,
-    r: usize,
-) -> usize {
-    let shard = shard_mons[r].as_ref().map_or(0, HealthMonitor::tier_floor);
-    let fleet = fleet_mon.as_ref().map_or(0, HealthMonitor::tier_floor);
-    shard.max(fleet)
 }
 
 /// Worst breaker state across the fleet, for the fleet monitor's
@@ -2376,5 +2035,135 @@ mod tests {
             t.validate().expect("well-formed span tree");
             assert_eq!(r.attribution.total(), r.latency + r.attribution.concurrent_total());
         }
+    }
+
+    #[test]
+    fn a_hedge_delay_of_u64_max_never_fires() {
+        let _guard = no_faults();
+        let fleet = Fleet::new(FleetConfig {
+            replicas: 2,
+            hedge: Some(HedgePolicy { numerator: 1, denominator: 1, min_delay: u64::MAX }),
+            estimates: vec![500; 4],
+            ..FleetConfig::default()
+        });
+        let report = fleet.run(&mut backends(&[50_000, 500]), trace(10, 100, 1_000_000));
+        assert_eq!(report.hedges_launched, 0, "a delay of u64::MAX means never");
+        assert_eq!(report.completed(), 10);
+    }
+
+    #[test]
+    fn a_breaker_cooldown_of_u64_max_never_ends() {
+        let _guard = no_faults();
+        let fleet = Fleet::new(FleetConfig {
+            server: ServerConfig {
+                retry: RetryPolicy { max_attempts: 3, base: 16, cap: 64, seed: 1 },
+                breaker: BreakerConfig { failure_threshold: 1, cooldown: u64::MAX },
+                failure_ticks: 8,
+                ..ServerConfig::default()
+            },
+            replicas: 1,
+            ..FleetConfig::default()
+        });
+        let mut dead: Vec<Box<dyn Backend>> = vec![Box::new(Mock { cycles: 100, fail: true })];
+        let report = fleet.run(&mut dead, trace(10, 100, 5_000));
+        assert_eq!(report.shards[0].breaker_trips, 1, "the first failure trips it for good");
+        assert_eq!(report.shards[0].breaker_state, "open");
+        assert_eq!(report.failed + report.breaker_rejected + report.timed_out, 10);
+    }
+
+    /// The backends as the loop borrows them.
+    fn borrowed(owned: &mut [Box<dyn Backend>]) -> Vec<&mut dyn Backend> {
+        owned.iter_mut().map(|b| b.as_mut() as &mut dyn Backend).collect()
+    }
+
+    /// A request arriving at tick 0 with room to spare.
+    fn request(id: u64, payload: usize) -> Request {
+        Request { id, arrival: 0, deadline: 100_000, payload }
+    }
+
+    #[test]
+    fn arrival_fails_over_past_an_open_breaker_in_rank_order() {
+        let _guard = no_faults();
+        let fleet = Fleet::new(FleetConfig { replicas: 3, ..FleetConfig::default() });
+        let mut run = Run::new(&fleet, 1);
+        let order = run.rank(7, 0);
+        for t in 0..BreakerConfig::default().failure_threshold {
+            run.breakers[order[0]].on_failure(u64::from(t));
+        }
+        assert_eq!(run.breakers[order[0]].state(), BreakerState::Open);
+        run.arrive(request(7, 0), 10);
+        let depths: Vec<usize> = order.iter().map(|&r| run.queues[r].len()).collect();
+        assert_eq!(depths, [0, 1, 0], "the next replica in rank order takes the arrival");
+        assert_eq!(run.out.failovers, 1);
+    }
+
+    #[test]
+    fn a_due_hedge_launches_only_onto_an_idle_live_full_weight_replica() {
+        let _guard = no_faults();
+        let fleet = Fleet::new(FleetConfig {
+            replicas: 3,
+            hedge: Some(HedgePolicy { numerator: 1, denominator: 1, min_delay: 1 }),
+            // Payload 1's estimate outlasts its service, so it never hedges.
+            estimates: vec![100, 100_000],
+            recovery: Some(RecoveryPolicy::default()),
+            ..FleetConfig::default()
+        });
+        let mut owned = backends(&[1_000, 1_000, 1_000]);
+        let mut backends = borrowed(&mut owned);
+        let mut run = Run::new(&fleet, 2);
+        run.arrive(request(3, 0), 0);
+        run.dispatch(0, &mut backends);
+        let owner = run.owner_of(3).expect("dispatched");
+        assert_eq!(run.tracks[&3].hedge_at, Some(100), "hedge due at the payload estimate");
+        let others: Vec<usize> = (0..3).filter(|&r| r != owner).collect();
+        let (busy, probing) = (others[0], others[1]);
+        run.enqueue(busy, Queued::fresh(request(4, 1)), 0);
+        run.dispatch(0, &mut backends);
+        let rm = run.recovery.as_mut().expect("armed");
+        assert!(rm.mark_down(probing, 0) && rm.try_restart(probing, 0, false));
+
+        run.launch_hedges(100, &mut backends);
+        assert_eq!((run.out.hedges_launched, run.out.hedges_skipped), (0, 1));
+        assert_eq!(run.tracks[&3].hedge_at, None, "a skipped hedge is not retried");
+
+        run.inflight[busy] = None;
+        run.tracks.get_mut(&3).expect("track").hedge_at = Some(200);
+        run.launch_hedges(200, &mut backends);
+        assert_eq!((run.out.hedges_launched, run.out.hedges_skipped), (1, 1));
+        let dup = run.inflight[busy].as_ref().expect("the duplicate runs on the freed replica");
+        assert!(dup.entry.is_none() && dup.request_id == 3);
+        assert!(run.inflight[probing].is_none(), "a probing replica never hosts a hedge");
+        assert_eq!(run.tracks[&3].active, Some((busy, 200)));
+    }
+
+    #[test]
+    fn a_probing_replica_dispatches_at_the_probation_tier() {
+        let _guard = no_faults();
+        let fleet = Fleet::new(FleetConfig {
+            server: ServerConfig {
+                degrade: DegradePolicy::new(vec![DegradeTier {
+                    occupancy: 0.9,
+                    effective_bits: 5,
+                }]),
+                ..ServerConfig::default()
+            },
+            replicas: 2,
+            recovery: Some(RecoveryPolicy { probation_tier: 1, ..RecoveryPolicy::default() }),
+            ..FleetConfig::default()
+        });
+        let mut owned = backends(&[800, 800]);
+        let mut run = Run::new(&fleet, 2);
+        let rm = run.recovery.as_mut().expect("armed");
+        assert!(rm.mark_down(0, 0) && rm.try_restart(0, 0, false), "replica 0 is probing");
+        run.enqueue(0, Queued::fresh(request(1, 0)), 0);
+        run.enqueue(1, Queued::fresh(request(2, 0)), 0);
+        run.dispatch(0, &mut borrowed(&mut owned));
+        let dispatched = |r: usize| {
+            let inf = run.inflight[r].as_ref().expect("dispatched");
+            (inf.tier, inf.finish_at)
+        };
+        // One queued entry of 16 is far below the 0.9 occupancy tier.
+        assert_eq!(dispatched(0), (1, 100), "probation floors the tier: 5 bits, 800 >> 3");
+        assert_eq!(dispatched(1), (0, 800), "the live replica serves at full precision");
     }
 }

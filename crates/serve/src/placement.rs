@@ -15,16 +15,9 @@
 //! is indifferent; and every input is virtual-clock state, so the
 //! choice is bitwise reproducible.
 
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+use sc_fault::split_mix;
 
-/// SplitMix64 finalizer (the draw discipline shared with `sc-fault` and
-/// `sc-telemetry`): bijective avalanche over `u64`.
-fn split_mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(GOLDEN);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Rendezvous-hash placement over `replicas` shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -394,7 +394,7 @@ impl RecoveryManager {
         self.phases[r] = ReplicaPhase::Down {
             since: now,
             attempt: 0,
-            restart_at: now + self.policy.backoff(r, 1),
+            restart_at: now.saturating_add(self.policy.backoff(r, 1)),
         };
         self.stage_dirty[r] = false;
         self.stats.downs += 1;
@@ -426,7 +426,7 @@ impl RecoveryManager {
             self.phases[r] = ReplicaPhase::Down {
                 since,
                 attempt,
-                restart_at: now + self.policy.backoff(r, attempt + 1),
+                restart_at: now.saturating_add(self.policy.backoff(r, attempt + 1)),
             };
             sc_telemetry::event!("serve.recovery.restart_failed", r, attempt, now);
             return false;
@@ -434,7 +434,7 @@ impl RecoveryManager {
         self.phases[r] = ReplicaPhase::Probing {
             stage: 0,
             since: now,
-            promote_at: now + self.policy.probation_window,
+            promote_at: now.saturating_add(self.policy.probation_window),
         };
         self.stage_dirty[r] = false;
         self.stats.rejoins += 1;
@@ -467,7 +467,11 @@ impl RecoveryManager {
             self.stats.probation_retries += 1;
             self.counters.probation_retry.incr(1);
             sc_telemetry::event!("serve.recovery.probation_retry", r, stage, now);
-            ReplicaPhase::Probing { stage, since, promote_at: now + self.policy.probation_window }
+            ReplicaPhase::Probing {
+                stage,
+                since,
+                promote_at: now.saturating_add(self.policy.probation_window),
+            }
         } else if stage + 1 >= self.policy.probation_buckets.len() {
             self.stats.promotions += 1;
             self.counters.promote.incr(1);
@@ -477,7 +481,7 @@ impl RecoveryManager {
             ReplicaPhase::Probing {
                 stage: stage + 1,
                 since: now,
-                promote_at: now + self.policy.probation_window,
+                promote_at: now.saturating_add(self.policy.probation_window),
             }
         };
         self.phases[r]

@@ -92,28 +92,34 @@ echo "==> benchmark gate: build, test and smoke-run perfbench"
 # cite per-layer rows from: run.py checks its metric set against
 # BENCHMARK.json, and it must be correct and pinned too. The traced
 # digest of accel_conv and serve_storm is the untraced one; cnn_infer's
-# rests on a shorter image prefix, so it has its own pin.
+# rests on a shorter image prefix, so it has its own pin. The held-out
+# seed 1729 runs untraced too: it draws different inputs and request
+# orders, so a change that keeps the seed-42 replay only by luck still
+# fails here.
 BENCH_TARGET="${CARGO_TARGET_DIR:-$PWD/.bench_build}"
 CARGO_TARGET_DIR="$BENCH_TARGET" \
     cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 BENCH_RESULT="$(mktemp)"
-for pin in cnn_infer:0:0x5da69178275a374d accel_conv:0:0xe94c5448241851aa \
-    serve_storm:0:0x4a91f2bb419d1bfd cnn_infer:1:0x2e4694ea144a6cb8 \
-    accel_conv:1:0xe94c5448241851aa serve_storm:1:0x4a91f2bb419d1bfd; do
-    IFS=: read -r w trace pinned <<< "$pin"
-    CARGO_TARGET_DIR="$BENCH_TARGET" python3 perfbench/run.py --workload "$w" --seed 42 \
+for pin in cnn_infer:42:0:0x5da69178275a374d accel_conv:42:0:0xe94c5448241851aa \
+    serve_storm:42:0:0x4a91f2bb419d1bfd cnn_infer:42:1:0x2e4694ea144a6cb8 \
+    accel_conv:42:1:0xe94c5448241851aa serve_storm:42:1:0x4a91f2bb419d1bfd \
+    cnn_infer:1729:0:0xed640a66d9c14e3b accel_conv:1729:0:0xd59edcadce2a675e \
+    serve_storm:1729:0:0xbbd631ec7a544f48; do
+    IFS=: read -r w seed trace pinned <<< "$pin"
+    CARGO_TARGET_DIR="$BENCH_TARGET" python3 perfbench/run.py --workload "$w" --seed "$seed" \
         --seconds 2 --trace "$trace" > "$BENCH_RESULT"
-    python3 - "$w" "$trace" "$pinned" "$BENCH_RESULT" <<'EOF'
+    python3 - "$w" "$seed" "$trace" "$pinned" "$BENCH_RESULT" <<'EOF'
 import json, sys
-w, trace, pinned, path = sys.argv[1:]
-run = f"perfbench {w} --trace {trace}"
+w, seed, trace, pinned, path = sys.argv[1:]
+run = f"perfbench {w} --seed {seed} --trace {trace}"
 lines = open(path).read().splitlines()
 r = json.loads(lines[-1])
 assert r["correct"] is True, f"{run}: correct is {r['correct']!r}"
 assert r["failed"] == 0, f"{run}: {r['failed']} of {r['attempted']} operations failed"
 digests = [l.split()[2] for l in lines if l.startswith(f"digest {w} ")]
 assert digests == [pinned], f"{run}: digest {digests} is not the pinned {pinned}"
-print(f"    {w} (trace {trace}): {r['attempted']} operations, all correct, digest {pinned}")
+print(f"    {w} (seed {seed}, trace {trace}): {r['attempted']} operations, all correct, "
+      f"digest {pinned}")
 EOF
 done
 rm -f "$BENCH_RESULT"
