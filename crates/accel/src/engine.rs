@@ -7,7 +7,7 @@ use crate::layer::{ConvGeometry, Tiling};
 use crate::memory::{ParitySram, Traffic};
 use sc_core::bitplane;
 use sc_core::mac::{EarlyTerminationScMac, SaturatingAccumulator};
-use sc_core::mvm::{check_lane_codes, BiscMvm, BitParallelMvm};
+use sc_core::mvm::{BiscMvm, BitParallelMvm, LaneCodes};
 use sc_core::{Error, Precision};
 use sc_fault::{FaultKind, FaultSite};
 use sc_fixed::FixedMul;
@@ -202,8 +202,9 @@ impl TileEngine {
     /// dimension or the `N + A`-bit accumulator is wider than 62 bits,
     /// [`Error::InvalidGeometry`] if the geometry fails validation,
     /// [`Error::CodeOutOfRange`] if any code an output reads exceeds the
-    /// precision, or [`Error::LengthMismatch`] if the buffers do not
-    /// match the geometry.
+    /// precision (any code at all when an `accel.sram.*` bank is armed,
+    /// since the bank stages every word), or [`Error::LengthMismatch`]
+    /// if the buffers do not match the geometry.
     pub fn run_layer(
         &self,
         g: &ConvGeometry,
@@ -286,21 +287,24 @@ impl TileEngine {
         // written, then read back through the scrubbing controller).
         // Disarmed banks skip the staging entirely, leaving the borrowed
         // slices — and the computed bits — untouched.
-        let staged_input = self.stage_codes("input", input, self.fault_key);
+        let staged_input = self.stage_codes("input", input, self.fault_key)?;
         let input: &[i32] = staged_input.as_deref().unwrap_or(input);
         let staged_weights =
-            self.stage_codes("weight", weights, self.fault_key ^ 0x9216_D5D9_8979_FB1B);
+            self.stage_codes("weight", weights, self.fault_key ^ 0x9216_D5D9_8979_FB1B)?;
         let weights: &[i32] = staged_weights.as_deref().unwrap_or(weights);
         let tile_site = sc_fault::site(sites::TILE_OUTPUT);
 
         // Weight-stationary compute (PAPER.md §1.4): the layer's im2col
-        // is gathered once, and each output map runs as one unit whose
-        // lanes are the whole R×C plane, so every weight is decoded once
-        // per layer rather than once per tile. Units are independent, so
+        // is gathered and range-checked once, and each output map runs
+        // as one unit whose lanes are the whole R×C plane, so every
+        // weight is decoded once per layer rather than once per tile and
+        // no unit checks a lane code again. Units are independent, so
         // they run on the sc-par pool; results come back in map order.
         let cols = gather_patch(g, input, (0, r), (0, c), (r, c));
+        let cols = LaneCodes::new(self.n, r * c, &cols)
+            .map_err(|bad| self.first_error(bad, &cols, r * c, &weights[..depth]))?;
         let units = sc_par::Pool::global().parallel_map(g.m, |m| {
-            self.run_unit(&weights[m * depth..(m + 1) * depth], &cols, r * c, effective_bits)
+            self.run_unit(&weights[m * depth..(m + 1) * depth], &cols, effective_bits)
         });
         let mut outputs = Vec::with_capacity(g.m * r * c);
         let mut sums = Vec::with_capacity(g.m);
@@ -410,24 +414,42 @@ impl TileEngine {
     }
 
     /// Stages a code buffer through a parity-protected SRAM bank when
-    /// its fault site is armed; `None` leaves the original buffer in
+    /// its fault site is armed; `Ok(None)` leaves the original buffer in
     /// use. Scrub-on-read repairs what parity can see; masked
     /// corruption is clamped into the code range (the operand register
     /// physically holds `N` bits).
-    fn stage_codes(&self, bank: &str, codes: &[i32], key: u64) -> Option<Vec<i32>> {
-        sc_fault::site(&format!("accel.sram.{bank}"))?;
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::CodeOutOfRange`] for the first code that does not
+    /// fit the bank's `N`-bit words. An armed bank stages every word, so
+    /// it rejects a bad code even where no output reads it.
+    fn stage_codes(&self, bank: &str, codes: &[i32], key: u64) -> Result<Option<Vec<i32>>, Error> {
+        if sc_fault::site(&format!("accel.sram.{bank}")).is_none() {
+            return Ok(None);
+        }
         let bias = self.n.half_scale() as i64;
         let (lo, hi) = self.n.signed_range();
         let mut sram = ParitySram::new(bank, self.n.bits(), codes.len());
         sram.set_fault_key(key);
         for (addr, &code) in codes.iter().enumerate() {
-            sram.write(addr, (code as i64 + bias) as u64);
+            sram.write(addr, self.n.check_signed(code as i64)?.to_offset_binary() as u64);
         }
-        Some(
+        Ok(Some(
             (0..codes.len())
                 .map(|addr| (sram.read(addr) as i64 - bias).clamp(lo, hi) as i32)
                 .collect(),
-        )
+        ))
+    }
+
+    /// The layer's error when its im2col `cols` holds a bad code (`bad`
+    /// names the first, in term order). Codes are named in (map, term,
+    /// lane) order, each weight before its term's lane codes, so a bad
+    /// weight of map 0 (`ws`) at or before that term is named instead.
+    fn first_error(&self, bad: Error, cols: &[i32], lanes: usize, ws: &[i32]) -> Error {
+        let check = |code: i32| self.n.check_signed(code as i64).err();
+        let Some(at) = cols.iter().position(|&x| check(x).is_some()) else { return bad };
+        ws[..=at / lanes].iter().find_map(|&w| check(w)).unwrap_or(bad)
     }
 
     /// Verifies one tile's outputs under an armed `accel.tile.output`
@@ -557,11 +579,12 @@ impl TileEngine {
         let (r, c, depth) = (g.r(), g.c(), g.depth());
         let Tiling { t_r, t_c, .. } = self.tiling;
         let patch = gather_patch(g, input, (r1, r_hi), (c1, c_hi), (t_r, t_c));
+        let patch = LaneCodes::new(self.n, t_r * t_c, &patch)?;
         let mut sums = Vec::with_capacity(m_hi - m1);
         let mut writes = Vec::with_capacity((m_hi - m1) * (r_hi - r1) * (c_hi - c1));
         for m in m1..m_hi {
             let (values, unit) =
-                self.run_unit(&weights[m * depth..(m + 1) * depth], &patch, t_r * t_c, Some(s))?;
+                self.run_unit(&weights[m * depth..(m + 1) * depth], &patch, Some(s))?;
             sums.push(unit);
             for (lr, rr) in (r1..r_hi).enumerate() {
                 for (lc, cc) in (c1..c_hi).enumerate() {
@@ -574,26 +597,26 @@ impl TileEngine {
     }
 
     /// Runs one vector unit: streams the weight row `ws` (one term per
-    /// `(z, i, j)`) against the matching rows of `cols`, `lanes` codes
-    /// each, and returns the lane values with the unit's sums.
-    /// `tier = Some(s)` runs the truncated-stream mode (top `s` weight
-    /// bits) whatever the configured arithmetic. Each weight is decoded
-    /// once for all lanes: one shared occupancy scan for the SC designs,
-    /// one range check for fixed point.
+    /// `(z, i, j)`) against the matching rows of the checked `cols`, and
+    /// returns the lane values with the unit's sums. `tier = Some(s)`
+    /// runs the truncated-stream mode (top `s` weight bits) whatever the
+    /// configured arithmetic. Each weight is decoded once for all lanes:
+    /// one shared row of `P_k(u)` counts for the SC designs, one range
+    /// check for fixed point.
     fn run_unit(
         &self,
         ws: &[i32],
-        cols: &[i32],
-        lanes: usize,
+        cols: &LaneCodes,
         tier: Option<u32>,
     ) -> Result<(Vec<i64>, UnitSums), Error> {
-        let terms = ws.iter().copied().zip(cols.chunks(lanes));
+        let lanes = cols.lanes();
+        let terms = ws.iter().copied().zip(cols.rows());
         let mut sums = UnitSums::default();
         let values = match (tier, self.arithmetic) {
             (Some(s), _) => {
                 let mut mvm = BiscMvm::new(self.n, lanes, self.extra_bits);
                 for (w, xs) in terms {
-                    let t = mvm.accumulate_truncated(w, xs, s)?;
+                    let t = mvm.accumulate_truncated_row(w, xs, s)?;
                     sums.cycles += t;
                     // What the full-precision serial schedule would have
                     // billed for this term: |w| cycles.
@@ -605,7 +628,7 @@ impl TileEngine {
             (None, AccelArithmetic::ProposedSerial) => {
                 let mut mvm = BiscMvm::new(self.n, lanes, self.extra_bits);
                 for (w, xs) in terms {
-                    let k = mvm.accumulate(w, xs)?;
+                    let k = mvm.accumulate_row(w, xs)?;
                     sums.cycles += k;
                     sums.words += bitplane::words_in_prefix(k);
                 }
@@ -614,7 +637,7 @@ impl TileEngine {
             (None, AccelArithmetic::ProposedParallel(b)) => {
                 let mut mvm = BitParallelMvm::new(self.n, lanes, self.extra_bits, b)?;
                 for (w, xs) in terms {
-                    sums.cycles += mvm.accumulate(w, xs)?;
+                    sums.cycles += mvm.accumulate_row(w, xs)?;
                     // The columns tile the same |w|-cycle prefix.
                     sums.words += bitplane::words_in_prefix(w.unsigned_abs() as u64);
                 }
@@ -623,13 +646,11 @@ impl TileEngine {
             (None, AccelArithmetic::Fixed) => {
                 let mul = FixedMul::new(self.n);
                 let (lo, hi) = SaturatingAccumulator::new(self.n, self.extra_bits).range();
-                let check = |code: i32| self.n.check_signed(code as i64).map(drop);
                 let mut accs = vec![0i64; lanes];
                 for (w, xs) in terms {
-                    check(w)?;
-                    check_lane_codes(xs, check)?;
+                    self.n.check_signed(w as i64)?;
                     // The saturating accumulator's clamp, per product.
-                    for (acc, &x) in accs.iter_mut().zip(xs) {
+                    for (acc, x) in accs.iter_mut().zip(xs.codes()) {
                         *acc = (*acc + mul.multiply_unchecked(w, x)).clamp(lo, hi);
                     }
                     sums.cycles += 1; // one cycle per term

@@ -142,3 +142,32 @@ fn permanent_tile_faults_evade_reexecution_and_are_masked() {
     assert!(run.degraded_tiles.is_empty());
     assert_ne!(run.outputs, clean.outputs);
 }
+
+/// A layer whose `bank` buffer holds one code that does not fit `N = 8`
+/// bits: the error the disarmed engine returns, and the same error (not
+/// a panic) with that bank's SRAM site armed, which stages every word.
+fn check_bad_code_under_armed_bank(bank: &str, bad: i32) {
+    let g = geometry();
+    let n = Precision::new(8).unwrap();
+    let (mut input, mut weights) = data(&g, n);
+    if bank == "input" {
+        input[5] = bad;
+    } else {
+        weights[7] = bad;
+    }
+    let expected = Err(Error::CodeOutOfRange { code: bad as i64, precision: 8 });
+    for spec in ["".to_string(), format!("accel.sram.{bank}:flip@0.001;seed=3")] {
+        let _s = sc_fault::scoped(plan(&spec));
+        assert_eq!(engine(n).run_layer(&g, &input, &weights), expected, "plan {spec:?}");
+    }
+}
+
+#[test]
+fn an_armed_input_bank_rejects_an_out_of_range_code() {
+    check_bad_code_under_armed_bank("input", 300);
+}
+
+#[test]
+fn an_armed_weight_bank_rejects_an_out_of_range_code() {
+    check_bad_code_under_armed_bank("weight", -129);
+}

@@ -255,5 +255,25 @@ fn out_of_range_codes_fail_only_where_read() {
         zeroed[at(0, 3, 5)] = 0;
         let run = engine.run_layer_at(&g, &unread, &weights, tier);
         assert_eq!(run, Ok(engine.run_layer_at(&g, &zeroed, &weights, tier).unwrap()), "{case}");
+
+        // Both a bad weight and a bad lane code: the first in (map, term,
+        // lane) order is named, each weight before its term's lanes. The
+        // code at (1, 2, 3) is first read by term (z, i, j) = (1, 0, 1),
+        // term 10 of 18.
+        let with_weight = |m: usize, term: usize| {
+            let mut bad = weights.clone();
+            bad[m * g.depth() + term] = -129;
+            bad
+        };
+        let weight_err = Err(Error::CodeOutOfRange { code: -129, precision: 8 });
+        let code_err = Err(Error::CodeOutOfRange { code: 300, precision: 8 });
+        for (term, expected) in [(4, &weight_err), (10, &weight_err), (12, &code_err)] {
+            let run = engine.run_layer_at(&g, &bad_input, &with_weight(0, term), tier);
+            assert_eq!(&run, expected, "{case}: bad map-0 weight at term {term}");
+        }
+        // A bad weight only in the last map is named when no output
+        // reads the bad code.
+        let last = with_weight(g.m - 1, 4);
+        assert_eq!(engine.run_layer_at(&g, &unread, &last, tier), weight_err, "{case}");
     }
 }

@@ -9,7 +9,8 @@
 //!   processing `b` stream bits per cycle with a *ones counter*; its result
 //!   is bit-exactly equal to the bit-serial result.
 //! * [`SaturatingAccumulator`] — the `N+A`-bit saturating up/down counter
-//!   shared by the MAC and the vectorized [`crate::mvm::BiscMvm`].
+//!   of each MAC, whose range and clamp the vectorized
+//!   [`crate::mvm::BiscMvm`]'s lanes share.
 //! * [`EarlyTerminationScMac`] — the dynamic energy–quality knob: stop
 //!   after the top `s` weight bits for a `2^(N−s)`-fold speedup at
 //!   gracefully reduced quality.

@@ -10,14 +10,185 @@
 //! Sharing the FSM and the down counter causes **no accuracy degradation**
 //! (contrary to SNG sharing in conventional SC): every lane produces
 //! bit-exactly what a standalone [`crate::mac::SignedScMac`] would.
+//!
+//! A term's lane codes come either as a `&[i32]`, range-checked on every
+//! term, or as a row of a [`LaneCodes`] block, range-checked once when
+//! the block was built.
 
 use crate::bitplane::RangeCounts;
 use crate::mac::{BitParallelScMac, EarlyTerminationScMac, SaturatingAccumulator};
 use crate::seq;
-use crate::{Error, Precision};
+use crate::{Error, Precision, SignedCode};
 
 /// Default number of extra accumulation bits (the paper's `A = 2`).
 pub const DEFAULT_EXTRA_BITS: u32 = 2;
+
+/// A term-major block of signed lane codes, range-checked once and
+/// stored offset-binary (`x + 2^(N−1)`): row `i` holds the codes a unit
+/// multiplies by its `i`-th weight. Only [`LaneCodes::new`] builds one,
+/// so an MVM reads its rows ([`BiscMvm::accumulate_row`],
+/// [`BiscMvm::accumulate_truncated_row`], [`BitParallelMvm::accumulate_row`])
+/// without checking them again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LaneCodes {
+    n: Precision,
+    lanes: usize,
+    offsets: Vec<u16>,
+}
+
+impl LaneCodes {
+    /// Checks `codes`, `lanes` to a row, against precision `n`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] if `lanes` is 0 or does not divide
+    /// `codes.len()`, or [`Error::CodeOutOfRange`] naming the first bad
+    /// code in (row, lane) order.
+    pub fn new(n: Precision, lanes: usize, codes: &[i32]) -> Result<LaneCodes, Error> {
+        if lanes == 0 || !codes.len().is_multiple_of(lanes) {
+            return Err(Error::InvalidConfig {
+                what: "lane-code block".into(),
+                reason: format!("{} codes do not fill rows of {lanes} lanes", codes.len()),
+            });
+        }
+        check_lane_codes(codes, |x| n.check_signed(x as i64).map(drop))?;
+        let bias = n.half_scale() as i32;
+        Ok(LaneCodes { n, lanes, offsets: codes.iter().map(|&x| (x + bias) as u16).collect() })
+    }
+
+    /// Codes per row.
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// The rows, in term order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = LaneRow<'_>> {
+        self.offsets.chunks(self.lanes).map(|offsets| LaneRow { n: self.n, offsets })
+    }
+}
+
+/// One row of a [`LaneCodes`] block: one term's checked lane codes.
+#[derive(Debug, Clone, Copy)]
+pub struct LaneRow<'a> {
+    n: Precision,
+    offsets: &'a [u16],
+}
+
+impl<'a> LaneRow<'a> {
+    /// The signed codes, in lane order.
+    pub fn codes(self) -> impl Iterator<Item = i32> + 'a {
+        let bias = self.n.half_scale() as i32;
+        self.offsets.iter().map(move |&u| u as i32 - bias)
+    }
+}
+
+/// One term's lane codes as the signed MVMs read them.
+trait TermCodes: Copy {
+    fn len(self) -> usize;
+
+    /// The lanes' offset-binary codes, once they are known to be in range
+    /// at precision `n`.
+    fn offsets(self, n: Precision) -> Result<impl Iterator<Item = usize>, Error>;
+}
+
+impl TermCodes for &[i32] {
+    fn len(self) -> usize {
+        <[i32]>::len(self)
+    }
+
+    #[inline(always)]
+    fn offsets(self, n: Precision) -> Result<impl Iterator<Item = usize>, Error> {
+        check_lane_codes(self, |x| n.check_signed(x as i64).map(drop))?;
+        let bias = n.half_scale() as i32;
+        Ok(self.iter().map(move |&x| (x + bias) as usize))
+    }
+}
+
+impl TermCodes for LaneRow<'_> {
+    fn len(self) -> usize {
+        self.offsets.len()
+    }
+
+    #[inline(always)]
+    fn offsets(self, n: Precision) -> Result<impl Iterator<Item = usize>, Error> {
+        if self.n != n {
+            return Err(Error::InvalidConfig {
+                what: "lane codes".into(),
+                reason: format!("checked at {} for an MVM at {n}", self.n),
+            });
+        }
+        Ok(self.offsets.iter().map(|&u| u as usize))
+    }
+}
+
+/// The lane counters of an MVM: plain `i64`s sharing one inclusive
+/// range and one saturation flag. Every add clamps per product, as the
+/// [`SaturatingAccumulator`] each lane models does, but without a branch.
+#[derive(Debug, Clone)]
+struct Counters {
+    values: Vec<i64>,
+    lo: i64,
+    hi: i64,
+    saturated: bool,
+}
+
+impl Counters {
+    /// `p` counters of `width` bits at zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is not in `2..=62`, as
+    /// [`SaturatingAccumulator::with_width`] does.
+    fn new(p: usize, width: u32) -> Counters {
+        let (lo, hi) = SaturatingAccumulator::with_width(width).range();
+        Counters { values: vec![0; p], lo, hi, saturated: false }
+    }
+
+    /// Adds `step(u)` to each lane's counter, `u` being the lane's
+    /// offset-binary code.
+    #[inline(always)]
+    fn add(&mut self, us: impl Iterator<Item = usize>, step: impl Fn(usize) -> i64) {
+        let (lo, hi) = (self.lo, self.hi);
+        let mut saturated = false;
+        for (value, u) in self.values.iter_mut().zip(us) {
+            let sum = *value + step(u);
+            let clamped = sum.clamp(lo, hi);
+            saturated |= clamped != sum;
+            *value = clamped;
+        }
+        self.saturated |= saturated;
+    }
+
+    /// Adds `scale·P_k(u) + offset` to each lane's counter: one row of
+    /// the precision's [`seq::PrefixTable`] serves every lane, or above
+    /// [`seq::PREFIX_TABLE_MAX_BITS`] one [`RangeCounts`] scan does.
+    // Inlined so the table read, the add and the clamp form one loop.
+    #[inline(always)]
+    fn add_prefix(
+        &mut self,
+        n: Precision,
+        k: u64,
+        us: impl Iterator<Item = usize>,
+        scale: i64,
+        offset: i64,
+    ) {
+        match seq::prefix_table(n) {
+            Some(table) => {
+                let row = table.row(k);
+                self.add(us, |u| scale * row[u] as i64 + offset);
+            }
+            None => {
+                let counts = RangeCounts::new(n, 0, k);
+                self.add(us, |u| scale * counts.ones(u as u32) as i64 + offset);
+            }
+        }
+    }
+
+    fn reset(&mut self) {
+        self.values.fill(0);
+        self.saturated = false;
+    }
+}
 
 /// The vectorized SC matrix-vector multiplier.
 ///
@@ -36,15 +207,19 @@ pub const DEFAULT_EXTRA_BITS: u32 = 2;
 #[derive(Debug, Clone)]
 pub struct BiscMvm {
     n: Precision,
-    lanes: Vec<SaturatingAccumulator>,
+    counters: Counters,
     cycles: u64,
 }
 
 impl BiscMvm {
     /// Creates an MVM with `p` lanes at precision `n` and `extra_bits`
     /// accumulation bits (paper default `A = 2`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the `N + A`-bit counter is not 2 to 62 bits wide.
     pub fn new(n: Precision, p: usize, extra_bits: u32) -> Self {
-        BiscMvm { n, lanes: vec![SaturatingAccumulator::new(n, extra_bits); p], cycles: 0 }
+        BiscMvm { n, counters: Counters::new(p, n.bits() + extra_bits), cycles: 0 }
     }
 
     /// The operand precision.
@@ -54,7 +229,7 @@ impl BiscMvm {
 
     /// The number of parallel lanes `p`.
     pub fn lanes(&self) -> usize {
-        self.lanes.len()
+        self.counters.values.len()
     }
 
     /// Total cycles consumed since the last [`reset`](Self::reset):
@@ -66,8 +241,9 @@ impl BiscMvm {
     /// Accumulates one scalar-vector product `w·x⃗` into the lane counters
     /// (fast behavioural path; saturation is applied per product).
     ///
-    /// The weight is decoded once and every lane reduces to a few reads
-    /// of one shared occupancy scan ([`RangeCounts`]). Without mid-product
+    /// The weight is decoded once and every lane reads one shared row of
+    /// `P_k(u)` counts (a per-precision table at `N ≤ 10`, one
+    /// [`RangeCounts`] scan per term above). Without mid-product
     /// saturation this is bitwise identical to the per-cycle
     /// [`accumulate_cycle_accurate`](Self::accumulate_cycle_accurate).
     ///
@@ -76,10 +252,26 @@ impl BiscMvm {
     /// # Errors
     ///
     /// Returns [`Error::LengthMismatch`] if `xs.len() != p`, or
-    /// [`Error::CodeOutOfRange`] if any code is out of range (naming the
-    /// first bad one). A rejected term leaves every lane untouched.
+    /// [`Error::CodeOutOfRange`] if any code is out of range (the weight
+    /// first, then the first bad lane). A rejected term leaves every lane
+    /// untouched.
     pub fn accumulate(&mut self, w: i32, xs: &[i32]) -> Result<u64, Error> {
-        let k = self.accumulate_prefix(w, xs, 0)?;
+        self.serial(w, xs)
+    }
+
+    /// [`accumulate`](Self::accumulate) on a row of checked lane codes.
+    ///
+    /// # Errors
+    ///
+    /// As [`accumulate`](Self::accumulate) (only the weight is checked),
+    /// plus [`Error::InvalidConfig`] if the row was checked at another
+    /// precision.
+    pub fn accumulate_row(&mut self, w: i32, xs: LaneRow<'_>) -> Result<u64, Error> {
+        self.serial(w, xs)
+    }
+
+    fn serial(&mut self, w: i32, xs: impl TermCodes) -> Result<u64, Error> {
+        let k = self.term(w, xs, 0)?;
         self.cycles += k;
         Ok(k)
     }
@@ -89,7 +281,7 @@ impl BiscMvm {
     /// after the top `s` weight bits (`t = ⌊|w_code| / 2^(N−s)⌋` cycles)
     /// and every lane's count is left-shifted by `N − s`. Each lane gets
     /// exactly what a standalone `EarlyTerminationScMac` would, from the
-    /// same shared occupancy scan as [`accumulate`](Self::accumulate).
+    /// same shared row of counts as [`accumulate`](Self::accumulate).
     ///
     /// Returns the cycles this term took (`t`).
     ///
@@ -98,43 +290,65 @@ impl BiscMvm {
     /// As [`accumulate`](Self::accumulate), plus
     /// [`Error::UnsupportedPrecision`] if `s` is 0 or exceeds `N`.
     pub fn accumulate_truncated(&mut self, w: i32, xs: &[i32], s: u32) -> Result<u64, Error> {
+        self.truncated(w, xs, s)
+    }
+
+    /// [`accumulate_truncated`](Self::accumulate_truncated) on a row of
+    /// checked lane codes.
+    ///
+    /// # Errors
+    ///
+    /// As [`accumulate_truncated`](Self::accumulate_truncated), plus
+    /// [`Error::InvalidConfig`] if the row was checked at another
+    /// precision.
+    pub fn accumulate_truncated_row(
+        &mut self,
+        w: i32,
+        xs: LaneRow<'_>,
+        s: u32,
+    ) -> Result<u64, Error> {
+        self.truncated(w, xs, s)
+    }
+
+    fn truncated(&mut self, w: i32, xs: impl TermCodes, s: u32) -> Result<u64, Error> {
         let shift = self.n.bits() - EarlyTerminationScMac::new(self.n, s)?.effective_bits();
-        let t = self.accumulate_prefix(w, xs, shift)? >> shift;
+        let t = self.term(w, xs, shift)? >> shift;
         self.cycles += t;
         Ok(t)
     }
 
+    /// Checks the lane count, then decodes the weight: the shared down
+    /// counter runs whatever the lanes hold, so `w` is checked before
+    /// any lane code.
+    fn decode(&self, w: i32, lanes: usize) -> Result<SignedCode, Error> {
+        if lanes != self.lanes() {
+            return Err(Error::LengthMismatch { expected: self.lanes(), actual: lanes });
+        }
+        self.n.check_signed(w as i64)
+    }
+
     /// The shared decode behind every term: one down-counter load, one
-    /// sign flag and one occupancy scan of the `t = |w_code| >> shift`-cycle
-    /// prefix, whose per-selector counts are lane-independent. Each lane then adds `±(2·P_t(u) − t) << shift`.
-    /// The serial design (`shift = 0`), the bit-parallel one (its columns
-    /// tile the same `|w_code|`-bit prefix) and early termination (a
-    /// shorter prefix) differ only in the cycles their callers bill.
+    /// sign flag and one row of `P_t(u)` counts for the
+    /// `t = |w_code| >> shift`-cycle prefix, which is lane-independent.
+    /// Each lane then adds `±(2·P_t(u) − t) << shift`. The serial design
+    /// (`shift = 0`), the bit-parallel one (its columns tile the same
+    /// `|w_code|`-bit prefix) and early termination (a shorter prefix)
+    /// differ only in the cycles their callers bill.
     ///
     /// Returns `|w_code|`; cycles are left to the caller.
     // Inlined so `shift = 0` folds away in the serial and bit-parallel
     // lane loops: with a runtime shift a 512-lane term ran 10–20% slower
     // (N = 8, 2-vCPU x86-64 VM).
     #[inline(always)]
-    fn accumulate_prefix(&mut self, w: i32, xs: &[i32], shift: u32) -> Result<u64, Error> {
-        if xs.len() != self.lanes.len() {
-            return Err(Error::LengthMismatch { expected: self.lanes.len(), actual: xs.len() });
-        }
-        // The shared down counter runs regardless of lane count: decode w
-        // before any lane.
-        let wc = self.n.check_signed(w as i64)?;
-        check_lane_codes(xs, |x| self.n.check_signed(x as i64).map(drop))?;
+    fn term(&mut self, w: i32, xs: impl TermCodes, shift: u32) -> Result<u64, Error> {
+        let wc = self.decode(w, xs.len())?;
+        let us = xs.offsets(self.n)?;
         let k = wc.code().unsigned_abs() as u64;
         let t = k >> shift;
-        let w_neg = wc.code() < 0;
-        let counts = RangeCounts::new(self.n, 0, t);
-        // Offset binary `x + 2^(N-1)`: every code was checked above.
-        let bias = self.n.half_scale() as i32;
-        for (lane, &x) in self.lanes.iter_mut().zip(xs) {
-            let ones = counts.ones((x + bias) as u32);
-            let raw = (2 * ones as i64 - t as i64) << shift;
-            lane.add(if w_neg { -raw } else { raw });
-        }
+        // ±(2·P_t(u) − t) << shift = scale·P_t(u) + offset.
+        let sign = if wc.code() < 0 { -1 } else { 1 };
+        let (scale, offset) = ((2 * sign) << shift, (-sign * t as i64) << shift);
+        self.counters.add_prefix(self.n, t, us, scale, offset);
         Ok(k)
     }
 
@@ -146,22 +360,14 @@ impl BiscMvm {
     ///
     /// Same as [`accumulate`](Self::accumulate).
     pub fn accumulate_cycle_accurate(&mut self, w: i32, xs: &[i32]) -> Result<u64, Error> {
-        if xs.len() != self.lanes.len() {
-            return Err(Error::LengthMismatch { expected: self.lanes.len(), actual: xs.len() });
-        }
-        let wc = self.n.check_signed(w as i64)?;
-        let offsets: Vec<u32> = xs
-            .iter()
-            .map(|&x| self.n.check_signed(x as i64).map(|c| c.to_offset_binary()))
-            .collect::<Result<_, _>>()?;
-        let w_sign = wc.code() < 0;
+        let wc = self.decode(w, xs.len())?;
+        let us: Vec<usize> = xs.offsets(self.n)?.collect();
+        let (n, w_sign) = (self.n, wc.code() < 0);
         let k = wc.code().unsigned_abs() as u64;
         for t in 1..=k {
             // One shared FSM select per cycle, one shared down-counter tick.
-            for (lane, &u) in self.lanes.iter_mut().zip(&offsets) {
-                let bit = seq::stream_bit(u, self.n, t) ^ w_sign;
-                lane.count(bit);
-            }
+            let step = |u: usize| if seq::stream_bit(u as u32, n, t) ^ w_sign { 1 } else { -1 };
+            self.counters.add(us.iter().copied(), step);
         }
         self.cycles += k;
         Ok(k)
@@ -170,19 +376,17 @@ impl BiscMvm {
     /// Reads the lane counters (the output vector, in product units of
     /// `2^(N-1)`).
     pub fn read(&self) -> Vec<i64> {
-        self.lanes.iter().map(|l| l.value()).collect()
+        self.counters.values.clone()
     }
 
     /// Whether any lane has saturated since the last reset.
     pub fn any_saturated(&self) -> bool {
-        self.lanes.iter().any(|l| l.has_saturated())
+        self.counters.saturated
     }
 
     /// Clears all lane counters and the cycle count.
     pub fn reset(&mut self) {
-        for lane in &mut self.lanes {
-            lane.reset();
-        }
+        self.counters.reset();
         self.cycles = 0;
     }
 
@@ -217,25 +421,21 @@ impl BiscMvm {
 #[derive(Debug, Clone)]
 pub struct UnsignedBiscMvm {
     n: Precision,
-    lanes: Vec<SaturatingAccumulator>,
+    counters: Counters,
     cycles: u64,
 }
 
 impl UnsignedBiscMvm {
     /// Creates an unsigned MVM with `p` lanes and `extra_bits`
-    /// accumulation bits (counters stay non-negative but reuse the same
-    /// saturating counter type for the shared width convention).
+    /// accumulation bits (counters stay non-negative but keep the signed
+    /// counters' width convention, plus one bit).
     pub fn new(n: Precision, p: usize, extra_bits: u32) -> Self {
-        UnsignedBiscMvm {
-            n,
-            lanes: vec![SaturatingAccumulator::new(n, extra_bits + 1); p],
-            cycles: 0,
-        }
+        UnsignedBiscMvm { n, counters: Counters::new(p, n.bits() + extra_bits + 1), cycles: 0 }
     }
 
     /// The number of lanes `p`.
     pub fn lanes(&self) -> usize {
-        self.lanes.len()
+        self.counters.values.len()
     }
 
     /// Total cycles consumed: `Σ w_i` (unsigned codes).
@@ -245,6 +445,8 @@ impl UnsignedBiscMvm {
 
     /// Accumulates one unsigned scalar-vector product `w·x⃗` (codes in
     /// `[0, 2^N)`, values `code/2^N`); returns its cycle count (`w`).
+    /// Each lane adds `P_w(x)` from the same shared row of counts as the
+    /// signed MVM.
     ///
     /// # Errors
     ///
@@ -252,31 +454,24 @@ impl UnsignedBiscMvm {
     /// (naming the first bad code). A rejected term leaves every lane
     /// untouched.
     pub fn accumulate(&mut self, w: u32, xs: &[u32]) -> Result<u64, Error> {
-        if xs.len() != self.lanes.len() {
-            return Err(Error::LengthMismatch { expected: self.lanes.len(), actual: xs.len() });
+        if xs.len() != self.lanes() {
+            return Err(Error::LengthMismatch { expected: self.lanes(), actual: xs.len() });
         }
         self.n.check_unsigned(w as u64)?;
         check_lane_codes(xs, |x| self.n.check_unsigned(x as u64).map(drop))?;
-        // Shared occupancy scan, like the signed MVM: one `RangeCounts`
-        // per term serves every lane.
-        let counts = RangeCounts::new(self.n, 0, w as u64);
-        for (lane, &x) in self.lanes.iter_mut().zip(xs) {
-            lane.add(counts.ones(x) as i64);
-        }
+        self.counters.add_prefix(self.n, w as u64, xs.iter().map(|&x| x as usize), 1, 0);
         self.cycles += w as u64;
         Ok(w as u64)
     }
 
     /// Reads the lane counters (product units of `2^-N`).
     pub fn read(&self) -> Vec<i64> {
-        self.lanes.iter().map(|l| l.value()).collect()
+        self.counters.values.clone()
     }
 
     /// Clears all lane counters and the cycle count.
     pub fn reset(&mut self) {
-        for lane in &mut self.lanes {
-            lane.reset();
-        }
+        self.counters.reset();
         self.cycles = 0;
     }
 }
@@ -284,11 +479,7 @@ impl UnsignedBiscMvm {
 /// Checks a term's lane codes before any lane is updated. The valid codes
 /// form one interval, so the smallest and largest code decide; only a
 /// failing term is rescanned, for the first bad code's error.
-///
-/// # Errors
-///
-/// Returns the error `check` gives the first code it rejects.
-pub fn check_lane_codes<T: Copy + Ord>(
+fn check_lane_codes<T: Copy + Ord>(
     xs: &[T],
     check: impl Fn(T) -> Result<(), Error>,
 ) -> Result<(), Error> {
@@ -321,7 +512,7 @@ pub fn average_mac_latency(weights: &[i32], b: u32) -> f64 {
 /// Provided as a thin wrapper so array-level experiments can switch
 /// between the serial and parallel datapaths. Its columns tile the same
 /// `|w|`-bit prefix the serial design streams, so every term's values
-/// come from the serial MVM's shared occupancy scan; only the billed
+/// come from the serial MVM's shared row of counts; only the billed
 /// cycles differ. [`BitParallelScMac::multiply_signed`] is the per-lane
 /// reference it is tested against.
 #[derive(Debug, Clone)]
@@ -354,7 +545,20 @@ impl BitParallelMvm {
     ///
     /// Same as [`BiscMvm::accumulate`].
     pub fn accumulate(&mut self, w: i32, xs: &[i32]) -> Result<u64, Error> {
-        let cycles = self.inner.accumulate_prefix(w, xs, 0)?.div_ceil(self.b as u64);
+        self.parallel(w, xs)
+    }
+
+    /// [`accumulate`](Self::accumulate) on a row of checked lane codes.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`BiscMvm::accumulate_row`].
+    pub fn accumulate_row(&mut self, w: i32, xs: LaneRow<'_>) -> Result<u64, Error> {
+        self.parallel(w, xs)
+    }
+
+    fn parallel(&mut self, w: i32, xs: impl TermCodes) -> Result<u64, Error> {
+        let cycles = self.inner.term(w, xs, 0)?.div_ceil(self.b as u64);
         self.inner.cycles += cycles;
         Ok(cycles)
     }
@@ -379,12 +583,25 @@ impl BitParallelMvm {
 mod tests {
     use super::*;
     use crate::mac::{SignedProduct, SignedScMac};
+    use crate::rng::SmallRng;
 
     fn p(bits: u32) -> Precision {
         Precision::new(bits).unwrap()
     }
 
-    /// Feeds every code as a lane and every code as a weight in turn to
+    /// Every code at precision `n`, in order.
+    fn all_codes(n: Precision) -> Vec<i32> {
+        let h = n.half_scale() as i32;
+        (-h..h).collect()
+    }
+
+    /// `len` random codes at precision `n`.
+    fn random_codes(rng: &mut SmallRng, n: Precision, len: usize) -> Vec<i32> {
+        let h = n.half_scale() as i32;
+        (0..len).map(|_| rng.gen_range_i32(-h..h)).collect()
+    }
+
+    /// Feeds the lane codes `xs` and each weight of `ws` in turn to
     /// `term` (which accumulates one term and returns its cycles and the
     /// lane counters after it), and checks each lane against a per-lane
     /// `reference` MAC feeding its own saturating accumulator: products,
@@ -393,15 +610,14 @@ mod tests {
     fn check_against_per_lane(
         n: Precision,
         a: u32,
+        (xs, ws): (&[i32], &[i32]),
         mut term: impl FnMut(i32, &[i32]) -> (u64, Vec<i64>),
         reference: impl Fn(i32, i32) -> SignedProduct,
     ) {
-        let h = n.half_scale() as i32;
-        let xs: Vec<i32> = (-h..h).collect();
         let mut golden = vec![SaturatingAccumulator::new(n, a); xs.len()];
-        for w in -h..h {
-            let (cycles, lanes) = term(w, &xs);
-            for (acc, &x) in golden.iter_mut().zip(&xs) {
+        for &w in ws {
+            let (cycles, lanes) = term(w, xs);
+            for (acc, &x) in golden.iter_mut().zip(xs) {
                 let product = reference(w, x);
                 assert_eq!(cycles, product.cycles, "w={w} x={x}");
                 acc.add(product.value);
@@ -526,12 +742,13 @@ mod tests {
             for b in [1u32, 2, 4, 8, 16] {
                 let mac = BitParallelScMac::new(n, b).unwrap();
                 for a in [0u32, 8] {
-                    let lanes = n.stream_len() as usize;
-                    let mut mvm = BitParallelMvm::new(n, lanes, a, b).unwrap();
+                    let codes = all_codes(n);
+                    let mut mvm = BitParallelMvm::new(n, codes.len(), a, b).unwrap();
                     let mut billed = 0;
                     check_against_per_lane(
                         n,
                         a,
+                        (&codes, &codes),
                         |w, xs| {
                             let cycles = mvm.accumulate(w, xs).unwrap();
                             billed += cycles;
@@ -551,11 +768,13 @@ mod tests {
         for s in 1..=6u32 {
             let edt = EarlyTerminationScMac::new(n, s).unwrap();
             for a in [0u32, 8] {
-                let mut mvm = BiscMvm::new(n, n.stream_len() as usize, a);
+                let codes = all_codes(n);
+                let mut mvm = BiscMvm::new(n, codes.len(), a);
                 let mut billed = 0;
                 check_against_per_lane(
                     n,
                     a,
+                    (&codes, &codes),
                     |w, xs| {
                         let cycles = mvm.accumulate_truncated(w, xs, s).unwrap();
                         billed += cycles;
@@ -575,11 +794,129 @@ mod tests {
     }
 
     #[test]
+    fn terms_above_the_prefix_table_match_per_lane_references() {
+        // Above PREFIX_TABLE_MAX_BITS each term reads one RangeCounts
+        // scan instead of a table row. The exhaustive checks above cannot
+        // reach these precisions, so random codes stand in. Four
+        // full-scale weights lead, so A ∈ {0, 1} counters saturate and
+        // then walk back.
+        let mut rng = SmallRng::seed_from_u64(0x5EED_0011);
+        for bits in seq::PREFIX_TABLE_MAX_BITS + 1..=crate::num::MAX_PRECISION {
+            let n = p(bits);
+            let h = n.half_scale() as i32;
+            let xs = random_codes(&mut rng, n, 48);
+            let ws = [vec![-h; 4], random_codes(&mut rng, n, 20)].concat();
+            for a in [0u32, 1] {
+                let case = format!("N={bits} A={a}");
+                let mac = SignedScMac::new(n);
+                let mut mvm = BiscMvm::new(n, xs.len(), a);
+                check_against_per_lane(
+                    n,
+                    a,
+                    (&xs, &ws),
+                    |w, xs| (mvm.accumulate(w, xs).unwrap(), mvm.read()),
+                    |w, x| mac.multiply(w, x).unwrap(),
+                );
+                assert!(mvm.any_saturated(), "{case}");
+                for b in [64u32, 1024] {
+                    let mac = BitParallelScMac::new(n, b).unwrap();
+                    let mut mvm = BitParallelMvm::new(n, xs.len(), a, b).unwrap();
+                    check_against_per_lane(
+                        n,
+                        a,
+                        (&xs, &ws),
+                        |w, xs| (mvm.accumulate(w, xs).unwrap(), mvm.read()),
+                        |w, x| mac.multiply_signed(w, x).unwrap(),
+                    );
+                }
+                for s in [1u32, 4, bits - 1] {
+                    let edt = EarlyTerminationScMac::new(n, s).unwrap();
+                    let mut mvm = BiscMvm::new(n, xs.len(), a);
+                    check_against_per_lane(
+                        n,
+                        a,
+                        (&xs, &ws),
+                        |w, xs| (mvm.accumulate_truncated(w, xs, s).unwrap(), mvm.read()),
+                        |w, x| edt.multiply(w, x).unwrap(),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checked_rows_equal_per_term_codes() {
+        // Both sides of PREFIX_TABLE_MAX_BITS, every term kind, with
+        // saturating A = 0 counters.
+        let mut rng = SmallRng::seed_from_u64(0x5EED_0012);
+        for bits in [5u32, 8, 10, 11, 14] {
+            let n = p(bits);
+            let (xs, ws) = (random_codes(&mut rng, n, 5 * 16), random_codes(&mut rng, n, 5));
+            let block = LaneCodes::new(n, 16, &xs).unwrap();
+            assert_eq!(block.lanes(), 16);
+            assert_eq!(block.rows().len(), 5);
+            let mut serial = [BiscMvm::new(n, 16, 0), BiscMvm::new(n, 16, 0)];
+            let mut edt = [BiscMvm::new(n, 16, 0), BiscMvm::new(n, 16, 0)];
+            let mut par = [0, 1].map(|_| BitParallelMvm::new(n, 16, 0, 4).unwrap());
+            for ((&w, xs), row) in ws.iter().zip(xs.chunks(16)).zip(block.rows()) {
+                assert_eq!(row.codes().collect::<Vec<_>>(), xs, "N={bits}");
+                let s = bits / 2;
+                assert_eq!(serial[0].accumulate(w, xs), serial[1].accumulate_row(w, row));
+                assert_eq!(
+                    edt[0].accumulate_truncated(w, xs, s),
+                    edt[1].accumulate_truncated_row(w, row, s)
+                );
+                assert_eq!(par[0].accumulate(w, xs), par[1].accumulate_row(w, row));
+            }
+            for [a, b] in [serial, edt] {
+                assert_eq!((a.read(), a.cycles()), (b.read(), b.cycles()), "N={bits}");
+                assert_eq!(a.any_saturated(), b.any_saturated(), "N={bits}");
+            }
+            assert_eq!((par[0].read(), par[0].cycles()), (par[1].read(), par[1].cycles()));
+        }
+    }
+
+    #[test]
+    fn lane_codes_are_checked_once_and_only_by_their_constructor() {
+        let n = p(8);
+        // The first bad code in (row, lane) order is named.
+        assert_eq!(
+            LaneCodes::new(n, 2, &[0, 1, 2, 200, -300, 500]),
+            Err(Error::CodeOutOfRange { code: 200, precision: 8 })
+        );
+        for (lanes, len) in [(0, 0), (0, 4), (3, 4)] {
+            assert!(
+                matches!(LaneCodes::new(n, lanes, &vec![0; len]), Err(Error::InvalidConfig { .. })),
+                "{lanes} lanes, {len} codes"
+            );
+        }
+        // A row checked at one precision is refused at another, and a
+        // row of the wrong width is a length mismatch; neither moves a lane.
+        let block = LaneCodes::new(p(6), 2, &[-32, 31]).unwrap();
+        let row = block.rows().next().unwrap();
+        let mut mvm = BiscMvm::new(n, 2, 2);
+        assert!(matches!(mvm.accumulate_row(5, row), Err(Error::InvalidConfig { .. })));
+        let mut wide = BiscMvm::new(p(6), 3, 2);
+        assert_eq!(
+            wide.accumulate_row(5, row),
+            Err(Error::LengthMismatch { expected: 3, actual: 2 })
+        );
+        // The weight is still checked on every term.
+        let mut mvm = BiscMvm::new(p(6), 2, 2);
+        assert_eq!(
+            mvm.accumulate_row(40, row),
+            Err(Error::CodeOutOfRange { code: 40, precision: 6 })
+        );
+        assert_eq!((mvm.read(), mvm.cycles(), wide.read()), (vec![0, 0], 0, vec![0, 0, 0]));
+    }
+
+    #[test]
     fn behavioural_mvms_match_per_cycle_references() {
-        // Random codes at N in {4, 7, 10}; A = 8 keeps every lane clear of
-        // saturation, where the per-term and per-cycle models agree.
-        let mut rng = crate::rng::SmallRng::seed_from_u64(0x5EED_0004);
-        for bits in [4u32, 7, 10] {
+        // Random codes at N in {4, 7, 10, 12} (the last above the prefix
+        // table); A = 8 keeps every lane clear of saturation, where the
+        // per-term and per-cycle models agree.
+        let mut rng = SmallRng::seed_from_u64(0x5EED_0004);
+        for bits in [4u32, 7, 10, 12] {
             let n = p(bits);
             let m = n.stream_len();
             let mut signed = |len| -> Vec<i32> {

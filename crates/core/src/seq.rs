@@ -14,7 +14,10 @@
 //!
 //! i.e. `P_k ≈ (x / 2^N) · k`, which is the accuracy objective the paper
 //! states for its SC multiply. Everything else in this crate (bit-serial,
-//! bit-parallel, signed, vectorized) reduces to [`prefix_sum`].
+//! bit-parallel, signed, vectorized) reduces to [`prefix_sum`]; the
+//! vectorized MVMs read it from a per-precision table at `N ≤ 10`.
+
+use std::sync::OnceLock;
 
 use crate::Precision;
 
@@ -86,6 +89,61 @@ pub fn prefix_sum(x: u32, n: Precision, k: u64) -> u64 {
         }
     }
     sum
+}
+
+/// The largest precision [`prefix_table`] serves. A table holds
+/// `(2^N + 1)·2^N` counts (130 KB at `N = 8`, 2.1 MB at `N = 10`), so
+/// each further bit would quadruple it.
+pub(crate) const PREFIX_TABLE_MAX_BITS: u32 = 10;
+
+/// Every partial sum [`prefix_sum`] can return at one precision: row `k`
+/// (`k ∈ 0..=2^N`) holds `P_k(u)` for each operand `u < 2^N`, what a
+/// `k`-cycle prefix of `u`'s stream leaves in the counter. A BISC-MVM
+/// term reads one row for all its lanes.
+pub(crate) struct PrefixTable {
+    bits: u32,
+    /// Row-major: `P_k(u)` at `k·2^N + u`.
+    counts: Box<[u16]>,
+}
+
+impl PrefixTable {
+    /// Builds the table row by row: cycle `k` adds to row `k − 1` the
+    /// operand bit its MUX selects, if any.
+    fn new(n: Precision) -> PrefixTable {
+        let (bits, width) = (n.bits(), n.stream_len() as usize);
+        let mut counts = vec![0u16; (width + 1) * width];
+        for k in 1..=width {
+            let (prev, row) = counts[(k - 1) * width..(k + 1) * width].split_at_mut(width);
+            match mux_select(k as u64, n) {
+                Some(z) => {
+                    for (u, (count, &before)) in row.iter_mut().zip(prev.iter()).enumerate() {
+                        *count = before + ((u >> (bits - 1 - z)) & 1) as u16;
+                    }
+                }
+                None => row.copy_from_slice(prev),
+            }
+        }
+        PrefixTable { bits, counts: counts.into_boxed_slice() }
+    }
+
+    /// Row `k`: `P_k(u)` for every operand `u < 2^N`, indexed by `u`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k > 2^N`.
+    #[inline]
+    pub(crate) fn row(&self, k: u64) -> &[u16] {
+        let width = 1usize << self.bits;
+        &self.counts[k as usize * width..][..width]
+    }
+}
+
+/// The [`PrefixTable`] of precision `n`, built on first use and kept for
+/// the life of the process; `None` above [`PREFIX_TABLE_MAX_BITS`].
+pub(crate) fn prefix_table(n: Precision) -> Option<&'static PrefixTable> {
+    static TABLES: [OnceLock<PrefixTable>; PREFIX_TABLE_MAX_BITS as usize + 1] =
+        [const { OnceLock::new() }; PREFIX_TABLE_MAX_BITS as usize + 1];
+    TABLES.get(n.bits() as usize).map(|table| table.get_or_init(|| PrefixTable::new(n)))
 }
 
 /// Number of ones contributed by cycles `lo+1 ..= hi` of the FSM+MUX
@@ -233,6 +291,24 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn prefix_table_holds_every_prefix_sum() {
+        for bits in crate::num::MIN_PRECISION..=PREFIX_TABLE_MAX_BITS {
+            let n = p(bits);
+            let table = prefix_table(n).unwrap();
+            for k in 0..=n.stream_len() {
+                let row = table.row(k);
+                assert_eq!(row.len() as u64, n.stream_len());
+                for (u, &count) in row.iter().enumerate() {
+                    assert_eq!(count as u64, prefix_sum(u as u32, n, k), "N={bits} k={k} u={u}");
+                }
+            }
+        }
+        for bits in PREFIX_TABLE_MAX_BITS + 1..=crate::num::MAX_PRECISION {
+            assert!(prefix_table(p(bits)).is_none(), "N={bits}");
         }
     }
 

@@ -102,12 +102,14 @@ fn bit_parallel_exactness() {
 }
 
 /// Sharing the FSM/down counter across MVM lanes never changes any
-/// lane's value relative to a standalone MAC.
+/// lane's value relative to a standalone MAC, on either side of the
+/// prefix table's reach (`N ≤ 10` reads a table row, above it one
+/// `RangeCounts` scan per term).
 #[test]
 fn mvm_sharing_lossless() {
     let mut rng = SmallRng::seed_from_u64(0x5eed_0006);
     for _ in 0..CASES {
-        let bits = rng.gen_range_u64(3..11) as u32;
+        let bits = rng.gen_range_u64(3..17) as u32;
         let n = Precision::new(bits).unwrap();
         let w = signed_code(&mut rng, bits);
         let xs: Vec<i32> = (0..8).map(|_| signed_code(&mut rng, bits)).collect();

@@ -55,15 +55,7 @@ pub use site::{
     record_masked, scoped, site, try_load_env, FaultSite, ScopedPlan,
 };
 
-/// SplitMix64 finalizer — the workspace's counter-based fault RNG. Kept
-/// in one place so the neural damage model, the site draws, and the
-/// serving layer's retry jitter share the exact bit-for-bit sequence:
-/// any deterministic draw in the workspace is `split_mix(key ^ counter
-/// mixes)`, a pure function of its inputs with no hidden state.
-#[inline]
-pub fn split_mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// The workspace's counter-based fault RNG, re-exported so the neural
+/// damage model, the site draws and the serving layer share
+/// `sc-telemetry`'s one copy bit for bit.
+pub use sc_telemetry::split_mix;

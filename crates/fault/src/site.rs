@@ -12,6 +12,7 @@ use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock, RwLock};
 
 use crate::plan::{FaultKind, FaultPlan};
 use crate::split_mix;
+use sc_telemetry::fnv1a;
 use sc_telemetry::metrics::Counter;
 
 struct Global {
@@ -180,15 +181,6 @@ impl std::fmt::Debug for ScopedPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScopedPlan").finish_non_exhaustive()
     }
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// A resolved, armed injection site.

@@ -45,20 +45,3 @@ pub use monitor::{HealthConfig, HealthMonitor, HealthReport, Sample, TierTransit
 pub use recorder::{FlightRecorder, IncidentSnapshot, RecEvent, SpanSummary, SystemState};
 pub use slo::{Objective, ObjectiveKind, ObjectiveState, Signal, SignalKind, Verdict};
 pub use window::WindowStats;
-
-/// FNV-1a offset basis.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// One FNV-1a absorption step over `bytes`.
-pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// FNV-1a hash of a string (for folding names into fingerprints).
-pub(crate) fn hash_str(s: &str) -> u64 {
-    fnv1a(FNV_OFFSET, s.as_bytes())
-}

@@ -27,11 +27,11 @@
 
 use sc_telemetry::json::Json;
 use sc_telemetry::manifest::HealthSummary;
+use sc_telemetry::{fnv1a, fnv1a_extend, FNV_OFFSET};
 
 use crate::recorder::{FlightRecorder, IncidentSnapshot, SpanSummary, SystemState};
 use crate::slo::{Objective, ObjectiveState, Signal, SignalKind, Verdict};
 use crate::window::{WindowAccum, WindowStats};
-use crate::{fnv1a, FNV_OFFSET};
 
 /// Monitor configuration. `window = 0` disables health monitoring
 /// entirely ([`HealthMonitor::new`] returns `None`).
@@ -145,7 +145,7 @@ impl TierTransition {
     }
 
     fn fingerprint(&self) -> [u64; 4] {
-        [self.cycle, self.from as u64, self.to as u64, crate::hash_str(&self.objective)]
+        [self.cycle, self.from as u64, self.to as u64, fnv1a(&self.objective)]
     }
 }
 
@@ -548,7 +548,7 @@ impl HealthReport {
     pub fn digest(&self) -> u64 {
         let mut h = FNV_OFFSET;
         for w in self.fingerprint() {
-            h = fnv1a(h, &w.to_le_bytes());
+            h = fnv1a_extend(h, &w.to_le_bytes());
         }
         h
     }

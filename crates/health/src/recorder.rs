@@ -10,10 +10,10 @@
 use std::collections::VecDeque;
 
 use sc_telemetry::json::Json;
+use sc_telemetry::{fnv1a, fnv1a_extend, FNV_OFFSET};
 
 use crate::slo::Signal;
 use crate::window::WindowStats;
-use crate::{fnv1a, hash_str, FNV_OFFSET};
 
 /// One point event kept by the recorder (breaker trips, SLO edges,
 /// tier-floor moves, …).
@@ -37,7 +37,7 @@ impl RecEvent {
     }
 
     fn fingerprint(&self) -> [u64; 3] {
-        [self.cycle, hash_str(&self.name), hash_str(&self.detail)]
+        [self.cycle, fnv1a(&self.name), fnv1a(&self.detail)]
     }
 }
 
@@ -69,7 +69,7 @@ impl SpanSummary {
     }
 
     fn fingerprint(&self) -> [u64; 5] {
-        [self.id, hash_str(&self.outcome), self.latency, self.attempts as u64, self.finished_at]
+        [self.id, fnv1a(&self.outcome), self.latency, self.attempts as u64, self.finished_at]
     }
 }
 
@@ -128,10 +128,10 @@ impl SystemState {
             self.queue_depth as u64,
             self.queue_capacity as u64,
             self.inflight as u64,
-            hash_str(&self.breaker),
+            fnv1a(&self.breaker),
             self.breaker_trips,
             self.tier_floor as u64,
-            hash_str(&self.lifecycle),
+            fnv1a(&self.lifecycle),
             self.rejoins,
         ]
     }
@@ -183,7 +183,7 @@ impl IncidentSnapshot {
         let mut fp = vec![
             self.seq,
             self.cycle,
-            hash_str(&self.objective),
+            fnv1a(&self.objective),
             self.fast_burn.to_bits(),
             self.slow_burn.to_bits(),
         ];
@@ -204,7 +204,7 @@ impl IncidentSnapshot {
     pub fn digest(&self) -> u64 {
         let mut h = FNV_OFFSET;
         for w in self.fingerprint() {
-            h = fnv1a(h, &w.to_le_bytes());
+            h = fnv1a_extend(h, &w.to_le_bytes());
         }
         h
     }

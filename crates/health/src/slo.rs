@@ -24,8 +24,9 @@
 
 use std::collections::VecDeque;
 
+use sc_telemetry::{fnv1a, fnv1a_extend, FNV_OFFSET};
+
 use crate::window::WindowStats;
-use crate::{fnv1a, hash_str, FNV_OFFSET};
 
 /// What an [`Objective`] constrains.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -276,7 +277,7 @@ impl Signal {
         vec![
             self.cycle,
             self.window,
-            hash_str(&self.objective),
+            fnv1a(&self.objective),
             matches!(self.kind, SignalKind::Breach) as u64,
             self.fast_burn.to_bits(),
             self.slow_burn.to_bits(),
@@ -451,8 +452,8 @@ impl ObjectiveState {
     /// Flattens into `u64`s for determinism assertions.
     pub fn fingerprint(&self) -> Vec<u64> {
         vec![
-            hash_str(&self.objective.name),
-            hash_str(self.objective.kind.label()),
+            fnv1a(&self.objective.name),
+            fnv1a(self.objective.kind.label()),
             self.verdict as u64,
             self.breaches,
             self.recoveries,
@@ -466,7 +467,7 @@ impl ObjectiveState {
 pub fn digest(words: &[u64]) -> u64 {
     let mut h = FNV_OFFSET;
     for w in words {
-        h = fnv1a(h, &w.to_le_bytes());
+        h = fnv1a_extend(h, &w.to_le_bytes());
     }
     h
 }

@@ -13,8 +13,7 @@
 //! from it via [`HistogramSnapshot::quantile`].
 
 use sc_telemetry::metrics::{log2_bounds, HistogramSnapshot};
-
-use crate::fnv1a;
+use sc_telemetry::{fnv1a_extend, FNV_OFFSET};
 
 /// One closed (or final-partial) window's outcome counts and latency
 /// quantiles.
@@ -117,9 +116,9 @@ impl WindowStats {
 
     /// Order-sensitive hash of [`WindowStats::fingerprint`].
     pub fn digest(&self) -> u64 {
-        let mut h = crate::FNV_OFFSET;
+        let mut h = FNV_OFFSET;
         for w in self.fingerprint() {
-            h = fnv1a(h, &w.to_le_bytes());
+            h = fnv1a_extend(h, &w.to_le_bytes());
         }
         h
     }

@@ -65,8 +65,8 @@ pub use obs::{
     ScenarioSummary, OBS_SCHEMA_VERSION,
 };
 pub use trace::{
-    record_attribution, BackendProfile, CycleAttribution, CycleCategory, CycleSpan, LayerProfile,
-    SpanId, SpanTree, TileProfile, TraceId,
+    fnv1a, fnv1a_extend, record_attribution, split_mix, BackendProfile, CycleAttribution,
+    CycleCategory, CycleSpan, LayerProfile, SpanId, SpanTree, TileProfile, TraceId, FNV_OFFSET,
 };
 
 /// Serializes tests that flip the process-global subscriber/metrics

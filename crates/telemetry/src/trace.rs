@@ -31,26 +31,37 @@ use crate::metrics::{counter, Counter};
 
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// SplitMix64 finalizer: a bijective avalanche over `u64`. Hand-rolled
-/// here (rather than borrowed from `sc-fault`) because `sc-telemetry`
-/// sits below every other crate and must stay dependency-free. Shared
-/// with [`crate::obs`], whose reservoir/exemplar draws use the same
-/// counter-keyed discipline.
-pub(crate) fn split_mix(mut z: u64) -> u64 {
+/// SplitMix64 finalizer: a bijective avalanche over `u64`, and the
+/// workspace's one counter-keyed RNG: every deterministic draw (trace
+/// and span ids, [`crate::obs`] reservoir and exemplar picks, sc-fault's
+/// site draws, sc-serve's placement and retry jitter) is
+/// `split_mix(key ^ counter mixes)`, a pure function of its inputs.
+/// It lives here because `sc-telemetry` sits below every other crate.
+#[inline]
+pub fn split_mix(mut z: u64) -> u64 {
     z = z.wrapping_add(GOLDEN);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
-/// FNV-1a over a site/span name: stable, order-sensitive, no allocation.
-pub(crate) fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in s.bytes() {
+/// The FNV-1a offset basis: the hash of no bytes.
+pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// One FNV-1a absorption step: folds `bytes` into the running hash `h`
+/// (start from [`FNV_OFFSET`]). Stable, order-sensitive, no allocation.
+#[inline]
+pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+/// FNV-1a over a name (a fault site, a span, an objective).
+pub fn fnv1a(s: &str) -> u64 {
+    fnv1a_extend(FNV_OFFSET, s.as_bytes())
 }
 
 /// Identity of one causal trace (= one request's lifetime).

@@ -53,6 +53,13 @@ echo "==> engine tests (SC_THREADS=7)"
 SC_THREADS=7 cargo test -q -p sc-accel
 SC_THREADS=7 cargo test -q -p sc-bench --test determinism
 
+echo "==> lane-kernel tests in release"
+# The MVM lane kernels add, clamp and flag saturation on plain i64s.
+# Release builds wrap on overflow and drop debug_assert!s, so the
+# kernels' tests (sc-core) and the engine built on them (sc-accel) also
+# run as the benchmark builds them.
+cargo test --release -q -p sc-core -p sc-accel
+
 echo "==> engine gate: golden cross-check under both execution engines"
 # The bitplane popcount fast paths of sc-rtlsim's run_to_done loops must
 # stay bitwise identical to the cycle-accurate reference whichever
