@@ -197,8 +197,9 @@ struct ScenarioRow {
     workload: Vec<Request>,
     report: sc_serve::ServeReport,
     /// Bucketed p50/p99 over *this scenario's* slice of the shared
-    /// `serve.latency` registry histogram, via the windowed-quantile
-    /// fast path (one fused pass against a pre-scenario baseline).
+    /// `serve.latency` registry histogram: the snapshot after the run
+    /// less the pre-scenario baseline
+    /// ([`sc_telemetry::metrics::HistogramSnapshot::since`]).
     window_p50: u64,
     window_p99: u64,
 }
@@ -215,8 +216,8 @@ fn run_scenario(
     let lat = histogram("serve.latency", &log2_bounds(24));
     let base = lat.snapshot();
     let report = Server::new(config).run(backend, requests.clone());
-    let (window_p50, window_p99) =
-        (lat.quantile_at_window(&base, 0.50), lat.quantile_at_window(&base, 0.99));
+    let window = lat.snapshot().since(&base);
+    let (window_p50, window_p99) = (window.p50(), window.p99());
     if report.completed() > 0 {
         // The bucket upper bound can never undercut the exact
         // nearest-rank percentile computed from the responses.

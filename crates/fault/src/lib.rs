@@ -28,7 +28,7 @@
 //!
 //! e.g. `SC_FAULTS="rtlsim.mac.stream:flip@1e-3;mem.*:flip@1e-4;seed=7"`.
 //!
-//! A rate of zero is indistinguishable from an absent entry: [`site`]
+//! A rate of zero is indistinguishable from an absent entry: [`site()`]
 //! returns `None`, components take their fault-free fast path, and the
 //! run is bitwise identical to one with `SC_FAULTS` unset.
 //!

@@ -9,7 +9,8 @@
 //! * [`window`] — fixed-width tumbling windows over the outcome stream.
 //!   Boundaries are pure functions of cycle time (`window k = [k·W,
 //!   (k+1)·W)`), each window carries outcome counts and *windowed*
-//!   nearest-rank latency quantiles, and the whole series is identical
+//!   nearest-rank latency quantiles from one
+//!   [`sc_telemetry::metrics::Tally`], and the whole series is identical
 //!   at any `SC_THREADS`.
 //! * [`slo`] — declarative objectives (`goodput ≥ x`, `p99 ≤ y`,
 //!   `error-rate ≤ z`) evaluated with SRE-style dual-window burn rates:
@@ -41,7 +42,8 @@ pub mod recorder;
 pub mod slo;
 pub mod window;
 
-pub use monitor::{HealthConfig, HealthMonitor, HealthReport, Sample, TierTransition};
+pub use monitor::{HealthConfig, HealthMonitor, HealthReport, TierTransition};
 pub use recorder::{FlightRecorder, IncidentSnapshot, RecEvent, SpanSummary, SystemState};
+pub use sc_telemetry::metrics::Sample;
 pub use slo::{Objective, ObjectiveKind, ObjectiveState, Signal, SignalKind, Verdict};
 pub use window::WindowStats;

@@ -27,11 +27,12 @@
 
 use sc_telemetry::json::Json;
 use sc_telemetry::manifest::HealthSummary;
-use sc_telemetry::{fnv1a, fnv1a_extend, FNV_OFFSET};
+use sc_telemetry::metrics::{log2_bounds, window_span, Sample, Tally};
+use sc_telemetry::{fnv1a, fnv1a_words};
 
 use crate::recorder::{FlightRecorder, IncidentSnapshot, SpanSummary, SystemState};
 use crate::slo::{Objective, ObjectiveState, Signal, SignalKind, Verdict};
-use crate::window::{WindowAccum, WindowStats};
+use crate::window::WindowStats;
 
 /// Monitor configuration. `window = 0` disables health monitoring
 /// entirely ([`HealthMonitor::new`] returns `None`).
@@ -102,24 +103,6 @@ impl Default for HealthConfig {
     }
 }
 
-/// One finalized request, as the monitor classifies it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Sample {
-    /// Served successfully; `degraded` when tier ≥ 1.
-    Completed {
-        /// Sojourn time in virtual cycles.
-        latency: u64,
-        /// Whether it was served at a degraded tier.
-        degraded: bool,
-    },
-    /// Dropped at admission.
-    Shed,
-    /// Deadline expired.
-    TimedOut,
-    /// Backend-path failure (retries exhausted or breaker fail-fast).
-    Error,
-}
-
 /// One verdict-driven tier-floor move.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TierTransition {
@@ -154,7 +137,13 @@ impl TierTransition {
 pub struct HealthMonitor {
     cfg: HealthConfig,
     max_tier: usize,
-    current: WindowAccum,
+    /// Log2 latency bucket bounds every window's tally shares.
+    bounds: Vec<u64>,
+    /// The open window: its index, its tally, and its per-objective
+    /// over-limit counts.
+    index: u64,
+    tally: Tally,
+    over_limit: Vec<u64>,
     series: Vec<WindowStats>,
     states: Vec<ObjectiveState>,
     signals: Vec<Signal>,
@@ -215,12 +204,14 @@ impl HealthMonitor {
             cfg.max_incidents,
         )
         .evict_oldest(cfg.evict_oldest_incidents);
-        let slots = cfg.objectives.len();
-        let window = cfg.window;
+        let bounds = log2_bounds(32);
         Some(HealthMonitor {
-            cfg,
             max_tier,
-            current: WindowAccum::new(0, window, slots),
+            index: 0,
+            tally: Tally::new(&bounds),
+            over_limit: vec![0; cfg.objectives.len()],
+            bounds,
+            cfg,
             series: Vec::new(),
             states,
             signals: Vec::new(),
@@ -250,19 +241,31 @@ impl HealthMonitor {
     /// at least one window closes, and not at all otherwise. The capture's
     /// `tier_floor` is overwritten with the floor in force at the breach.
     pub fn advance(&mut self, now: u64, state: impl FnOnce() -> SystemState) {
-        if self.current.end() > now {
+        if self.open_end() > now {
             return;
         }
         let mut capture = state();
-        while self.current.end() <= now {
+        while self.open_end() <= now {
             self.close_window(&mut capture);
         }
     }
 
+    /// One past the last cycle of the open window.
+    fn open_end(&self) -> u64 {
+        window_span(self.index, self.cfg.window).1
+    }
+
+    /// The open window frozen as it stands.
+    fn freeze(&self, partial: bool) -> WindowStats {
+        let HealthMonitor { index, tally, bounds, over_limit, .. } = self;
+        WindowStats::freeze(*index, self.cfg.window, tally, bounds, over_limit, partial)
+    }
+
     fn close_window(&mut self, capture: &mut SystemState) {
-        let stats = self.current.freeze(false);
-        self.current =
-            WindowAccum::new(self.current.index() + 1, self.cfg.window, self.states.len());
+        let stats = self.freeze(false);
+        self.index += 1;
+        self.tally = Tally::new(&self.bounds);
+        self.over_limit.fill(0);
         self.recorder.push_window(stats.clone());
         let mut floor_move: Option<(usize, String)> = None;
         for state in &mut self.states {
@@ -338,21 +341,14 @@ impl HealthMonitor {
     /// completions, also charges every latency objective whose limit
     /// the request exceeded.
     pub fn sample(&mut self, sample: Sample) {
-        match sample {
-            Sample::Completed { latency, degraded } => {
-                self.current.note_completed(latency, degraded);
-                for (slot, state) in self.states.iter().enumerate() {
-                    if let crate::slo::ObjectiveKind::P99AtMost { cycles } = state.objective().kind
-                    {
-                        if latency > cycles {
-                            self.current.note_over_limit(slot);
-                        }
-                    }
+        self.tally.add(sample, &self.bounds);
+        let Sample::Completed { latency, .. } = sample else { return };
+        for (slot, state) in self.states.iter().enumerate() {
+            if let crate::slo::ObjectiveKind::P99AtMost { cycles } = state.objective().kind {
+                if latency > cycles {
+                    self.over_limit[slot] += 1;
                 }
             }
-            Sample::Shed => self.current.note_shed(),
-            Sample::TimedOut => self.current.note_timed_out(),
-            Sample::Error => self.current.note_error(),
         }
     }
 
@@ -400,8 +396,8 @@ impl HealthMonitor {
     /// window (reported, never SLO-evaluated), and produces the report.
     pub fn finish(mut self, horizon: u64, state: impl FnOnce() -> SystemState) -> HealthReport {
         self.advance(horizon, state);
-        if !self.current.is_empty() {
-            let partial = self.current.freeze(true);
+        if self.tally.finalized > 0 {
+            let partial = self.freeze(true);
             self.series.push(partial);
         }
         self.time_in_tier[self.floor] += horizon.saturating_sub(self.floor_since);
@@ -546,11 +542,7 @@ impl HealthReport {
 
     /// Order-sensitive hash of [`HealthReport::fingerprint`].
     pub fn digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for w in self.fingerprint() {
-            h = fnv1a_extend(h, &w.to_le_bytes());
-        }
-        h
+        fnv1a_words(&self.fingerprint())
     }
 }
 
@@ -720,6 +712,110 @@ mod tests {
             m.sample(Sample::Completed { latency: 10 + w, degraded: w % 2 == 0 });
         }
         assert_ne!(a.digest(), m.finish(600, SystemState::idle).digest());
+    }
+
+    #[test]
+    fn a_window_latency_sum_saturates() {
+        let mut m = monitor(Vec::new());
+        m.advance(0, SystemState::idle);
+        for _ in 0..3 {
+            m.sample(Sample::Completed { latency: u64::MAX / 2, degraded: false });
+        }
+        let w = &m.finish(50, SystemState::idle).series[0];
+        assert_eq!((w.completed, w.latency_sum), (3, u64::MAX), "the sum saturates");
+        assert_eq!((w.max_latency, w.p99), (u64::MAX / 2, u64::MAX / 2));
+    }
+
+    #[test]
+    fn health_and_obs_windows_agree_on_one_stream() {
+        use sc_telemetry::obs::OUTCOME_COMPLETED;
+        use sc_telemetry::{split_mix, CycleAttribution, EventRecord, ObsConfig, ObsLog};
+        // One seeded stream of all four outcomes, dense but with
+        // stretches of empty windows, fed to a monitor and to an obs log
+        // with the same window width and latency bounds.
+        let mut m = monitor(Vec::new());
+        let cfg = ObsConfig { bounds: m.bounds.clone(), ..ObsConfig::new(m.cfg.window, 7) };
+        let mut log = ObsLog::new("unit", cfg);
+        let scenario = log.scenario("stream", "", 1);
+        let mut now = 0u64;
+        for id in 0..4000u64 {
+            let draw = split_mix(0x5EED ^ id);
+            now += if draw.is_multiple_of(97) { 1000 } else { draw % 23 };
+            m.advance(now, SystemState::idle);
+            let latency = (draw >> 8) % (1 << ((draw >> 40) % 16));
+            let (outcome, tier, sample) = match (draw >> 4) % 8 {
+                0 => ("shed", None, Sample::Shed),
+                1 => ("timed-out", None, Sample::TimedOut),
+                2 => ("failed", None, Sample::Error),
+                3 => ("breaker-open", None, Sample::Error),
+                t => {
+                    let degraded = t % 2 == 1;
+                    (OUTCOME_COMPLETED, Some(t % 2), Sample::Completed { latency, degraded })
+                }
+            };
+            m.sample(sample);
+            log.record(
+                scenario,
+                &EventRecord {
+                    id,
+                    trace: draw,
+                    replica: None,
+                    tier,
+                    outcome: outcome.to_string(),
+                    attempts: 1,
+                    hedged: false,
+                    hedge_won: false,
+                    arrival: now.saturating_sub(latency),
+                    finished_at: now,
+                    latency,
+                    deadline_slack: 0,
+                    attribution: CycleAttribution::new(),
+                },
+            );
+        }
+        let report = m.finish(now, SystemState::idle);
+        let fields = [
+            "count",
+            "completed",
+            "degraded",
+            "shed",
+            "timed_out",
+            "errors",
+            "latency_sum",
+            "max",
+            "p50",
+            "p99",
+        ];
+        let mut totals = [0u64; 10];
+        for line in log.render_jsonl().lines() {
+            let j = Json::parse(line).expect("obs lines are JSON");
+            if j.get("kind").and_then(Json::as_str) != Some("window") {
+                continue;
+            }
+            let index = j.get("index").and_then(Json::as_u64).expect("a window index");
+            let obs = fields.map(|f| j.get(f).and_then(Json::as_u64).expect(f));
+            let w = &report.series[index as usize];
+            let health = [
+                w.finalized,
+                w.completed,
+                w.degraded,
+                w.shed,
+                w.timed_out,
+                w.errors,
+                w.latency_sum,
+                w.max_latency,
+                w.p50,
+                w.p99,
+            ];
+            assert_eq!((w.index, obs), (index, health), "window {index}");
+            totals[0] += 1;
+            for (t, v) in totals[1..6].iter_mut().zip(&health[1..6]) {
+                *t += v;
+            }
+        }
+        assert!(totals[0] > 100, "only {} obs windows", totals[0]);
+        assert!(totals[1..6].iter().all(|&t| t > 0), "every outcome occurs: {totals:?}");
+        assert!(report.series.len() as u64 > totals[0], "the stream leaves some windows empty");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 
 use sc_telemetry::json::Json;
-use sc_telemetry::{fnv1a, fnv1a_extend, FNV_OFFSET};
+use sc_telemetry::{fnv1a, fnv1a_words};
 
 use crate::slo::Signal;
 use crate::window::WindowStats;
@@ -202,11 +202,7 @@ impl IncidentSnapshot {
 
     /// Order-sensitive hash of [`IncidentSnapshot::fingerprint`].
     pub fn digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for w in self.fingerprint() {
-            h = fnv1a_extend(h, &w.to_le_bytes());
-        }
-        h
+        fnv1a_words(&self.fingerprint())
     }
 
     /// The request ids of the `k` worst-latency spans in the snapshot

@@ -24,7 +24,7 @@
 
 use std::collections::VecDeque;
 
-use sc_telemetry::{fnv1a, fnv1a_extend, FNV_OFFSET};
+use sc_telemetry::fnv1a;
 
 use crate::window::WindowStats;
 
@@ -461,15 +461,6 @@ impl ObjectiveState {
             self.worst_fast_burn.to_bits(),
         ]
     }
-}
-
-/// Order-sensitive digest of a slice of fingerprints (test helper).
-pub fn digest(words: &[u64]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for w in words {
-        h = fnv1a_extend(h, &w.to_le_bytes());
-    }
-    h
 }
 
 #[cfg(test)]

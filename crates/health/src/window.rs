@@ -1,19 +1,20 @@
-//! Tumbling-window accumulation on the virtual cycle clock.
+//! Tumbling-window statistics on the virtual cycle clock.
 //!
 //! Window `k` covers virtual cycles `[k·W, (k+1)·W)` for a fixed width
-//! `W`, so boundaries are pure functions of cycle time: any two runs
-//! that process the same event stream produce the same window series,
-//! bit for bit, regardless of `SC_THREADS`. The monitor closes every
-//! window whose end is `≤ now` *before* recording events at `now`, so
-//! an event on a boundary always lands in the window that starts there.
+//! `W` ([`window_span`]), so boundaries are pure functions of cycle
+//! time: any two runs that process the same event stream produce the
+//! same window series, bit for bit, regardless of `SC_THREADS`. The
+//! monitor closes every window whose end is `≤ now` *before* recording
+//! events at `now`, so an event on a boundary always lands in the window
+//! that starts there.
 //!
-//! Latency inside a window goes into a private log2-bucket histogram
-//! (fresh per window — quantiles are *windowed*, not cumulative), and
-//! the frozen [`WindowStats`] carries nearest-rank p50/p90/p99 derived
-//! from it via [`HistogramSnapshot::quantile`].
+//! The open window is a [`Tally`] (fresh per window — quantiles are
+//! *windowed*, not cumulative), the same aggregate the obs log keeps per
+//! window, and the frozen [`WindowStats`] carries its nearest-rank
+//! p50/p90/p99 via [`Tally::quantile`].
 
-use sc_telemetry::metrics::{log2_bounds, HistogramSnapshot};
-use sc_telemetry::{fnv1a_extend, FNV_OFFSET};
+use sc_telemetry::fnv1a_words;
+use sc_telemetry::metrics::{window_span, Tally};
 
 /// One closed (or final-partial) window's outcome counts and latency
 /// quantiles.
@@ -116,129 +117,37 @@ impl WindowStats {
 
     /// Order-sensitive hash of [`WindowStats::fingerprint`].
     pub fn digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for w in self.fingerprint() {
-            h = fnv1a_extend(h, &w.to_le_bytes());
-        }
-        h
-    }
-}
-
-/// The open window the monitor is currently accumulating into.
-#[derive(Debug)]
-pub(crate) struct WindowAccum {
-    index: u64,
-    width: u64,
-    finalized: u64,
-    completed: u64,
-    degraded: u64,
-    shed: u64,
-    timed_out: u64,
-    errors: u64,
-    over_limit: Vec<u64>,
-    bounds: Vec<u64>,
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl WindowAccum {
-    /// Opens window `index` of width `width` with `slots` per-objective
-    /// over-limit counters.
-    pub(crate) fn new(index: u64, width: u64, slots: usize) -> WindowAccum {
-        let bounds = log2_bounds(32);
-        let buckets = vec![0u64; bounds.len() + 1];
-        WindowAccum {
-            index,
-            width,
-            finalized: 0,
-            completed: 0,
-            degraded: 0,
-            shed: 0,
-            timed_out: 0,
-            errors: 0,
-            over_limit: vec![0; slots],
-            bounds,
-            buckets,
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
+        fnv1a_words(&self.fingerprint())
     }
 
-    /// One past the last cycle this window covers.
-    pub(crate) fn end(&self) -> u64 {
-        (self.index + 1).saturating_mul(self.width)
-    }
-
-    pub(crate) fn index(&self) -> u64 {
-        self.index
-    }
-
-    pub(crate) fn note_completed(&mut self, latency: u64, degraded: bool) {
-        self.finalized += 1;
-        self.completed += 1;
-        if degraded {
-            self.degraded += 1;
-        }
-        let idx = self.bounds.partition_point(|&b| b < latency);
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += latency;
-        self.max = self.max.max(latency);
-    }
-
-    pub(crate) fn note_shed(&mut self) {
-        self.finalized += 1;
-        self.shed += 1;
-    }
-
-    pub(crate) fn note_timed_out(&mut self) {
-        self.finalized += 1;
-        self.timed_out += 1;
-    }
-
-    pub(crate) fn note_error(&mut self) {
-        self.finalized += 1;
-        self.errors += 1;
-    }
-
-    pub(crate) fn note_over_limit(&mut self, slot: usize) {
-        self.over_limit[slot] += 1;
-    }
-
-    /// Whether anything was recorded.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.finalized == 0
-    }
-
-    /// Freezes into a [`WindowStats`], deriving windowed quantiles.
-    pub(crate) fn freeze(&self, partial: bool) -> WindowStats {
-        let snap = HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            buckets: self.buckets.clone(),
-            count: self.count,
-            sum: self.sum,
-            max: self.max,
-        };
+    /// Freezes window `index` of `width` cycles from its tally and its
+    /// per-objective over-limit counts, deriving the windowed quantiles.
+    pub(crate) fn freeze(
+        index: u64,
+        width: u64,
+        tally: &Tally,
+        bounds: &[u64],
+        over_limit: &[u64],
+        partial: bool,
+    ) -> WindowStats {
+        let (start, end) = window_span(index, width);
         WindowStats {
-            index: self.index,
-            start: self.index.saturating_mul(self.width),
-            end: self.end(),
+            index,
+            start,
+            end,
             partial,
-            finalized: self.finalized,
-            completed: self.completed,
-            degraded: self.degraded,
-            shed: self.shed,
-            timed_out: self.timed_out,
-            errors: self.errors,
-            over_limit: self.over_limit.clone(),
-            p50: snap.p50(),
-            p90: snap.p90(),
-            p99: snap.p99(),
-            max_latency: self.max,
-            latency_sum: self.sum,
+            finalized: tally.finalized,
+            completed: tally.completed,
+            degraded: tally.degraded,
+            shed: tally.shed,
+            timed_out: tally.timed_out,
+            errors: tally.errors,
+            over_limit: over_limit.to_vec(),
+            p50: tally.quantile(bounds, 0.50),
+            p90: tally.quantile(bounds, 0.90),
+            p99: tally.quantile(bounds, 0.99),
+            max_latency: tally.max,
+            latency_sum: tally.latency_sum,
         }
     }
 }
@@ -246,11 +155,12 @@ impl WindowAccum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sc_telemetry::metrics::{log2_bounds, Sample};
 
     #[test]
     fn boundaries_are_pure_functions_of_the_index() {
-        let w = WindowAccum::new(3, 1000, 2);
-        let s = w.freeze(false);
+        let bounds = log2_bounds(32);
+        let s = WindowStats::freeze(3, 1000, &Tally::new(&bounds), &bounds, &[0, 0], false);
         assert_eq!((s.start, s.end), (3000, 4000));
         assert!(!s.partial);
         assert_eq!(s.over_limit, vec![0, 0]);
@@ -258,13 +168,14 @@ mod tests {
 
     #[test]
     fn windowed_quantiles_reflect_only_this_window() {
-        let mut w = WindowAccum::new(0, 100, 0);
-        for lat in [10, 10, 12, 900] {
-            w.note_completed(lat, false);
+        let bounds = log2_bounds(32);
+        let mut t = Tally::new(&bounds);
+        for latency in [10, 10, 12, 900] {
+            t.add(Sample::Completed { latency, degraded: false }, &bounds);
         }
-        w.note_shed();
-        w.note_error();
-        let s = w.freeze(false);
+        t.add(Sample::Shed, &bounds);
+        t.add(Sample::Error, &bounds);
+        let s = WindowStats::freeze(0, 100, &t, &bounds, &[], false);
         assert_eq!(s.finalized, 6);
         assert_eq!(s.completed, 4);
         assert_eq!((s.shed, s.errors), (1, 1));
@@ -278,9 +189,8 @@ mod tests {
 
     #[test]
     fn empty_window_freezes_to_zeros() {
-        let w = WindowAccum::new(5, 64, 1);
-        assert!(w.is_empty());
-        let s = w.freeze(true);
+        let bounds = log2_bounds(32);
+        let s = WindowStats::freeze(5, 64, &Tally::new(&bounds), &bounds, &[0], true);
         assert!(s.partial);
         assert_eq!((s.finalized, s.p50, s.p99, s.max_latency), (0, 0, 0, 0));
         assert_eq!(s.rate(0), 0.0);
@@ -288,9 +198,10 @@ mod tests {
 
     #[test]
     fn fingerprint_changes_with_any_field() {
-        let mut w = WindowAccum::new(0, 10, 1);
-        w.note_completed(3, true);
-        let a = w.freeze(false);
+        let bounds = log2_bounds(32);
+        let mut t = Tally::new(&bounds);
+        t.add(Sample::Completed { latency: 3, degraded: true }, &bounds);
+        let a = WindowStats::freeze(0, 10, &t, &bounds, &[0], false);
         let mut b = a.clone();
         b.over_limit[0] = 1;
         assert_ne!(a.fingerprint(), b.fingerprint());

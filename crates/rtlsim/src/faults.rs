@@ -22,7 +22,7 @@
 //! whether it is defective, so `stuck0@0.03` models a 3 % lane-yield
 //! loss.
 //!
-//! Every instance carries its own draw key ([`MacFaults::set_key`],
+//! Every instance carries its own draw key (`MacFaults::set_key`,
 //! exposed as `set_fault_key` on the RTL structs) plus a monotone local
 //! cycle index, so fault patterns are a pure function of
 //! `(plan, key, cycle)` — never of threads or wall clock.

@@ -175,7 +175,7 @@ impl BiscMvmRtl {
     /// (every cycle steps the counter by ±1, so a band that fits inside
     /// the counter range rules out mid-run saturation; lanes whose band
     /// does not fit re-run the per-cycle walk individually). At
-    /// [`PAR_LANE_THRESHOLD`] lanes and above — on a pool with more than
+    /// `PAR_LANE_THRESHOLD` (256) lanes and above — on a pool with more than
     /// one worker — lanes are mapped on the `sc-par` pool and merged in
     /// lane order; otherwise they are updated in place (identical math
     /// either way, so results stay thread-invariant). Armed fault plans always

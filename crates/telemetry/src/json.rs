@@ -440,9 +440,13 @@ impl<'a> Parser<'a> {
                 return Ok(Json::UInt(u));
             }
         }
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number '{text}' at byte {start}"))
+        match text.parse::<f64>() {
+            // A literal past f64's range parses to ±inf, which renders
+            // as `null`: reject it so render→parse stays the identity.
+            Ok(f) if f.is_finite() => Ok(Json::Num(f)),
+            Ok(_) => Err(format!("number '{text}' out of range at byte {start}")),
+            Err(_) => Err(format!("bad number '{text}' at byte {start}")),
+        }
     }
 }
 
@@ -500,6 +504,17 @@ mod tests {
         assert!(Json::parse(&deep(MAX_DEPTH + 1)).is_err());
         assert!(Json::parse(&"[".repeat(5000)).is_err());
         assert!(Json::parse(&"{\"a\":".repeat(5000)).is_err());
+    }
+
+    #[test]
+    fn rejects_a_number_past_the_f64_range() {
+        for (text, at) in [("1e999", 0), ("[0, -1e999]", 4), ("{\"a\":2E+400}", 5)] {
+            let e = Json::parse(text).unwrap_err();
+            assert!(e.contains("out of range") && e.ends_with(&format!("at byte {at}")), "{e}");
+        }
+        // The largest finite literals and an underflow to zero still parse.
+        assert_eq!(Json::parse("1.7976931348623157e308").unwrap(), Json::Num(f64::MAX));
+        assert_eq!(Json::parse("1e-999").unwrap(), Json::Num(0.0));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! cycle counts, MAC-array energy, per-layer latency, CNN accuracy. This
 //! crate is the substrate every measurement flows through:
 //!
-//! * [`span`] — lightweight structured tracing: [`span!`] opens a nested,
+//! * [`span`](mod@span) — lightweight structured tracing: [`span!`] opens a nested,
 //!   wall-clock-timed span; [`event!`] marks a point in time. A global
 //!   [`span::Subscriber`] renders to stderr ([`span::StderrSubscriber`]),
 //!   collects silently ([`span::CollectingSubscriber`]), or — the default
@@ -13,7 +13,9 @@
 //!   [`metrics::Gauge`]s, and fixed-bucket [`metrics::Histogram`]s. Handles
 //!   are cheap `Arc`s; recording is a relaxed atomic when enabled and a
 //!   single flag check when disabled, so instrumented hot loops (the tile
-//!   engine, the RTL cycle loop) pay ~nothing in normal runs.
+//!   engine, the RTL cycle loop) pay ~nothing in normal runs. Its
+//!   [`metrics::Tally`] is the one windowed aggregate sc-health and
+//!   [`obs`] share.
 //! * [`export`] — dependency-free CSV and JSON serialization for metric
 //!   snapshots and arbitrary tables (the `sc-bench` CSV writer is a thin
 //!   wrapper over this).
@@ -22,7 +24,7 @@
 //! * [`manifest`] — [`manifest::RunManifest`]: the reproducibility record
 //!   (config, precision, arithmetic, seed, git describe, timestamp,
 //!   tier-1 status) written next to every bench artifact.
-//! * [`bench`] — [`bench::bench_run`]: the shared harness all
+//! * [`bench`](mod@bench) — [`bench::bench_run`]: the shared harness all
 //!   `sc-bench` binaries route through (preamble, `--quick`/`--csv`
 //!   parsing, tracing/metrics setup from `SC_TRACE`, manifest emission).
 //! * [`obs`] — the deterministic observability plane: bounded
@@ -65,8 +67,9 @@ pub use obs::{
     ScenarioSummary, OBS_SCHEMA_VERSION,
 };
 pub use trace::{
-    fnv1a, fnv1a_extend, record_attribution, split_mix, BackendProfile, CycleAttribution,
-    CycleCategory, CycleSpan, LayerProfile, SpanId, SpanTree, TileProfile, TraceId, FNV_OFFSET,
+    fnv1a, fnv1a_extend, fnv1a_words, record_attribution, split_mix, BackendProfile,
+    CycleAttribution, CycleCategory, CycleSpan, LayerProfile, SpanId, SpanTree, TileProfile,
+    TraceId, FNV_OFFSET,
 };
 
 /// Serializes tests that flip the process-global subscriber/metrics

@@ -1,5 +1,8 @@
 //! A process-global metrics registry: named counters, gauges, and
-//! fixed-bucket histograms.
+//! fixed-bucket histograms — plus [`Tally`], the one windowed aggregate
+//! that sc-health's windows and the [`crate::obs`] log's aggregates
+//! share, and [`window_span`], the bounds of their windows. Histograms
+//! and tallies share one bucket lookup and one nearest-rank walk.
 //!
 //! Handles are `Arc`-backed and cheap to clone; instrumentation sites
 //! cache them in `OnceLock` statics so the name lookup happens once.
@@ -106,8 +109,7 @@ impl Histogram {
         if !enabled() {
             return;
         }
-        let idx = self.bounds.partition_point(|&b| b < v);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_of(&self.bounds, v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
@@ -116,41 +118,6 @@ impl Histogram {
     /// The configured bucket upper bounds.
     pub fn bounds(&self) -> &[u64] {
         &self.bounds
-    }
-
-    /// Nearest-rank quantile of only the values recorded **since**
-    /// `prev` was snapshotted from this same histogram — the windowed
-    /// quantile path. One pass over the live buckets, subtracting the
-    /// baseline as it goes: no intermediate snapshot allocation and no
-    /// re-scan of the full recorded history per tick.
-    ///
-    /// Returns 0 for an empty window (`prev` equals the current state).
-    /// The estimate is the matching bucket's upper bound clamped to the
-    /// *overall* recorded maximum (the per-window maximum is not
-    /// tracked), so it shares [`HistogramSnapshot::quantile`]'s 2×
-    /// bound under log2 bucketing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prev` was taken from a histogram with different
-    /// bucket bounds.
-    pub fn quantile_at_window(&self, prev: &HistogramSnapshot, q: f64) -> u64 {
-        assert_eq!(prev.bounds, self.bounds, "window baseline is from a different histogram");
-        let count = self.count.load(Ordering::Relaxed).wrapping_sub(prev.count);
-        if count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-        let max = self.max.load(Ordering::Relaxed);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed).wrapping_sub(prev.buckets[i]);
-            if seen >= rank {
-                let bound = self.bounds.get(i).copied().unwrap_or(u64::MAX);
-                return bound.min(max);
-            }
-        }
-        max
     }
 
     /// A point-in-time copy of the bucket counts (one extra overflow
@@ -171,6 +138,137 @@ impl Histogram {
 /// error across six decades.
 pub fn log2_bounds(max_exp: u32) -> Vec<u64> {
     (0..=max_exp.min(63)).map(|e| 1u64 << e).collect()
+}
+
+/// The bucket `v` lands in under `bounds`: the first whose bound is
+/// `≥ v`, or the overflow bucket `bounds.len()` past the last bound.
+pub(crate) fn bucket_of(bounds: &[u64], v: u64) -> usize {
+    bounds.partition_point(|&b| b < v)
+}
+
+/// The nearest-rank walk: the index of the bucket holding rank
+/// `⌈q·count⌉` (at least 1) of the `count` values counted in `buckets`,
+/// or `None` when `count` is 0. A rank past every counted value lands in
+/// the last (overflow) bucket.
+pub(crate) fn rank_bucket(buckets: &[u64], count: u64, q: f64) -> Option<usize> {
+    if count == 0 {
+        return None;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
+    let mut seen = 0u64;
+    let hit = buckets.iter().position(|&c| {
+        seen = seen.saturating_add(c);
+        seen >= rank
+    });
+    Some(hit.unwrap_or(buckets.len().saturating_sub(1)))
+}
+
+/// The nearest-rank quantile estimate of `count` values bucketed under
+/// `bounds`: the upper bound of the bucket holding the rank, clamped to
+/// `max`. 0 when `count` is 0.
+fn bucket_quantile(bounds: &[u64], buckets: &[u64], count: u64, max: u64, q: f64) -> u64 {
+    rank_bucket(buckets, count, q)
+        .map_or(0, |i| bounds.get(i).copied().unwrap_or(u64::MAX).min(max))
+}
+
+/// Window `index` of a tumbling series `width` ticks wide, as its first
+/// tick and one past its last: `[index·width, (index+1)·width)`. Both
+/// ends saturate at `u64::MAX`, so the last window of the clock ends
+/// there instead of wrapping.
+pub fn window_span(index: u64, width: u64) -> (u64, u64) {
+    (index.saturating_mul(width), index.saturating_add(1).saturating_mul(width))
+}
+
+/// One finalized request, as a windowed aggregate classifies it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sample {
+    /// Served successfully; `degraded` when tier ≥ 1.
+    Completed {
+        /// Sojourn time in virtual cycles.
+        latency: u64,
+        /// Whether it was served at a degraded tier.
+        degraded: bool,
+    },
+    /// Dropped at admission.
+    Shed,
+    /// Deadline expired.
+    TimedOut,
+    /// Backend-path failure (retries exhausted or breaker fail-fast).
+    Error,
+}
+
+/// The one windowed aggregate: what one window (or one group, or a
+/// whole stream) of [`Sample`]s adds up to. It counts every outcome,
+/// buckets completed latencies, and keeps their saturating sum and exact
+/// maximum, so its quantiles clamp to the aggregate's own maximum. The
+/// bucket bounds are passed to each call rather than stored, so the
+/// many tallies of one log or monitor share one bounds vector.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Tally {
+    /// Samples of any outcome.
+    pub finalized: u64,
+    /// Completions (any tier).
+    pub completed: u64,
+    /// Completions at a degraded tier.
+    pub degraded: u64,
+    /// Requests shed at admission.
+    pub shed: u64,
+    /// Requests whose deadline expired.
+    pub timed_out: u64,
+    /// Backend-caused failures.
+    pub errors: u64,
+    /// Completed-latency counts per bucket; the last is the overflow
+    /// bucket.
+    pub buckets: Vec<u64>,
+    /// Sum of completed latencies, saturating at `u64::MAX`.
+    pub latency_sum: u64,
+    /// Largest completed latency (0 when nothing completed).
+    pub max: u64,
+}
+
+impl Tally {
+    /// An empty tally over `bounds` (plus the overflow bucket).
+    pub fn new(bounds: &[u64]) -> Tally {
+        Tally {
+            finalized: 0,
+            completed: 0,
+            degraded: 0,
+            shed: 0,
+            timed_out: 0,
+            errors: 0,
+            buckets: vec![0; bounds.len() + 1],
+            latency_sum: 0,
+            max: 0,
+        }
+    }
+
+    /// Counts one sample; for a completion, returns the bucket its
+    /// latency landed in.
+    pub fn add(&mut self, sample: Sample, bounds: &[u64]) -> Option<usize> {
+        self.finalized += 1;
+        match sample {
+            Sample::Completed { latency, degraded } => {
+                self.completed += 1;
+                self.degraded += degraded as u64;
+                let b = bucket_of(bounds, latency);
+                self.buckets[b] += 1;
+                self.latency_sum = self.latency_sum.saturating_add(latency);
+                self.max = self.max.max(latency);
+                return Some(b);
+            }
+            Sample::Shed => self.shed += 1,
+            Sample::TimedOut => self.timed_out += 1,
+            Sample::Error => self.errors += 1,
+        }
+        None
+    }
+
+    /// Nearest-rank quantile of the completed latencies (see
+    /// [`HistogramSnapshot::quantile`]), clamped to this tally's exact
+    /// maximum.
+    pub fn quantile(&self, bounds: &[u64], q: f64) -> u64 {
+        bucket_quantile(bounds, &self.buckets, self.completed, self.max, q)
+    }
 }
 
 /// Frozen histogram state.
@@ -206,46 +304,32 @@ impl HistogramSnapshot {
     /// arbitrary bound). 0 when empty. With log2 bounds the estimate is
     /// within 2× of the true quantile by construction.
     pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                let bound = self.bounds.get(i).copied().unwrap_or(u64::MAX);
-                return bound.min(self.max);
-            }
-        }
-        self.max
+        bucket_quantile(&self.bounds, &self.buckets, self.count, self.max, q)
     }
 
-    /// Nearest-rank quantile of only the values recorded between `prev`
-    /// and this snapshot (both taken from the same histogram). The
-    /// frozen-state counterpart of [`Histogram::quantile_at_window`],
-    /// for code that already holds two snapshots. Returns 0 on an empty
-    /// window.
+    /// The values recorded between `prev` and this snapshot (both taken
+    /// from the same histogram): bucket, count and sum deltas. A
+    /// histogram keeps no per-window maximum, so `max` stays this
+    /// snapshot's overall maximum and a quantile of the delta clamps to
+    /// it. An empty window has quantile 0.
     ///
     /// # Panics
     ///
     /// Panics if the bounds differ.
-    pub fn quantile_since(&self, prev: &HistogramSnapshot, q: f64) -> u64 {
+    pub fn since(&self, prev: &HistogramSnapshot) -> HistogramSnapshot {
         assert_eq!(prev.bounds, self.bounds, "window baseline is from a different histogram");
-        let count = self.count.wrapping_sub(prev.count);
-        if count == 0 {
-            return 0;
+        HistogramSnapshot {
+            bounds: self.bounds.clone(),
+            buckets: self
+                .buckets
+                .iter()
+                .zip(&prev.buckets)
+                .map(|(c, p)| c.wrapping_sub(*p))
+                .collect(),
+            count: self.count.wrapping_sub(prev.count),
+            sum: self.sum.wrapping_sub(prev.sum),
+            max: self.max,
         }
-        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c.wrapping_sub(prev.buckets[i]);
-            if seen >= rank {
-                let bound = self.bounds.get(i).copied().unwrap_or(u64::MAX);
-                return bound.min(self.max);
-            }
-        }
-        self.max
     }
 
     /// Median estimate (see [`HistogramSnapshot::quantile`]).
@@ -452,18 +536,17 @@ mod tests {
         }
         let baseline = h.snapshot();
         // Empty window: nothing recorded since the baseline.
-        assert_eq!(h.quantile_at_window(&baseline, 0.99), 0);
-        assert_eq!(h.snapshot().quantile_since(&baseline, 0.99), 0);
+        assert_eq!(h.snapshot().since(&baseline).p99(), 0);
         // The window sees only the three new values, not the hundred
         // before the baseline.
         for v in [3, 3, 4] {
             h.record(v);
         }
-        assert_eq!(h.quantile_at_window(&baseline, 0.50), 4);
-        assert_eq!(h.quantile_at_window(&baseline, 0.99), 4);
         let now = h.snapshot();
-        assert_eq!(now.quantile_since(&baseline, 0.50), 4);
-        assert_eq!(now.quantile_since(&baseline, 0.99), 4);
+        let window = now.since(&baseline);
+        assert_eq!((window.count, window.sum), (3, 10));
+        assert_eq!(window.p50(), 4);
+        assert_eq!(window.p99(), 4);
         // The full-history quantile still reflects everything.
         assert_eq!(now.p99(), 100);
         set_enabled(false);
@@ -476,17 +559,16 @@ mod tests {
         // One bound, so two buckets: [0, 8] and overflow.
         let h = histogram("test.hist.window.single", &[8]);
         let empty = h.snapshot();
-        assert_eq!(h.quantile_at_window(&empty, 0.5), 0, "empty window on empty histogram");
+        assert_eq!(h.snapshot().since(&empty).p50(), 0, "empty window on empty histogram");
         h.record(5);
         // Single in-bounds value: every quantile is the bucket bound
         // clamped to the recorded max.
-        assert_eq!(h.quantile_at_window(&empty, 0.01), 5);
-        assert_eq!(h.quantile_at_window(&empty, 1.0), 5);
+        assert_eq!(h.snapshot().since(&empty).quantile(0.01), 5);
+        assert_eq!(h.snapshot().since(&empty).quantile(1.0), 5);
         let after_first = h.snapshot();
         // Next window holds a single overflow value and reports the max.
         h.record(1_000);
-        assert_eq!(h.quantile_at_window(&after_first, 0.5), 1_000);
-        assert_eq!(h.snapshot().quantile_since(&after_first, 0.5), 1_000);
+        assert_eq!(h.snapshot().since(&after_first).p50(), 1_000);
         set_enabled(false);
     }
 
@@ -502,9 +584,9 @@ mod tests {
         for v in [9, 11, 13, 16] {
             h.record(v);
         }
+        let window = h.snapshot().since(&baseline);
         for q in [0.01, 0.25, 0.50, 0.99, 1.0] {
-            assert_eq!(h.quantile_at_window(&baseline, q), 16, "q={q}");
-            assert_eq!(h.snapshot().quantile_since(&baseline, q), 16, "q={q}");
+            assert_eq!(window.quantile(q), 16, "q={q}");
         }
         set_enabled(false);
     }
@@ -519,25 +601,25 @@ mod tests {
         // now equals this value.
         let w0 = h.snapshot();
         h.record(5);
-        assert_eq!(h.quantile_at_window(&w0, 1.0), 5);
+        assert_eq!(h.snapshot().since(&w0).quantile(1.0), 5);
         let w1 = h.snapshot();
         // Second window raises the overall max into the overflow range;
         // the windowed quantile reports it exactly.
         h.record(2_000);
-        assert_eq!(h.quantile_at_window(&w1, 0.5), 2_000);
+        assert_eq!(h.snapshot().since(&w1).p50(), 2_000);
         let w2 = h.snapshot();
         // Third window: only small values, but the quantile's bucket
         // bound (8 for value 6) is below the stale overall max, so the
         // clamp is inert and the answer stays window-accurate.
         h.record(6);
-        assert_eq!(h.quantile_at_window(&w2, 1.0), 8);
+        assert_eq!(h.snapshot().since(&w2).quantile(1.0), 8);
         // A fourth window whose values share the overflow bucket with
         // the stale max reports the *overall* max, not the window max —
         // the documented approximation of not tracking per-window
         // maxima.
         let w3 = h.snapshot();
         h.record(1_500);
-        assert_eq!(h.quantile_at_window(&w3, 1.0), 2_000);
+        assert_eq!(h.snapshot().since(&w3).quantile(1.0), 2_000);
         set_enabled(false);
     }
 
@@ -547,7 +629,40 @@ mod tests {
         let _g = crate::test_guard();
         let h = histogram("test.hist.window.foreign.a", &[1, 2]);
         let other = histogram("test.hist.window.foreign.b", &[1, 2, 4]).snapshot();
-        let _ = h.quantile_at_window(&other, 0.5);
+        let _ = h.snapshot().since(&other);
+    }
+
+    #[test]
+    fn tally_counts_every_outcome_and_saturates_its_latency_sum() {
+        let bounds = log2_bounds(10);
+        let mut t = Tally::new(&bounds);
+        for s in [
+            Sample::Completed { latency: 10, degraded: false },
+            Sample::Completed { latency: 12, degraded: true },
+            Sample::Completed { latency: 900, degraded: false },
+            Sample::Shed,
+            Sample::TimedOut,
+            Sample::Error,
+        ] {
+            t.add(s, &bounds);
+        }
+        assert_eq!((t.finalized, t.completed, t.degraded), (6, 3, 1));
+        assert_eq!((t.shed, t.timed_out, t.errors), (1, 1, 1));
+        assert_eq!((t.latency_sum, t.max), (922, 900));
+        // Nearest rank 2 of 3 lands in (8, 16]; the top rank clamps to
+        // the tally's own max, not the (512, 1024] bound.
+        assert_eq!((t.quantile(&bounds, 0.5), t.quantile(&bounds, 0.99)), (16, 900));
+        let big = Sample::Completed { latency: u64::MAX - 1, degraded: false };
+        assert_eq!(t.add(big, &bounds), Some(bounds.len()), "past the last bound: overflow");
+        assert_eq!(t.latency_sum, u64::MAX, "the sum saturates");
+        assert_eq!(Tally::new(&bounds).quantile(&bounds, 0.99), 0, "empty tally");
+    }
+
+    #[test]
+    fn window_spans_saturate_at_the_end_of_the_clock() {
+        assert_eq!(window_span(3, 1000), (3000, 4000));
+        assert_eq!(window_span(u64::MAX / 1000, 1000).1, u64::MAX);
+        assert_eq!(window_span(u64::MAX, 1), (u64::MAX, u64::MAX));
     }
 
     #[test]

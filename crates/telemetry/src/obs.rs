@@ -12,11 +12,13 @@
 //!   deadline slack, latency, and the full 14-category
 //!   [`CycleAttribution`].
 //! * [`ObsLog`] — the streaming accumulator. Each record updates
-//!   tumbling virtual-clock windows, per-dimension aggregates
-//!   (outcome / tier / replica), a deterministic reservoir sample, an
-//!   exact top-k-slowest set, per-latency-bucket **exemplars**, and a
-//!   folded-stack profile — then is dropped. Nothing in here scales
-//!   with the request count.
+//!   tumbling virtual-clock windows (keyed on `finished_at / window`),
+//!   per-dimension aggregates (outcome / tier / replica), a
+//!   deterministic reservoir sample, an exact top-k-slowest set,
+//!   per-latency-bucket **exemplars**, and a folded-stack profile —
+//!   then is dropped. Each window, group and scenario total counts its
+//!   records in a [`Tally`], the same aggregate sc-health's monitor
+//!   keeps per window. Nothing in here scales with the request count.
 //! * [`FoldedStacks`] — inferno/speedscope-compatible folded stacks
 //!   (`frame;frame;frame cycles`) accumulated from request span trees;
 //!   the input to differential cycle-flamegraph profiling.
@@ -46,7 +48,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::json::Json;
-use crate::metrics::log2_bounds;
+use crate::metrics::{log2_bounds, rank_bucket, window_span, Sample, Tally};
 use crate::trace::{fnv1a, split_mix, CycleAttribution, CycleCategory, SpanTree};
 
 /// Schema version stamped into the event-log header (and validated by
@@ -111,6 +113,20 @@ impl EventRecord {
     /// Whether the request completed (any tier).
     pub fn completed(&self) -> bool {
         self.outcome == OUTCOME_COMPLETED
+    }
+
+    /// The record as a windowed aggregate counts it: `shed` and
+    /// `timed-out` keep their names, and every outcome other than those
+    /// and a completion is an error.
+    pub(crate) fn sample(&self) -> Sample {
+        match self.outcome.as_str() {
+            OUTCOME_COMPLETED => {
+                Sample::Completed { latency: self.latency, degraded: self.tier.unwrap_or(0) > 0 }
+            }
+            "shed" => Sample::Shed,
+            "timed-out" => Sample::TimedOut,
+            _ => Sample::Error,
+        }
     }
 
     /// Flat form for bitwise-determinism fingerprints.
@@ -425,105 +441,54 @@ struct Exemplar {
 }
 
 /// A bounded aggregate over a slice of the record stream (one window,
-/// one group key, or a whole scenario): outcome counts, completed
-/// latency buckets with per-bucket exemplars, and merged attribution.
+/// one group key, or a whole scenario): the record stream's [`Tally`],
+/// one exemplar per latency bucket, merged attribution, and the
+/// deadline, hedge and retry counts a [`Sample`] does not carry.
 #[derive(Debug, Clone, PartialEq)]
 struct Agg {
     /// Draw key: distinguishes this aggregate's exemplar reservoirs
     /// from every other aggregate's.
     key: u64,
-    count: u64,
-    completed: u64,
-    degraded: u64,
-    shed: u64,
-    timed_out: u64,
-    errors: u64,
+    tally: Tally,
     missed_deadline: u64,
     hedged: u64,
     retries: u64,
-    /// Completed-latency counts per bucket (+1 overflow).
-    buckets: Vec<u64>,
-    latency_sum: u64,
-    max: u64,
     /// One reservoir-1 exemplar per bucket (completed records only).
     exemplars: Vec<Option<Exemplar>>,
     attr: CycleAttribution,
 }
 
 impl Agg {
-    fn new(key: u64, bounds: usize) -> Agg {
+    fn new(key: u64, bounds: &[u64]) -> Agg {
         Agg {
             key,
-            count: 0,
-            completed: 0,
-            degraded: 0,
-            shed: 0,
-            timed_out: 0,
-            errors: 0,
+            tally: Tally::new(bounds),
             missed_deadline: 0,
             hedged: 0,
             retries: 0,
-            buckets: vec![0; bounds + 1],
-            latency_sum: 0,
-            max: 0,
-            exemplars: vec![None; bounds + 1],
+            exemplars: vec![None; bounds.len() + 1],
             attr: CycleAttribution::new(),
         }
     }
 
     fn record(&mut self, rec: &EventRecord, bounds: &[u64], seed: u64) {
-        self.count += 1;
         self.attr.merge(&rec.attribution);
-        if rec.deadline_slack < 0 {
-            self.missed_deadline += 1;
-        }
+        self.missed_deadline += (rec.deadline_slack < 0) as u64;
         self.hedged += rec.hedged as u64;
         self.retries += rec.retries();
-        match rec.outcome.as_str() {
-            OUTCOME_COMPLETED => {
-                self.completed += 1;
-                if rec.tier.unwrap_or(0) > 0 {
-                    self.degraded += 1;
-                }
-                let idx = bounds.partition_point(|&b| b < rec.latency);
-                self.buckets[idx] += 1;
-                self.latency_sum += rec.latency;
-                self.max = self.max.max(rec.latency);
-                // Reservoir of size 1 per bucket: the n-th completed
-                // record in the bucket replaces the exemplar with
-                // probability 1/n, decided by a counter-keyed SplitMix64
-                // draw — deterministic, uniform over the bucket, O(1).
-                let n = self.buckets[idx];
-                let take =
-                    n == 1 || split_mix(seed ^ self.key ^ (idx as u64) << 32 ^ n).is_multiple_of(n);
-                if take {
-                    self.exemplars[idx] =
-                        Some(Exemplar { trace: rec.trace, id: rec.id, latency: rec.latency });
-                }
-            }
-            "shed" => self.shed += 1,
-            "timed-out" => self.timed_out += 1,
-            _ => self.errors += 1,
-        }
-    }
-
-    /// Nearest-rank quantile over the completed-latency buckets,
-    /// clamped to the tracked maximum (per-aggregate, so window and
-    /// group maxima are exact, unlike the registry histogram's
-    /// overall-max clamp).
-    fn quantile(&self, bounds: &[u64], q: f64) -> u64 {
-        if self.completed == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.completed as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bounds.get(i).copied().unwrap_or(u64::MAX).min(self.max);
+        if let Some(idx) = self.tally.add(rec.sample(), bounds) {
+            // Reservoir of size 1 per bucket: the n-th completed record
+            // in the bucket replaces the exemplar with probability 1/n,
+            // decided by a counter-keyed SplitMix64 draw — deterministic,
+            // uniform over the bucket, O(1).
+            let n = self.tally.buckets[idx];
+            let take =
+                n == 1 || split_mix(seed ^ self.key ^ (idx as u64) << 32 ^ n).is_multiple_of(n);
+            if take {
+                self.exemplars[idx] =
+                    Some(Exemplar { trace: rec.trace, id: rec.id, latency: rec.latency });
             }
         }
-        self.max
     }
 
     /// The exemplar witnessing quantile `q`: the one from the bucket
@@ -531,27 +496,16 @@ impl Agg {
     /// above, then below. `Some` whenever any request completed, so
     /// every reported p99 links to at least one concrete trace id.
     fn quantile_exemplar(&self, q: f64) -> Option<Exemplar> {
-        if self.completed == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.completed as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        let mut hit = self.buckets.len() - 1;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                hit = i;
-                break;
-            }
-        }
-        (hit..self.buckets.len()).chain((0..hit).rev()).find_map(|i| self.exemplars[i])
+        let hit = rank_bucket(&self.tally.buckets, self.tally.completed, q)?;
+        (hit..self.exemplars.len()).chain((0..hit).rev()).find_map(|i| self.exemplars[i])
     }
 
     fn goodput(&self) -> f64 {
-        if self.count == 0 {
+        let t = &self.tally;
+        if t.finalized == 0 {
             0.0
         } else {
-            self.completed as f64 / self.count as f64
+            t.completed as f64 / t.finalized as f64
         }
     }
 
@@ -567,21 +521,22 @@ impl Agg {
     /// The aggregate's common JSON fields (counts + latency stats +
     /// p50/p99 with the p99 exemplar).
     fn json_fields(&self, bounds: &[u64]) -> Vec<(&'static str, Json)> {
+        let t = &self.tally;
         let mut pairs = vec![
-            ("count", Json::UInt(self.count)),
-            ("completed", Json::UInt(self.completed)),
-            ("degraded", Json::UInt(self.degraded)),
-            ("shed", Json::UInt(self.shed)),
-            ("timed_out", Json::UInt(self.timed_out)),
-            ("errors", Json::UInt(self.errors)),
+            ("count", Json::UInt(t.finalized)),
+            ("completed", Json::UInt(t.completed)),
+            ("degraded", Json::UInt(t.degraded)),
+            ("shed", Json::UInt(t.shed)),
+            ("timed_out", Json::UInt(t.timed_out)),
+            ("errors", Json::UInt(t.errors)),
             ("missed_deadline", Json::UInt(self.missed_deadline)),
             ("hedged", Json::UInt(self.hedged)),
             ("retries", Json::UInt(self.retries)),
             ("goodput", Json::Num(self.goodput())),
-            ("latency_sum", Json::UInt(self.latency_sum)),
-            ("max", Json::UInt(self.max)),
-            ("p50", Json::UInt(self.quantile(bounds, 0.50))),
-            ("p99", Json::UInt(self.quantile(bounds, 0.99))),
+            ("latency_sum", Json::UInt(t.latency_sum)),
+            ("max", Json::UInt(t.max)),
+            ("p50", Json::UInt(t.quantile(bounds, 0.50))),
+            ("p99", Json::UInt(t.quantile(bounds, 0.99))),
         ];
         if let Some(e) = self.quantile_exemplar(0.99) {
             pairs.push(("p99_exemplar", Json::Str(hex_trace(e.trace))));
@@ -657,7 +612,7 @@ impl ObsLog {
     ) -> usize {
         let name = name.into();
         let key = split_mix(self.cfg.seed ^ fnv1a(&name));
-        let bounds = self.cfg.bounds.len();
+        let bounds = &self.cfg.bounds;
         self.scenarios.push(ScenarioObs {
             name,
             site: site.into(),
@@ -688,14 +643,14 @@ impl ObsLog {
         let w = rec.finished_at / cfg.window;
         sc.windows
             .entry(w)
-            .or_insert_with(|| Agg::new(split_mix(base ^ w), bounds.len()))
+            .or_insert_with(|| Agg::new(split_mix(base ^ w), bounds))
             .record(rec, bounds, seed);
         // Outcome keys are a handful of names: clone one only the first
         // time it is seen.
         match sc.by_outcome.get_mut(rec.outcome.as_str()) {
             Some(agg) => agg.record(rec, bounds, seed),
             None => {
-                let mut agg = Agg::new(split_mix(base ^ fnv1a(&rec.outcome)), bounds.len());
+                let mut agg = Agg::new(split_mix(base ^ fnv1a(&rec.outcome)), bounds);
                 agg.record(rec, bounds, seed);
                 sc.by_outcome.insert(rec.outcome.clone(), agg);
             }
@@ -703,13 +658,13 @@ impl ObsLog {
         if let Some(t) = rec.tier {
             sc.by_tier
                 .entry(t)
-                .or_insert_with(|| Agg::new(split_mix(base ^ 0x7139 ^ t), bounds.len()))
+                .or_insert_with(|| Agg::new(split_mix(base ^ 0x7139 ^ t), bounds))
                 .record(rec, bounds, seed);
         }
         if let Some(r) = rec.replica {
             sc.by_replica
                 .entry(r)
-                .or_insert_with(|| Agg::new(split_mix(base ^ 0x9e37 ^ r), bounds.len()))
+                .or_insert_with(|| Agg::new(split_mix(base ^ 0x9e37 ^ r), bounds))
                 .record(rec, bounds, seed);
         }
         // Algorithm R over the stream: record n (1-based) replaces a
@@ -759,10 +714,10 @@ impl ObsLog {
         let sc = &self.scenarios[idx];
         ScenarioSummary {
             requests: sc.seen,
-            completed: sc.total.completed,
+            completed: sc.total.tally.completed,
             goodput: sc.total.goodput(),
-            p99: sc.total.quantile(&self.cfg.bounds, 0.99),
-            max_latency: sc.total.max,
+            p99: sc.total.tally.quantile(&self.cfg.bounds, 0.99),
+            max_latency: sc.total.tally.max,
             windows: sc.windows.len() as u64,
         }
     }
@@ -830,13 +785,14 @@ impl ObsLog {
             ];
             pairs.extend(sc.total.json_fields(&self.cfg.bounds));
             line(Json::obj(pairs));
-            for (w, agg) in &sc.windows {
+            for (&w, agg) in &sc.windows {
+                let (start, end) = window_span(w, self.cfg.window);
                 let mut pairs = vec![
                     ("kind", Json::Str("window".into())),
                     ("scenario", Json::UInt(i)),
-                    ("index", Json::UInt(*w)),
-                    ("start", Json::UInt(w * self.cfg.window)),
-                    ("end", Json::UInt((w + 1) * self.cfg.window)),
+                    ("index", Json::UInt(w)),
+                    ("start", Json::UInt(start)),
+                    ("end", Json::UInt(end)),
                 ];
                 pairs.extend(agg.json_fields(&self.cfg.bounds));
                 line(Json::obj(pairs));
@@ -869,7 +825,7 @@ impl ObsLog {
                         "le",
                         self.cfg.bounds.get(b).map_or(Json::Str("+inf".into()), |&v| Json::UInt(v)),
                     ),
-                    ("bucket_count", Json::UInt(sc.total.buckets[b])),
+                    ("bucket_count", Json::UInt(sc.total.tally.buckets[b])),
                     ("trace", Json::Str(hex_trace(e.trace))),
                     ("id", Json::UInt(e.id)),
                     ("latency", Json::UInt(e.latency)),
@@ -1381,15 +1337,42 @@ mod tests {
         let sc = &log.scenarios[0];
         assert!(sc.total.quantile_exemplar(0.99).is_some());
         for (w, agg) in &sc.windows {
-            if agg.completed > 0 {
+            if agg.tally.completed > 0 {
                 assert!(agg.quantile_exemplar(0.99).is_some(), "window {w} p99 has no exemplar");
             }
         }
         for (k, agg) in &sc.by_outcome {
-            if agg.completed > 0 {
+            if agg.tally.completed > 0 {
                 assert!(agg.quantile_exemplar(0.99).is_some(), "group {k} p99 has no exemplar");
             }
         }
+    }
+
+    #[test]
+    fn windows_and_latency_sums_saturate_at_the_end_of_the_clock() {
+        let mut log = ObsLog::new("unit", ObsConfig::new(1000, 1));
+        let idx = log.scenario("storm", "", 1);
+        let window = |log: &ObsLog| {
+            let text = log.render_jsonl();
+            text.lines()
+                .find(|l| l.contains(r#""kind":"window""#))
+                .and_then(|l| Json::parse(l).ok())
+        };
+        let field = |j: &Json, k: &str| j.get(k).and_then(Json::as_u64);
+        // A completion finished on the clock's last tick: its window
+        // ends there.
+        let last = EventRecord { latency: u64::MAX / 2, ..rec(0, OUTCOME_COMPLETED, 0, u64::MAX) };
+        log.record(idx, &last);
+        let w = window(&log).expect("a window line");
+        assert_eq!(field(&w, "start"), Some(u64::MAX / 1000 * 1000));
+        assert_eq!(field(&w, "end"), Some(u64::MAX), "the last window ends at the clock's end");
+        // Two more, and the latencies sum past `u64::MAX`.
+        for id in 1..=2 {
+            log.record(idx, &EventRecord { id, ..last.clone() });
+        }
+        let w = window(&log).expect("a window line");
+        assert_eq!(field(&w, "latency_sum"), Some(u64::MAX), "the sum saturates");
+        assert_eq!(log.summary(idx).max_latency, u64::MAX / 2);
     }
 
     #[test]

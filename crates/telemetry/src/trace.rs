@@ -1,6 +1,6 @@
 //! Deterministic causal tracing on the virtual cycle clock.
 //!
-//! Wall-clock tracing ([`crate::span`]) answers "what is the process
+//! Wall-clock tracing ([`crate::span`](mod@crate::span)) answers "what is the process
 //! doing right now"; this module answers "where did this request's
 //! *cycles* go". A [`SpanTree`] is an explicit, data-first span tree on
 //! the virtual clock: the serving layer mints a [`TraceId`] per request
@@ -62,6 +62,12 @@ pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
 /// FNV-1a over a name (a fault site, a span, an objective).
 pub fn fnv1a(s: &str) -> u64 {
     fnv1a_extend(FNV_OFFSET, s.as_bytes())
+}
+
+/// FNV-1a over a fingerprint: each word's little-endian bytes in order,
+/// so the digest is order-sensitive.
+pub fn fnv1a_words(words: &[u64]) -> u64 {
+    words.iter().fold(FNV_OFFSET, |h, w| fnv1a_extend(h, &w.to_le_bytes()))
 }
 
 /// Identity of one causal trace (= one request's lifetime).

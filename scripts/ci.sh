@@ -37,6 +37,12 @@ if [ "$run_clippy" -eq 1 ]; then
     fi
 fi
 
+echo "==> cargo doc (-D warnings)"
+# A broken, ambiguous or private intra-doc link fails the gate. --lib
+# because sc-health's library and sc-bench's sc_health bin would share
+# one doc output path.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -59,6 +65,12 @@ echo "==> lane-kernel tests in release"
 # kernels' tests (sc-core) and the engine built on them (sc-accel) also
 # run as the benchmark builds them.
 cargo test --release -q -p sc-core -p sc-accel
+
+echo "==> parser fuzz: long pass in release"
+# cargo test fuzzes every parser of user-edited input for well under a
+# second; this runs the same seeded harness 40x longer. No input may
+# panic a parser, and JSON and folded profiles must round-trip.
+cargo test --release -q -p sc-bench --test parser_fuzz -- --ignored
 
 echo "==> engine gate: golden cross-check under both execution engines"
 # The bitplane popcount fast paths of sc-rtlsim's run_to_done loops must
