@@ -30,11 +30,11 @@ pub mod sites {
 /// (truncated-stream) recompute.
 type VerifiedTile = (TileProfile, u64, Vec<(usize, i64)>, bool);
 
-/// A tile's raw compute result: billed cycles, cycles the truncated
-/// stream saved versus the full serial schedule (0 outside EDT mode),
-/// packed bitplane words of the prefixes the tile's terms scanned (0 for
-/// fixed-point arithmetic), and the write-back list.
-type ComputedTile = (u64, u64, u64, Vec<(usize, i64)>);
+/// A tile's raw compute result: its bill and the write-back list.
+type ComputedTile = (TileProfile, u64, Vec<(usize, i64)>);
+
+/// A tile's `(m, r, c)` output ranges, each as `(start, end)`.
+type TileRanges = [(usize, usize); 3];
 
 /// One vector unit's sums over its weight row, from which every tile
 /// bill is made. They depend on the weights, the tier and the
@@ -51,14 +51,19 @@ struct UnitSums {
     words: u64,
 }
 
-/// A tile's bill from its units' sums: billed cycles, EDT savings and
-/// bitplane words. The `T_M` units run in lock step, so the slowest
-/// paces the tile; every unit scans its own prefixes, so words add up.
-fn tile_bill(units: &[UnitSums]) -> (u64, u64, u64) {
-    let cycles = units.iter().map(|u| u.cycles).max().unwrap_or(0);
+/// A tile's bill from its units' sums: the compute cycles and the
+/// cycles the truncated stream saved versus the full serial schedule,
+/// and the packed bitplane words of the prefixes the tile's terms
+/// scanned (0 for fixed-point arithmetic). The `T_M` units run in lock
+/// step, so the slowest paces the tile; every unit scans its own
+/// prefixes, so words add up.
+fn tile_bill(units: &[UnitSums]) -> (TileProfile, u64) {
+    let compute = units.iter().map(|u| u.cycles).max().unwrap_or(0);
     let full = units.iter().map(|u| u.full).max().unwrap_or(0);
     // Outside EDT mode `full` stays 0, so savings read 0.
-    (cycles, full.saturating_sub(cycles), units.iter().map(|u| u.words).sum())
+    let edt_saved = full.saturating_sub(compute);
+    let words = units.iter().map(|u| u.words).sum();
+    (TileProfile { compute, edt_saved, ..TileProfile::default() }, words)
 }
 
 /// Cached metric handles for the engine hot loops (name lookup happens
@@ -146,7 +151,8 @@ pub struct LayerRun {
     pub degraded_tiles: Vec<usize>,
     /// Per-tile cycle breakdown (compute / DMR verify / EDT recompute /
     /// EDT savings), in the same canonical tile order. Tile totals sum
-    /// to [`LayerRun::cycles`].
+    /// to [`LayerRun::cycles`]. With no fault site armed they are
+    /// [`TileEngine::bill`].
     pub tiles: Vec<TileProfile>,
 }
 
@@ -235,41 +241,12 @@ impl TileEngine {
         weights: &[i32],
         effective_bits: Option<u32>,
     ) -> Result<LayerRun, Error> {
-        let Tiling { t_m, t_r, t_c } = self.tiling;
-        if t_m == 0 || t_r == 0 || t_c == 0 {
-            return Err(Error::InvalidConfig {
-                what: "tiling".into(),
-                reason: format!("{:?} has a zero tile dimension", self.tiling),
-            });
-        }
-        // `SaturatingAccumulator` holds 2..=62 bits; N ≥ 2 covers the
-        // lower end.
-        let width = self.n.bits().saturating_add(self.extra_bits);
-        if width > 62 {
-            return Err(Error::InvalidConfig {
-                what: "accumulator width N + A".into(),
-                reason: format!(
-                    "{} + {} = {width} bits exceeds the 62-bit accumulator",
-                    self.n.bits(),
-                    self.extra_bits
-                ),
-            });
-        }
-        if !g.is_valid() {
-            return Err(Error::InvalidGeometry { geometry: format!("{g:?}") });
-        }
-        if let Some(s) = effective_bits {
-            // Validate before any unit runs.
-            EarlyTerminationScMac::new(self.n, s)?;
-        }
+        self.check_layer(g, weights, effective_bits)?;
         if input.len() != g.z * g.in_h * g.in_w {
             return Err(Error::LengthMismatch {
                 expected: g.z * g.in_h * g.in_w,
                 actual: input.len(),
             });
-        }
-        if weights.len() != g.m * g.depth() {
-            return Err(Error::LengthMismatch { expected: g.m * g.depth(), actual: weights.len() });
         }
 
         let (r, c, depth) = (g.r(), g.c(), g.depth());
@@ -314,31 +291,19 @@ impl TileEngine {
             sums.push(unit_sums);
         }
 
-        // Fig. 4: the tiles (m1, r1, c1) in the canonical nest order.
-        // Each is billed from its units' sums; its write-back list is
-        // sliced out of the planes only when the tile must be verified.
-        let mut tiles: Vec<(usize, usize, usize)> = Vec::new();
-        for m1 in (0..g.m).step_by(t_m) {
-            for r1 in (0..r).step_by(t_r) {
-                for c1 in (0..c).step_by(t_c) {
-                    tiles.push((m1, r1, c1));
-                }
-            }
-        }
+        // A tile's write-back list is sliced out of the planes only when
+        // the tile must be verified.
+        let tiles = self.tiles(g, &sums);
         let results: Vec<Result<TileDone, Error>> = tiles
             .iter()
             .enumerate()
-            .map(|(t, &(m1, r1, c1))| {
-                let m_hi = (m1 + t_m).min(g.m);
-                let r_hi = (r1 + t_r).min(r);
-                let c_hi = (c1 + t_c).min(c);
+            .map(|(t, &([(m1, m_hi), (r1, r_hi), (c1, c_hi)], (bill, words)))| {
                 // The input patch this tile touches is loaded once into
                 // the input buffer; weights stream per (m,z,i,j);
                 // outputs are written back once as binary numbers (this
                 // is the whole point of BISC).
                 let patch_h = (r_hi - r1 - 1) * g.stride + g.k;
                 let patch_w = (c_hi - c1 - 1) * g.stride + g.k;
-                let (compute, edt_saved, words) = tile_bill(&sums[m1..m_hi]);
                 let (profile, bitplane_words, writes, degraded) = match &tile_site {
                     Some(site) => {
                         let writes = (m1..m_hi)
@@ -349,7 +314,7 @@ impl TileEngine {
                         self.verify_tile(
                             site,
                             t,
-                            (compute, edt_saved, words, writes),
+                            (bill, words, writes),
                             g,
                             input,
                             weights,
@@ -359,12 +324,7 @@ impl TileEngine {
                             effective_bits,
                         )?
                     }
-                    None => (
-                        TileProfile { compute, verify: 0, recompute: 0, edt_saved },
-                        words,
-                        Vec::new(),
-                        false,
-                    ),
+                    None => (bill, words, Vec::new(), false),
                 };
                 Ok(TileDone {
                     input_words: (g.z * patch_h * patch_w) as u64,
@@ -384,7 +344,7 @@ impl TileEngine {
         // A verified tile's accepted writes replace its clean outputs.
         for (t, result) in results.into_iter().enumerate() {
             let done = result?;
-            let (m1, r1, c1) = tiles[t];
+            let [(m1, _), (r1, _), (c1, _)] = tiles[t].0;
             traffic.input_words += done.input_words;
             traffic.weight_words += done.weight_words;
             traffic.output_words += done.output_words;
@@ -411,6 +371,94 @@ impl TileEngine {
             }
         }
         Ok(LayerRun { outputs, cycles, traffic, degraded_tiles, tiles: tile_profiles })
+    }
+
+    /// The per-tile bill [`run_layer_at`](Self::run_layer_at) makes for
+    /// this layer at this tier, computed without inputs: with no fault
+    /// site armed, it equals the [`LayerRun::tiles`] of every run of the
+    /// layer that succeeds. It is a function of geometry, weights, tier
+    /// and tiling only, records no metric, span or event, and runs on
+    /// the caller's thread.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_layer_at`](Self::run_layer_at), less the input checks.
+    pub fn bill(
+        &self,
+        g: &ConvGeometry,
+        weights: &[i32],
+        effective_bits: Option<u32>,
+    ) -> Result<Vec<TileProfile>, Error> {
+        self.check_layer(g, weights, effective_bits)?;
+        // A unit's sums depend on neither its lane codes nor its lane
+        // count, so one lane of x = 0 codes yields them.
+        let zeros = LaneCodes::new(self.n, 1, &vec![0; g.depth()])?;
+        let sums = weights
+            .chunks(g.depth())
+            .map(|ws| Ok(self.run_unit(ws, &zeros, effective_bits)?.1))
+            .collect::<Result<Vec<_>, Error>>()?;
+        Ok(self.tiles(g, &sums).into_iter().map(|(_, (bill, _))| bill).collect())
+    }
+
+    /// The checks every layer passes before any unit runs: the tiling,
+    /// the accumulator width, the geometry, the tier and the weight
+    /// buffer's length.
+    fn check_layer(
+        &self,
+        g: &ConvGeometry,
+        weights: &[i32],
+        effective_bits: Option<u32>,
+    ) -> Result<(), Error> {
+        let Tiling { t_m, t_r, t_c } = self.tiling;
+        if t_m == 0 || t_r == 0 || t_c == 0 {
+            return Err(Error::InvalidConfig {
+                what: "tiling".into(),
+                reason: format!("{:?} has a zero tile dimension", self.tiling),
+            });
+        }
+        // `SaturatingAccumulator` holds 2..=62 bits; N ≥ 2 covers the
+        // lower end.
+        let width = self.n.bits().saturating_add(self.extra_bits);
+        if width > 62 {
+            return Err(Error::InvalidConfig {
+                what: "accumulator width N + A".into(),
+                reason: format!(
+                    "{} + {} = {width} bits exceeds the 62-bit accumulator",
+                    self.n.bits(),
+                    self.extra_bits
+                ),
+            });
+        }
+        if !g.is_valid() {
+            return Err(Error::InvalidGeometry { geometry: format!("{g:?}") });
+        }
+        if let Some(s) = effective_bits {
+            EarlyTerminationScMac::new(self.n, s)?;
+        }
+        if weights.len() != g.m * g.depth() {
+            return Err(Error::LengthMismatch { expected: g.m * g.depth(), actual: weights.len() });
+        }
+        Ok(())
+    }
+
+    /// Fig. 4: the layer's tiles in the canonical `(m1, r1, c1)` nest
+    /// order, each with its output ranges and the bill [`tile_bill`]
+    /// makes from its units' `sums`.
+    fn tiles(&self, g: &ConvGeometry, sums: &[UnitSums]) -> Vec<(TileRanges, (TileProfile, u64))> {
+        let Tiling { t_m, t_r, t_c } = self.tiling;
+        let (r, c) = (g.r(), g.c());
+        let mut tiles = Vec::new();
+        for m1 in (0..g.m).step_by(t_m) {
+            let m_hi = (m1 + t_m).min(g.m);
+            let bill = tile_bill(&sums[m1..m_hi]);
+            for r1 in (0..r).step_by(t_r) {
+                for c1 in (0..c).step_by(t_c) {
+                    let ranges = [(m1, m_hi), (r1, (r1 + t_r).min(r)), (c1, (c1 + t_c).min(c))];
+                    tiles.push((ranges, bill));
+                }
+            }
+        }
+        tiles
     }
 
     /// Stages a code buffer through a parity-protected SRAM bank when
@@ -479,12 +527,11 @@ impl TileEngine {
         c_range: (usize, usize),
         effective_bits: Option<u32>,
     ) -> Result<VerifiedTile, Error> {
-        let (base_cycles, base_saved, base_words, clean_writes) = clean;
+        let (mut profile, base_words, clean_writes) = clean;
+        let base_cycles = profile.compute;
         let acc = SaturatingAccumulator::new(self.n, self.extra_bits);
         let (lo, hi) = acc.range();
         let width = acc.width();
-        let mut profile =
-            TileProfile { compute: base_cycles, verify: 0, recompute: 0, edt_saved: base_saved };
         let attempts = 1 + self.policy.retries;
         for attempt in 0..attempts {
             // The first attempt reuses the base compute as replica A;
@@ -516,10 +563,10 @@ impl TileEngine {
             .degrade_bits
             .clamp(1, self.n.bits())
             .min(effective_bits.unwrap_or(u32::MAX));
-        let (deg_cycles, deg_saved, deg_words, deg_writes) =
+        let (degraded, deg_words, deg_writes) =
             self.run_tile(g, input, weights, m_range, r_range, c_range, s)?;
-        profile.recompute = deg_cycles;
-        profile.edt_saved += deg_saved;
+        profile.recompute = degraded.compute;
+        profile.edt_saved += degraded.edt_saved;
         Ok((profile, base_words + deg_words, deg_writes, true))
     }
 
@@ -562,8 +609,7 @@ impl TileEngine {
     /// arithmetic. The tile's patch is gathered onto the engine's
     /// `T_R·T_C` lanes and each of its units runs through
     /// [`run_unit`](Self::run_unit), the same kernel as the layer-wide
-    /// pass. Returns the tile's bill (cycles, savings against the
-    /// full-precision serial schedule, bitplane words) and its
+    /// pass. Returns the tile's bill ([`tile_bill`]) and its
     /// `(output index, value)` write-back list in `(m, r, c)` order.
     #[allow(clippy::too_many_arguments)]
     fn run_tile(
@@ -592,8 +638,8 @@ impl TileEngine {
                 }
             }
         }
-        let (cycles, saved, words) = tile_bill(&sums);
-        Ok((cycles, saved, words, writes))
+        let (bill, words) = tile_bill(&sums);
+        Ok((bill, words, writes))
     }
 
     /// Runs one vector unit: streams the weight row `ws` (one term per
@@ -860,10 +906,12 @@ mod tests {
         // Kernel larger than the input plane: a malformed request must
         // surface as a serving-path error.
         let g = ConvGeometry { z: 1, in_h: 2, in_w: 8, m: 1, k: 3, stride: 1 };
-        match engine.run_layer(&g, &[0; 16], &[0; 9]) {
-            Err(Error::InvalidGeometry { .. }) => {}
+        let run = engine.run_layer(&g, &[0; 16], &[0; 9]).err();
+        match &run {
+            Some(Error::InvalidGeometry { .. }) => {}
             other => panic!("expected InvalidGeometry, got {other:?}"),
         }
+        assert_eq!(engine.bill(&g, &[0; 9], None).err(), run);
     }
 
     #[test]
@@ -877,10 +925,12 @@ mod tests {
             Tiling { t_m: 16, t_r: 4, t_c: 0 },
         ] {
             let engine = TileEngine::new(n, tiling, AccelArithmetic::ProposedSerial, 2);
-            match engine.run_layer(&g, &input, &weights) {
-                Err(Error::InvalidConfig { what, .. }) => assert_eq!(what, "tiling"),
+            let run = engine.run_layer(&g, &input, &weights).err();
+            match &run {
+                Some(Error::InvalidConfig { what, .. }) => assert_eq!(what, "tiling"),
                 other => panic!("{tiling:?}: expected InvalidConfig, got {other:?}"),
             }
+            assert_eq!(engine.bill(&g, &weights, None).err(), run, "{tiling:?}");
         }
     }
 
@@ -894,14 +944,17 @@ mod tests {
             // must be rejected before any unit runs.
             let engine = TileEngine::new(n, Tiling::default(), arithmetic, 46);
             assert!(engine.run_layer(&g, &input, &weights).is_ok());
+            assert!(engine.bill(&g, &weights, None).is_ok());
             let engine = TileEngine::new(n, Tiling::default(), arithmetic, 47);
-            match engine.run_layer(&g, &input, &weights) {
-                Err(Error::InvalidConfig { what, reason }) => {
+            let run = engine.run_layer(&g, &input, &weights).err();
+            match &run {
+                Some(Error::InvalidConfig { what, reason }) => {
                     assert_eq!(what, "accumulator width N + A");
                     assert!(reason.contains("63"), "{reason}");
                 }
                 other => panic!("{arithmetic:?}: expected InvalidConfig, got {other:?}"),
             }
+            assert_eq!(engine.bill(&g, &weights, None).err(), run, "{arithmetic:?}");
         }
     }
 
@@ -994,6 +1047,8 @@ mod tests {
         let n = Precision::new(6).unwrap();
         let engine = TileEngine::new(n, Tiling::default(), AccelArithmetic::Fixed, 2);
         assert!(engine.run_layer(&g, &[0; 3], &[0; 54]).is_err());
-        assert!(engine.run_layer(&g, &[0; 98], &[0; 3]).is_err());
+        let run = engine.run_layer(&g, &[0; 98], &[0; 3]).err();
+        assert_eq!(run, Some(Error::LengthMismatch { expected: 54, actual: 3 }));
+        assert_eq!(engine.bill(&g, &[0; 3], None).err(), run);
     }
 }

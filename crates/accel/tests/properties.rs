@@ -122,23 +122,29 @@ fn engine_matches_golden_random() {
         // A = 8 never saturates at N = 7; A ∈ {0, 1} clamps mid-layer, so
         // the order in which each product saturates must match too.
         for a in [0u32, 1, 8] {
-            let run = |arithmetic, s| {
-                TileEngine::new(n, tiling, arithmetic, a).run_layer_at(&g, &input, &weights, s)
-            };
             let case = format!("{g:?} {tiling:?} A={a}");
+            // Every run's tiles are the bill the engine makes without
+            // inputs, so each golden below checks both.
+            let run = |arithmetic, s| {
+                let engine = TileEngine::new(n, tiling, arithmetic, a);
+                let run = engine.run_layer_at(&g, &input, &weights, s).unwrap();
+                let bill = engine.bill(&g, &weights, s).unwrap();
+                assert_eq!(bill, run.tiles, "{case} {arithmetic:?} tier {s:?}");
+                run
+            };
 
-            let prop_run = run(AccelArithmetic::ProposedSerial, None).unwrap();
+            let prop_run = run(AccelArithmetic::ProposedSerial, None);
             assert_eq!(prop_run.outputs, golden_proposed(&g, n, &input, &weights, a), "{case}");
             assert_eq!(tile_compute(&prop_run), serial_tiles, "{case}");
 
-            let fix_run = run(AccelArithmetic::Fixed, None).unwrap();
+            let fix_run = run(AccelArithmetic::Fixed, None);
             assert_eq!(fix_run.outputs, golden_fixed(&g, n, &input, &weights, a), "{case}");
             let depth = golden_tile_cycles(&g, tiling, &weights, |_| 1);
             assert_eq!(tile_compute(&fix_run), depth, "{case}");
 
             // Bit-parallel is bit-exact with serial: each lane equals a
             // per-lane bit-parallel MAC, in ⌈|w|/b⌉ cycles per term.
-            let par_run = run(AccelArithmetic::ProposedParallel(b), None).unwrap();
+            let par_run = run(AccelArithmetic::ProposedParallel(b), None);
             let mac = BitParallelScMac::new(n, b).unwrap();
             let par_gold = golden_with(&g, n, &input, &weights, a, |w, x| {
                 mac.multiply_signed(w, x).unwrap().value
@@ -166,7 +172,7 @@ fn engine_matches_golden_random() {
                     AccelArithmetic::ProposedParallel(b),
                     AccelArithmetic::Fixed,
                 ] {
-                    let edt_run = run(arithmetic, Some(s)).unwrap();
+                    let edt_run = run(arithmetic, Some(s));
                     assert_eq!(edt_run.outputs, edt_gold, "{case} s={s} {arithmetic:?}");
                     assert_eq!(tile_compute(&edt_run), edt_tiles, "{case} s={s}");
                     let saved: Vec<u64> = edt_run.tiles.iter().map(|tp| tp.edt_saved).collect();
@@ -247,6 +253,12 @@ fn out_of_range_codes_fail_only_where_read() {
                 engine.run_layer_at(&g, &input, &bad_weights, tier),
                 Err(Error::CodeOutOfRange { code: -129, .. })
             ),
+            "{case}"
+        );
+        // The bill reads every weight, so it names the same one.
+        assert_eq!(
+            engine.bill(&g, &bad_weights, tier),
+            Err(Error::CodeOutOfRange { code: -129, precision: 8 }),
             "{case}"
         );
 

@@ -89,6 +89,11 @@ impl Conv2d {
         }
     }
 
+    /// The sliding window: kernel size `k`, stride and zero padding.
+    pub fn window(&self) -> (usize, usize, usize) {
+        (self.k, self.stride, self.pad)
+    }
+
     /// Output spatial size for an input of `h × w`.
     pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
         (
@@ -161,49 +166,6 @@ impl Conv2d {
     pub fn macs(&self, h: usize, w: usize) -> u64 {
         let (oh, ow) = self.output_hw(h, w);
         (self.out_c * oh * ow * self.in_c * self.k * self.k) as u64
-    }
-
-    /// Data-dependent proposed-SC cycle count for one forward pass over
-    /// an `h × w` input on a `lanes`-wide MAC array.
-    ///
-    /// Model: the `out_c` channel MACs run in lock step (the BISC-MVM of
-    /// Sec. 3.2), so each group of up to `lanes` output positions costs
-    /// the *slowest* channel's weight-magnitude sum. Per weight the
-    /// serial stream is `|quantize(w)|` cycles at full precision, or
-    /// `⌊|w|/2^(N−s)⌋` with early termination after the top
-    /// `effective_bits = s` bits (see
-    /// [`sc_core::mac::EarlyTerminationScMac`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`sc_core::Error::UnsupportedPrecision`] if
-    /// `effective_bits` is `Some(0)` or exceeds `n.bits()`.
-    pub fn proposed_sc_cycles(
-        &self,
-        h: usize,
-        w: usize,
-        n: sc_core::Precision,
-        effective_bits: Option<u32>,
-        lanes: usize,
-    ) -> Result<u64, sc_core::Error> {
-        let s = effective_bits.unwrap_or(n.bits());
-        sc_core::mac::EarlyTerminationScMac::new(n, s)?;
-        let shift = n.bits() - s;
-        let fan_in = self.in_c * self.k * self.k;
-        let worst: u64 = (0..self.out_c)
-            .map(|oc| {
-                self.weights[oc * fan_in..(oc + 1) * fan_in]
-                    .iter()
-                    .map(|&v| (sc_fixed::quantize(v, n).unsigned_abs() as u64) >> shift)
-                    .sum()
-            })
-            .max()
-            .unwrap_or(0);
-        let (oh, ow) = self.output_hw(h, w);
-        let groups = ((oh * ow) as u64).div_ceil(lanes.max(1) as u64);
-        // Even a layer whose truncated weights all hit zero still costs
-        // one cycle per group (load/readout).
-        Ok(groups * worst.max(1))
     }
 
     /// Forward pass. Input shape `[in_c, h, w]`; output

@@ -83,39 +83,6 @@ impl Network {
         }
     }
 
-    /// Forward pass that also bills itself: returns the network output
-    /// and, for each conv layer in network order, `(layer index,
-    /// cycles)` — [`Conv2d::proposed_sc_cycles`] on the input shape
-    /// that layer saw in this same pass, on a `lanes`-wide MAC array,
-    /// with streams truncated to the top `effective_bits` weight bits
-    /// (`None` = full precision). The pass that answers is the pass
-    /// that is billed, so serving one inference runs the layers once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`sc_core::Error::UnsupportedPrecision`] if
-    /// `effective_bits` is `Some(0)` or exceeds `n.bits()`; no layer
-    /// runs in that case.
-    pub fn forward_with_sc_cycles(
-        &mut self,
-        input: &Tensor,
-        n: sc_core::Precision,
-        effective_bits: Option<u32>,
-        lanes: usize,
-    ) -> Result<(Tensor, Vec<(usize, u64)>), sc_core::Error> {
-        sc_core::mac::EarlyTerminationScMac::new(n, effective_bits.unwrap_or(n.bits()))?;
-        let mut x = input.clone();
-        let mut bill = Vec::new();
-        for (idx, layer) in self.layers.iter_mut().enumerate() {
-            if let LayerKind::Conv(c) = layer {
-                let (h, w) = (x.shape()[1], x.shape()[2]);
-                bill.push((idx, c.proposed_sc_cycles(h, w, n, effective_bits, lanes)?));
-            }
-            x = layer.forward(&x);
-        }
-        Ok((x, bill))
-    }
-
     /// Iterates over the convolution layers.
     pub fn conv_layers(&self) -> impl Iterator<Item = &Conv2d> {
         self.layers.iter().filter_map(|l| match l {
@@ -225,19 +192,6 @@ mod tests {
             "loss did not drop: {first_loss:?} -> {last_loss}"
         );
         assert_eq!(net.predict(&x), 1);
-    }
-
-    #[test]
-    fn forward_with_sc_cycles_bills_the_pass_it_answers() {
-        let n = sc_core::Precision::new(8).unwrap();
-        let x = Tensor::new((0..16).map(|i| i as f32 / 16.0 - 0.5).collect(), &[1, 4, 4]);
-        let mut net = tiny_net();
-        let (y, bill) = net.forward_with_sc_cycles(&x, n, Some(5), 4).unwrap();
-        assert_eq!(y, tiny_net().forward(&x));
-        let LayerKind::Conv(c) = &net.layers()[0] else { unreachable!() };
-        assert_eq!(bill, vec![(0, c.proposed_sc_cycles(4, 4, n, Some(5), 4).unwrap())]);
-        assert!(net.forward_with_sc_cycles(&x, n, Some(0), 4).is_err());
-        assert!(net.forward_with_sc_cycles(&x, n, Some(9), 4).is_err());
     }
 
     #[test]

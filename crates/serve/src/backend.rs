@@ -5,18 +5,20 @@
 //! optional degraded precision, report data-dependent SC cycles as the
 //! service time — so the server never knows whether it fronts a single
 //! convolution layer ([`AccelBackend`]) or a whole network
-//! ([`NeuralBackend`]).
+//! ([`NeuralBackend`]). Both bill conv layers with the tile engine's
+//! one cycle model: [`TileEngine::run_layer_at`] bills the layer it
+//! computes, [`TileEngine::bill`] a layer sc-neural computes.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sc_accel::{ConvGeometry, TileEngine};
+use sc_accel::{AccelArithmetic, ConvGeometry, TileEngine, Tiling};
 use sc_core::{Error, Precision};
 use sc_neural::arith::QuantArith;
-use sc_neural::layers::ConvMode;
+use sc_neural::layers::{ConvMode, LayerKind};
 use sc_neural::net::Network;
 use sc_neural::tensor::Tensor;
-use sc_telemetry::{BackendProfile, LayerProfile, TileProfile};
+use sc_telemetry::{BackendProfile, LayerProfile};
 
 use crate::server::{Backend, BackendReply};
 
@@ -84,22 +86,25 @@ impl Backend for AccelBackend {
 
 /// Serves whole-network inference with tier-swapped SC arithmetic.
 ///
-/// One forward pass both answers and bills a request: the class is the
-/// argmax of [`Network::forward_with_sc_cycles`]'s output, and the
-/// service cycles are that same pass's per-conv-layer bill.
+/// The class is the argmax of one sc-neural forward pass under the
+/// tier's product table ([`QuantArith::proposed_sc_edt`]). Each conv
+/// layer of that pass, named `conv{idx}` after its index in the network,
+/// is billed per tile by [`TileEngine::bill`] on the zero-padded plane
+/// it sees ([`Tiling::default`], [`AccelArithmetic::ProposedSerial`]).
 ///
-/// Each tier's product table ([`QuantArith::proposed_sc_edt`]) and each
-/// `(payload, tier)` result are cached after first use — inference and
-/// the cycle model are both deterministic, so the cache never changes an
-/// answer, only the wall-clock cost of re-serving one.
+/// Each tier's product table, each `(tier, input shape)` profile and
+/// each `(payload, tier)` class are cached after first use — inference
+/// and the cycle model are both deterministic, so the caches never
+/// change an answer, only the wall-clock cost of re-serving one.
 pub struct NeuralBackend {
     net: Network,
     n: Precision,
     extra_bits: u32,
-    lanes: usize,
+    engine: TileEngine,
     samples: Vec<Tensor>,
     arith: BTreeMap<u32, Arc<QuantArith>>,
-    served: BTreeMap<(usize, u32), (i64, u64, BackendProfile)>,
+    profiles: BTreeMap<(u32, Vec<usize>), BackendProfile>,
+    served: BTreeMap<(usize, u32), i64>,
 }
 
 impl NeuralBackend {
@@ -109,7 +114,8 @@ impl NeuralBackend {
     ///
     /// # Panics
     ///
-    /// Panics if `samples` is empty.
+    /// Panics if `samples` is empty, or if `lanes` is not the default
+    /// tiling's 16 lanes, the one array the bill models.
     pub fn new(
         net: Network,
         n: Precision,
@@ -118,13 +124,16 @@ impl NeuralBackend {
         samples: Vec<Tensor>,
     ) -> Self {
         assert!(!samples.is_empty(), "a backend needs at least one sample");
+        let tiling = Tiling::default();
+        assert_eq!(lanes, tiling.lanes(), "the bill models the default tiling");
         NeuralBackend {
             net,
             n,
             extra_bits,
-            lanes,
+            engine: TileEngine::new(n, tiling, AccelArithmetic::ProposedSerial, extra_bits),
             samples,
             arith: BTreeMap::new(),
+            profiles: BTreeMap::new(),
             served: BTreeMap::new(),
         }
     }
@@ -139,6 +148,45 @@ impl NeuralBackend {
     ) -> Result<i64, Error> {
         self.serve(payload, effective_bits).map(|r| r.outputs[0])
     }
+
+    /// Classifies `payload` at tier `s` with one forward pass, walking
+    /// the layers once, and memoizes the class. The first pass at a
+    /// `(tier, input shape)` also bills each conv layer on the input it
+    /// sees.
+    fn infer(&mut self, payload: usize, s: u32) -> Result<i64, Error> {
+        let arith = match self.arith.get(&s) {
+            Some(a) => Arc::clone(a),
+            None => {
+                let a = QuantArith::proposed_sc_edt(self.n, s)?;
+                self.arith.insert(s, Arc::clone(&a));
+                a
+            }
+        };
+        self.net.set_conv_mode(&ConvMode::Quantized { arith, extra_bits: self.extra_bits });
+        let sample = &self.samples[payload];
+        let key = (s, sample.shape().to_vec());
+        let billed = self.profiles.contains_key(&key);
+        let mut layers = Vec::new();
+        let mut x = sample.clone();
+        for (idx, layer) in self.net.layers_mut().iter_mut().enumerate() {
+            if let (LayerKind::Conv(c), false) = (&*layer, billed) {
+                let (k, stride, pad) = c.window();
+                let (z, h, w) = (x.shape()[0], x.shape()[1] + 2 * pad, x.shape()[2] + 2 * pad);
+                let g = ConvGeometry { z, in_h: h, in_w: w, m: c.bias().len(), k, stride };
+                let weights: Vec<i32> =
+                    c.weights().iter().map(|&v| self.n.quantize_signed(v.into()).code()).collect();
+                let tiles = self.engine.bill(&g, &weights, Some(s))?;
+                layers.push(LayerProfile { name: format!("conv{idx}"), tiles });
+            }
+            x = layer.forward(&x);
+        }
+        if !billed {
+            self.profiles.insert(key, BackendProfile { layers });
+        }
+        let class = x.argmax() as i64;
+        self.served.insert((payload, s), class);
+        Ok(class)
+    }
 }
 
 impl Backend for NeuralBackend {
@@ -152,40 +200,14 @@ impl Backend for NeuralBackend {
         effective_bits: Option<u32>,
     ) -> Result<BackendReply, Error> {
         let s = effective_bits.unwrap_or(self.n.bits());
-        if let Some((class, cycles, profile)) = self.served.get(&(payload, s)) {
-            return Ok(BackendReply {
-                outputs: vec![*class],
-                cycles: *cycles,
-                profile: profile.clone(),
-            });
-        }
-        let arith = match self.arith.get(&s) {
-            Some(a) => Arc::clone(a),
-            None => {
-                let a = QuantArith::proposed_sc_edt(self.n, s)?;
-                self.arith.insert(s, Arc::clone(&a));
-                a
-            }
+        let class = match self.served.get(&(payload, s)) {
+            Some(&class) => class,
+            None => self.infer(payload, s)?,
         };
-        self.net.set_conv_mode(&ConvMode::Quantized { arith, extra_bits: self.extra_bits });
-        let (logits, bill) =
-            self.net.forward_with_sc_cycles(&self.samples[payload], self.n, Some(s), self.lanes)?;
-        let class = logits.argmax() as i64;
-        let cycles: u64 = bill.iter().map(|&(_, c)| c).sum();
-        // One profiled layer per conv layer, in network order; the
-        // cycle model has no per-tile breakdown here, so each layer is
-        // one compute-only tile.
-        let profile = BackendProfile {
-            layers: bill
-                .iter()
-                .map(|&(idx, c)| LayerProfile {
-                    name: format!("conv{idx}"),
-                    tiles: vec![TileProfile { compute: c, ..TileProfile::default() }],
-                })
-                .collect(),
-        };
-        self.served.insert((payload, s), (class, cycles, profile.clone()));
-        Ok(BackendReply { outputs: vec![class], cycles, profile })
+        let key = (s, self.samples[payload].shape().to_vec());
+        let profile =
+            self.profiles.get(&key).expect("the first pass at a tier and shape bills it").clone();
+        Ok(BackendReply { outputs: vec![class], cycles: profile.cycles(), profile })
     }
 }
 
@@ -194,7 +216,6 @@ impl std::fmt::Debug for NeuralBackend {
         f.debug_struct("NeuralBackend")
             .field("n", &self.n)
             .field("samples", &self.samples.len())
-            .field("lanes", &self.lanes)
             .finish_non_exhaustive()
     }
 }
@@ -202,7 +223,6 @@ impl std::fmt::Debug for NeuralBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sc_accel::{AccelArithmetic, Tiling};
 
     fn payload() -> AccelPayload {
         let geometry = ConvGeometry { z: 2, in_h: 5, in_w: 5, m: 3, k: 3, stride: 1 };

@@ -1361,7 +1361,7 @@ mod tests {
         let field = |j: &Json, k: &str| j.get(k).and_then(Json::as_u64);
         // A completion finished on the clock's last tick: its window
         // ends there.
-        let last = EventRecord { latency: u64::MAX / 2, ..rec(0, OUTCOME_COMPLETED, 0, u64::MAX) };
+        let last = rec(0, OUTCOME_COMPLETED, u64::MAX / 2, u64::MAX);
         log.record(idx, &last);
         let w = window(&log).expect("a window line");
         assert_eq!(field(&w, "start"), Some(u64::MAX / 1000 * 1000));
@@ -1373,6 +1373,11 @@ mod tests {
         let w = window(&log).expect("a window line");
         assert_eq!(field(&w, "latency_sum"), Some(u64::MAX), "the sum saturates");
         assert_eq!(log.summary(idx).max_latency, u64::MAX / 2);
+        // So do the attributed cycles: three records' stream cycles pass
+        // `u64::MAX`, their queue waits do not.
+        let attr = w.get("attr").expect("an attribution");
+        assert_eq!(field(attr, "mac_stream"), Some(u64::MAX));
+        assert_eq!(field(attr, "queue_wait"), Some(3 * (u64::MAX / 2 / 4)));
     }
 
     #[test]

@@ -222,9 +222,10 @@ impl CycleAttribution {
         CycleAttribution::default()
     }
 
-    /// Adds `cycles` to `category`.
+    /// Adds `cycles` to `category`, saturating at `u64::MAX`.
     pub fn add(&mut self, category: CycleCategory, cycles: u64) {
-        self.counts[category.code() as usize] += cycles;
+        let count = &mut self.counts[category.code() as usize];
+        *count = count.saturating_add(cycles);
     }
 
     /// Cycles attributed to `category`.
@@ -232,22 +233,26 @@ impl CycleAttribution {
         self.counts[category.code() as usize]
     }
 
-    /// Total attributed cycles across every bucket.
+    /// Total attributed cycles across every bucket, saturating at
+    /// `u64::MAX`.
     pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
+        self.counts.iter().fold(0, |sum, &c| sum.saturating_add(c))
     }
 
     /// Cycles in concurrent buckets ([`CycleCategory::is_concurrent`])
     /// — the shadow work beside the critical path. For a well-formed
     /// request trace, `total() == latency + concurrent_total()`.
+    /// Saturates at `u64::MAX`.
     pub fn concurrent_total(&self) -> u64 {
-        CycleCategory::ALL.iter().filter(|c| c.is_concurrent()).map(|&c| self.get(c)).sum()
+        let concurrent = CycleCategory::ALL.iter().filter(|c| c.is_concurrent());
+        concurrent.fold(0, |sum, &c| sum.saturating_add(self.get(c)))
     }
 
-    /// Folds another attribution into this one.
+    /// Folds another attribution into this one, saturating each bucket
+    /// at `u64::MAX`.
     pub fn merge(&mut self, other: &CycleAttribution) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
+        for (a, &b) in self.counts.iter_mut().zip(&other.counts) {
+            *a = a.saturating_add(b);
         }
     }
 

@@ -55,9 +55,12 @@ SC_THREADS=4 cargo test --workspace -q
 echo "==> engine tests (SC_THREADS=7)"
 # The tier-1 contract names SC_THREADS in {1, 2, 7}. The tile engine
 # splits every layer over its output maps on the sc-par pool, so its
-# tests and the thread-count determinism suite run at 7 workers too.
+# tests and the thread-count determinism suite run at 7 workers too, as
+# does NeuralBackend's test, which crosses sc-neural's chunked conv and
+# the engine's per-map pool.
 SC_THREADS=7 cargo test -q -p sc-accel
 SC_THREADS=7 cargo test -q -p sc-bench --test determinism
+SC_THREADS=7 cargo test -q -p sc-serve --test neural_backend
 
 echo "==> lane-kernel tests in release"
 # The MVM lane kernels add, clamp and flag saturation on plain i64s.
@@ -71,6 +74,12 @@ echo "==> parser fuzz: long pass in release"
 # second; this runs the same seeded harness 40x longer. No input may
 # panic a parser, and JSON and folded profiles must round-trip.
 cargo test --release -q -p sc-bench --test parser_fuzz -- --ignored
+
+echo "==> accel vs neural: full-size zoo layers in release"
+# cargo test checks every fig6 conv layer's sc-neural outputs against
+# the tile engine; this ignored pass does the same for the paper-size
+# zoo nets, whose out_c spans several T_M groups.
+cargo test --release -q -p scnn --test integration_accel_vs_neural -- --ignored
 
 echo "==> engine gate: golden cross-check under both execution engines"
 # The bitplane popcount fast paths of sc-rtlsim's run_to_done loops must
