@@ -18,7 +18,8 @@
 //!   --scenario NAME   keep only this scenario stream
 //!   --site SITE       keep only scenarios armed with this fault site
 //!                     ("" = clean scenarios)
-//!   --outcome NAME    keep only records/groups with this outcome
+//!   --outcome NAME    keep only records/groups with this outcome (an
+//!                     unknown name exits 2 and lists the five names)
 //!   --replica R       keep only records/groups on replica R
 //!   --tier T          keep only records/groups at degradation tier T
 //!   --by DIM          breakdown dimension (breakdown only; default outcome)
@@ -27,14 +28,14 @@
 //!
 //! Every answer is a pure function of the log text, so CI byte-compares
 //! `sc_obs` output across engines and thread counts. Exits nonzero on a
-//! missing/malformed log or an unknown command/flag, so gates can trust
-//! a zero exit.
+//! missing/malformed log, an unknown command/flag or an unknown outcome
+//! name, so gates can trust a zero exit.
 
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use sc_telemetry::{ObsQuery, ObsView};
+use sc_telemetry::{ObsQuery, ObsView, Outcome};
 
 const DEFAULT_LOG: &str = "results/obs/serve_storm.events.jsonl";
 
@@ -67,6 +68,11 @@ fn main() -> ExitCode {
             "--log" => log = PathBuf::from(value),
             "--scenario" => q.scenario = Some(value.clone()),
             "--site" => q.site = Some(value.clone()),
+            "--outcome" if Outcome::ALL.iter().all(|o| o.name() != value) => {
+                let names: Vec<&str> = Outcome::ALL.iter().map(Outcome::name).collect();
+                eprintln!("sc_obs: unknown outcome {value:?} (one of: {})", names.join(", "));
+                return ExitCode::from(2);
+            }
             "--outcome" => q.outcome = Some(value.clone()),
             "--replica" => match value.parse() {
                 Ok(r) => q.replica = Some(r),

@@ -2,9 +2,8 @@
 //!
 //! Diffs the current `results/*.manifest.json` against the committed
 //! baselines in `results/baseline/`, prints a per-metric delta table,
-//! writes it to `results/report.txt`, appends one trajectory row per
-//! compared bench to `results/BENCH_<bench>.json`, and exits nonzero on
-//! any regression — which is what `scripts/ci.sh` gates on.
+//! writes it to `results/report.txt`, and exits nonzero on any
+//! regression — which is what `scripts/ci.sh` gates on.
 //!
 //! ```text
 //! sc_report [--baseline DIR] [--results DIR] [--tolerance F] [--all]
@@ -32,7 +31,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use sc_bench::report::{append_trajectory, compare_dirs, floor_violations, render_table, FLOORS};
+use sc_bench::report::{compare_dirs, floor_violations, render_table, FLOORS};
 use sc_telemetry::{folded_share_regressions, FoldedStacks, RunManifest};
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
@@ -87,17 +86,6 @@ fn main() -> ExitCode {
     }
     println!("wrote {}", report_path.display());
 
-    for cmp in &report.comparisons {
-        let manifest_path = results.join(format!("{}.manifest.json", cmp.bench));
-        match RunManifest::read(&manifest_path) {
-            Ok(m) => match append_trajectory(&results, &m, cmp.regressions()) {
-                Ok(path) => println!("appended trajectory row to {}", path.display()),
-                Err(e) => eprintln!("sc_report: trajectory for {}: {e}", cmp.bench),
-            },
-            Err(e) => eprintln!("sc_report: reread {}: {e}", manifest_path.display()),
-        }
-    }
-
     // Performance floors: hard minimums on `bench.speedup.*` gauges in
     // the *current* manifests, checked independently of any baseline
     // (wall-clock ratios cannot be exact-diffed, but they must never
@@ -126,14 +114,6 @@ fn main() -> ExitCode {
         floor_failures += violations.len();
         if violations.is_empty() {
             println!("floor check: {bench} passes");
-        }
-        // Floor benches are not baseline-diffed (their timing counters
-        // are nondeterministic), so record their trajectory row here.
-        if !report.comparisons.iter().any(|c| c.bench == bench) {
-            match append_trajectory(&results, &m, violations.len()) {
-                Ok(path) => println!("appended trajectory row to {}", path.display()),
-                Err(e) => eprintln!("sc_report: trajectory for {bench}: {e}"),
-            }
         }
     }
 

@@ -46,8 +46,8 @@ use sc_neural::net::Network;
 use sc_neural::tensor::Tensor;
 use sc_serve::{
     AccelBackend, AccelPayload, Backend, BackendReply, BreakerConfig, DegradePolicy, DegradeTier,
-    Fleet, FleetConfig, HedgePolicy, NeuralBackend, Outcome, PlannedRestart, RecoveryPolicy,
-    Request, RetryPolicy, Server, ServerConfig, ShedPolicy,
+    Fleet, FleetConfig, HedgePolicy, NeuralBackend, PlannedRestart, RecoveryPolicy, Request,
+    RetryPolicy, Server, ServerConfig, ShedPolicy,
 };
 use sc_telemetry::json::Json;
 use sc_telemetry::metrics::{histogram, log2_bounds};
@@ -669,13 +669,12 @@ fn fleet_storms(
     );
     let recovered = row
         .report
-        .meta
+        .responses
         .iter()
-        .zip(&row.report.responses)
-        .filter(|(m, r)| {
-            matches!(r.outcome, Outcome::Completed { .. })
+        .filter(|r| {
+            r.completed()
                 && r.finished_at > window_end
-                && m.replica.is_some_and(|q| down.contains(&q))
+                && r.replica.is_some_and(|q| down.contains(&(q as usize)))
         })
         .count();
     assert!(recovered > 0, "crashed replicas {down:?} must serve again after the window");

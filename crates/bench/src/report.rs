@@ -17,9 +17,8 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use sc_telemetry::json::Json;
 use sc_telemetry::RunManifest;
 
 /// Metric prefixes excluded from comparison (scheduling noise).
@@ -345,55 +344,6 @@ pub fn render_table(report: &RegressionReport) -> String {
     out
 }
 
-/// Appends one trajectory row for `current` to
-/// `<results_dir>/BENCH_<bench>.json` (a JSON array, created on first
-/// use): git describe, timestamp, elapsed seconds, regression count,
-/// and the flattened metric map. The file accumulates across runs, so
-/// plotting a metric over commits is a single `jq` away.
-///
-/// # Errors
-///
-/// Returns I/O errors, or `InvalidData` when an existing trajectory
-/// file is not a JSON array.
-pub fn append_trajectory(
-    results_dir: &Path,
-    current: &RunManifest,
-    regressions: usize,
-) -> io::Result<PathBuf> {
-    let path = results_dir.join(format!("BENCH_{}.json", current.bench));
-    let mut rows = match std::fs::read_to_string(&path) {
-        Ok(text) => match Json::parse(&text) {
-            Ok(Json::Arr(rows)) => rows,
-            Ok(_) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{}: not a JSON array", path.display()),
-                ))
-            }
-            Err(e) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{}: {e}", path.display()),
-                ))
-            }
-        },
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    let metrics =
-        flatten_metrics(current).into_iter().map(|(k, v)| (k, Json::Num(v))).collect::<Vec<_>>();
-    rows.push(Json::obj(vec![
-        ("git_describe", Json::Str(current.git_describe.clone())),
-        ("timestamp_unix", Json::UInt(current.timestamp_unix)),
-        ("quick", Json::Bool(current.quick)),
-        ("elapsed_seconds", Json::Num(current.elapsed_seconds)),
-        ("regressions", Json::UInt(regressions as u64)),
-        ("metrics", Json::Obj(metrics)),
-    ]));
-    sc_telemetry::export::write_json(&path, &Json::Arr(rows))?;
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,7 +471,7 @@ mod tests {
     }
 
     #[test]
-    fn compare_dirs_and_trajectory_round_trip() {
+    fn compare_dirs_fails_a_missing_bench_only_under_all() {
         let dir = std::env::temp_dir().join("sc_bench_report_test");
         let _ = std::fs::remove_dir_all(&dir);
         let baseline = dir.join("baseline");
@@ -538,17 +488,6 @@ mod tests {
         let strict = compare_dirs(&baseline, &results, 0.0, true).unwrap();
         assert_eq!(strict.regressions(), 1, "--all makes a missing bench fail");
         assert!(render_table(&strict).contains("MISSING"));
-
-        let m = manifest("storm", 100);
-        append_trajectory(&results, &m, 0).unwrap();
-        let path = append_trajectory(&results, &m, 2).unwrap();
-        let rows = match Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap() {
-            Json::Arr(rows) => rows,
-            other => panic!("expected array, got {other:?}"),
-        };
-        assert_eq!(rows.len(), 2, "trajectory accumulates");
-        assert_eq!(rows[1].get("regressions").and_then(Json::as_u64), Some(2));
-        assert!(rows[0].get("metrics").and_then(|m| m.get("accel.cycles")).is_some());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -18,7 +18,7 @@
 //!   error budget at or above threshold, and recovers after a sustained
 //!   green streak. Edges are stamped with window-boundary cycles.
 //! * [`recorder`] — a flight recorder: bounded rings of recent events,
-//!   span summaries, and windows, frozen into an
+//!   finalized-request records, and windows, frozen into an
 //!   [`recorder::IncidentSnapshot`] at each breach for post-mortem
 //!   without rerunning.
 //! * [`monitor`] — the [`monitor::HealthMonitor`] gluing the above to a
@@ -43,7 +43,6 @@ pub mod slo;
 pub mod window;
 
 pub use monitor::{HealthConfig, HealthMonitor, HealthReport, TierTransition};
-pub use recorder::{FlightRecorder, IncidentSnapshot, RecEvent, SpanSummary, SystemState};
-pub use sc_telemetry::metrics::Sample;
+pub use recorder::{FlightRecorder, IncidentSnapshot, RecEvent, SystemState};
 pub use slo::{Objective, ObjectiveKind, ObjectiveState, Signal, SignalKind, Verdict};
 pub use window::WindowStats;

@@ -10,8 +10,9 @@
 //!    [`SystemState`] an incident freezes is passed as a closure, called
 //!    once per advance that closes a window and never otherwise, so the
 //!    caller pays for a capture only at window boundaries;
-//! 2. call [`HealthMonitor::sample`] / [`HealthMonitor::record_span`] /
-//!    [`HealthMonitor::note`] as requests finalize and notable events
+//! 2. call [`HealthMonitor::sample`] with each finalized request's
+//!    [`Outcome`] and latency, [`HealthMonitor::record_span`] with its
+//!    [`EventRecord`], and [`HealthMonitor::note`] as notable events
 //!    fire;
 //! 3. read [`HealthMonitor::tier_floor`] when choosing a degradation
 //!    tier (the monitor raises the floor one tier per breach when
@@ -27,10 +28,10 @@
 
 use sc_telemetry::json::Json;
 use sc_telemetry::manifest::HealthSummary;
-use sc_telemetry::metrics::{log2_bounds, window_span, Sample, Tally};
-use sc_telemetry::{fnv1a, fnv1a_words};
+use sc_telemetry::metrics::{log2_bounds, window_span, Outcome, Tally};
+use sc_telemetry::{fnv1a, fnv1a_words, EventRecord};
 
-use crate::recorder::{FlightRecorder, IncidentSnapshot, SpanSummary, SystemState};
+use crate::recorder::{FlightRecorder, IncidentSnapshot, SystemState};
 use crate::slo::{Objective, ObjectiveState, Signal, SignalKind, Verdict};
 use crate::window::WindowStats;
 
@@ -337,12 +338,13 @@ impl HealthMonitor {
         self.transitions.push(TierTransition { cycle, from, to, objective });
     }
 
-    /// Records one finalized request into the open window. For
-    /// completions, also charges every latency objective whose limit
-    /// the request exceeded.
-    pub fn sample(&mut self, sample: Sample) {
-        self.tally.add(sample, &self.bounds);
-        let Sample::Completed { latency, .. } = sample else { return };
+    /// Records one request, finalized as `outcome` after `latency`
+    /// cycles, into the open window. For completions, also charges every
+    /// latency objective whose limit the request exceeded.
+    pub fn sample(&mut self, outcome: Outcome, latency: u64) {
+        if self.tally.add(outcome, latency, &self.bounds).is_none() {
+            return;
+        }
         for (slot, state) in self.states.iter().enumerate() {
             if let crate::slo::ObjectiveKind::P99AtMost { cycles } = state.objective().kind {
                 if latency > cycles {
@@ -352,9 +354,9 @@ impl HealthMonitor {
         }
     }
 
-    /// Feeds a finalized-request summary to the flight recorder.
-    pub fn record_span(&mut self, span: SpanSummary) {
-        self.recorder.push_span(span);
+    /// Feeds a finalized request's record to the flight recorder.
+    pub fn record_span(&mut self, record: &EventRecord) {
+        self.recorder.push_span(*record);
     }
 
     /// Feeds a notable point event (breaker trip, shed burst, …) to the
@@ -564,11 +566,11 @@ mod tests {
     fn events_on_a_boundary_land_in_the_window_that_starts_there() {
         let mut m = monitor(vec![Objective::error_rate("errors", 0.1).with_spans(1, 1)]);
         m.advance(0, SystemState::idle);
-        m.sample(Sample::Completed { latency: 10, degraded: false });
+        m.sample(Outcome::Completed { tier: 0 }, 10);
         // Advancing to exactly cycle 100 closes window 0 before any
         // event at 100 is recorded.
         m.advance(100, SystemState::idle);
-        m.sample(Sample::Error);
+        m.sample(Outcome::Failed, 0);
         let report = m.finish(150, SystemState::idle);
         assert_eq!(report.series.len(), 2);
         assert_eq!(report.series[0].completed, 1);
@@ -609,9 +611,9 @@ mod tests {
             m.advance(w * 100, || state.clone());
             for i in 0..10 {
                 if i % 2 == 0 {
-                    m.sample(Sample::Error);
+                    m.sample(Outcome::Failed, 0);
                 } else {
-                    m.sample(Sample::Completed { latency: 20, degraded: false });
+                    m.sample(Outcome::Completed { tier: 0 }, 20);
                 }
             }
         }
@@ -645,12 +647,12 @@ mod tests {
         ]);
         m.advance(0, SystemState::idle);
         for _ in 0..10 {
-            m.sample(Sample::Error);
+            m.sample(Outcome::Failed, 0);
         }
         m.advance(100, SystemState::idle); // closes window 0: error breach
         assert_eq!(m.tier_floor(), 1);
         for _ in 0..10 {
-            m.sample(Sample::Completed { latency: 100, degraded: true });
+            m.sample(Outcome::Completed { tier: 1 }, 100);
         }
         m.advance(200, SystemState::idle); // closes window 1: latency breach
         assert_eq!(m.tier_floor(), 2, "a second objective's breach stacks the floor");
@@ -671,9 +673,9 @@ mod tests {
         for w in 0..12u64 {
             m.advance(w * 100, SystemState::idle);
             if w % 2 == 0 {
-                m.sample(Sample::Error);
+                m.sample(Outcome::Failed, 0);
             } else {
-                m.sample(Sample::Completed { latency: 5, degraded: false });
+                m.sample(Outcome::Completed { tier: 0 }, 5);
             }
         }
         let report = m.finish(1200, SystemState::idle);
@@ -693,8 +695,8 @@ mod tests {
             ]);
             for w in 0..6u64 {
                 m.advance(w * 100, SystemState::idle);
-                m.sample(Sample::Completed { latency: 10 + w, degraded: w % 2 == 0 });
-                m.sample(Sample::Shed);
+                m.sample(Outcome::Completed { tier: (w % 2 == 0) as usize }, 10 + w);
+                m.sample(Outcome::Shed, 0);
             }
             m.finish(600, SystemState::idle)
         };
@@ -709,7 +711,7 @@ mod tests {
         ]);
         for w in 0..6u64 {
             m.advance(w * 100, SystemState::idle);
-            m.sample(Sample::Completed { latency: 10 + w, degraded: w % 2 == 0 });
+            m.sample(Outcome::Completed { tier: (w % 2 == 0) as usize }, 10 + w);
         }
         assert_ne!(a.digest(), m.finish(600, SystemState::idle).digest());
     }
@@ -719,7 +721,7 @@ mod tests {
         let mut m = monitor(Vec::new());
         m.advance(0, SystemState::idle);
         for _ in 0..3 {
-            m.sample(Sample::Completed { latency: u64::MAX / 2, degraded: false });
+            m.sample(Outcome::Completed { tier: 0 }, u64::MAX / 2);
         }
         let w = &m.finish(50, SystemState::idle).series[0];
         assert_eq!((w.completed, w.latency_sum), (3, u64::MAX), "the sum saturates");
@@ -728,9 +730,8 @@ mod tests {
 
     #[test]
     fn health_and_obs_windows_agree_on_one_stream() {
-        use sc_telemetry::obs::OUTCOME_COMPLETED;
-        use sc_telemetry::{split_mix, CycleAttribution, EventRecord, ObsConfig, ObsLog};
-        // One seeded stream of all four outcomes, dense but with
+        use sc_telemetry::{split_mix, CycleAttribution, ObsConfig, ObsLog};
+        // One seeded stream of all five outcomes, dense but with
         // stretches of empty windows, fed to a monitor and to an obs log
         // with the same window width and latency bounds.
         let mut m = monitor(Vec::new());
@@ -743,25 +744,21 @@ mod tests {
             now += if draw.is_multiple_of(97) { 1000 } else { draw % 23 };
             m.advance(now, SystemState::idle);
             let latency = (draw >> 8) % (1 << ((draw >> 40) % 16));
-            let (outcome, tier, sample) = match (draw >> 4) % 8 {
-                0 => ("shed", None, Sample::Shed),
-                1 => ("timed-out", None, Sample::TimedOut),
-                2 => ("failed", None, Sample::Error),
-                3 => ("breaker-open", None, Sample::Error),
-                t => {
-                    let degraded = t % 2 == 1;
-                    (OUTCOME_COMPLETED, Some(t % 2), Sample::Completed { latency, degraded })
-                }
+            let outcome = match (draw >> 4) % 8 {
+                0 => Outcome::Shed,
+                1 => Outcome::TimedOut,
+                2 => Outcome::Failed,
+                3 => Outcome::BreakerOpen,
+                t => Outcome::Completed { tier: (t % 2) as usize },
             };
-            m.sample(sample);
+            m.sample(outcome, latency);
             log.record(
                 scenario,
                 &EventRecord {
                     id,
                     trace: draw,
                     replica: None,
-                    tier,
-                    outcome: outcome.to_string(),
+                    outcome,
                     attempts: 1,
                     hedged: false,
                     hedge_won: false,
@@ -823,7 +820,7 @@ mod tests {
         let mut m = monitor(vec![Objective::p99("latency", 16).with_spans(1, 1)]);
         m.advance(0, SystemState::idle);
         for lat in [10, 10, 10, 40] {
-            m.sample(Sample::Completed { latency: lat, degraded: false });
+            m.sample(Outcome::Completed { tier: 0 }, lat);
         }
         m.advance(100, SystemState::idle);
         // 25% of completions over the 16-cycle limit on a 1% budget.

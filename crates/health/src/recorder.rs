@@ -1,6 +1,6 @@
 //! A deterministic flight recorder: bounded ring buffers of recent
-//! telemetry events, span summaries, and closed windows, frozen into an
-//! incident snapshot when an SLO breaches.
+//! telemetry events, finalized-request records, and closed windows,
+//! frozen into an incident snapshot when an SLO breaches.
 //!
 //! Everything here is driven by the virtual clock, so an incident
 //! snapshot — including which events survive in the rings at freeze
@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 
 use sc_telemetry::json::Json;
-use sc_telemetry::{fnv1a, fnv1a_words};
+use sc_telemetry::{fnv1a, fnv1a_words, EventRecord};
 
 use crate::slo::Signal;
 use crate::window::WindowStats;
@@ -41,36 +41,21 @@ impl RecEvent {
     }
 }
 
-/// A finalized request in one line: the flight-recorder view of a span
-/// tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanSummary {
-    /// Request id.
-    pub id: u64,
-    /// Terminal outcome name (`completed`, `shed`, …).
-    pub outcome: String,
-    /// Sojourn time in virtual cycles.
-    pub latency: u64,
-    /// Dispatch attempts made.
-    pub attempts: u32,
-    /// Finalization cycle.
-    pub finished_at: u64,
+/// A finalized request as an incident lists it, in one line: id,
+/// outcome, latency, attempts and finalization cycle.
+fn span_json(r: &EventRecord) -> Json {
+    Json::obj(vec![
+        ("id", Json::UInt(r.id)),
+        ("outcome", Json::Str(r.outcome.name().to_string())),
+        ("latency", Json::UInt(r.latency)),
+        ("attempts", Json::UInt(r.attempts)),
+        ("finished_at", Json::UInt(r.finished_at)),
+    ])
 }
 
-impl SpanSummary {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("id", Json::UInt(self.id)),
-            ("outcome", Json::Str(self.outcome.clone())),
-            ("latency", Json::UInt(self.latency)),
-            ("attempts", Json::UInt(self.attempts as u64)),
-            ("finished_at", Json::UInt(self.finished_at)),
-        ])
-    }
-
-    fn fingerprint(&self) -> [u64; 5] {
-        [self.id, fnv1a(&self.outcome), self.latency, self.attempts as u64, self.finished_at]
-    }
+/// The fingerprint words of [`span_json`]'s five fields.
+fn span_fingerprint(r: &EventRecord) -> [u64; 5] {
+    [r.id, fnv1a(r.outcome.name()), r.latency, r.attempts, r.finished_at]
 }
 
 /// The serving-side state captured alongside an incident.
@@ -154,8 +139,10 @@ pub struct IncidentSnapshot {
     pub windows: Vec<WindowStats>,
     /// Recent recorder events, oldest first.
     pub events: Vec<RecEvent>,
-    /// Recent finalized-request summaries, oldest first.
-    pub spans: Vec<SpanSummary>,
+    /// Recent finalized-request records, oldest first. The snapshot's
+    /// JSON and fingerprint read five fields of each: id, outcome,
+    /// latency, attempts and finalization cycle.
+    pub spans: Vec<EventRecord>,
     /// Serving-side state at the breach.
     pub state: SystemState,
 }
@@ -172,7 +159,7 @@ impl IncidentSnapshot {
             ("slow_burn", Json::Num(self.slow_burn)),
             ("windows", Json::Arr(self.windows.iter().map(WindowStats::to_json).collect())),
             ("events", Json::Arr(self.events.iter().map(RecEvent::to_json).collect())),
-            ("spans", Json::Arr(self.spans.iter().map(SpanSummary::to_json).collect())),
+            ("spans", Json::Arr(self.spans.iter().map(span_json).collect())),
             ("state", self.state.to_json()),
         ])
     }
@@ -194,7 +181,7 @@ impl IncidentSnapshot {
             fp.extend(e.fingerprint());
         }
         for s in &self.spans {
-            fp.extend(s.fingerprint());
+            fp.extend(span_fingerprint(s));
         }
         fp.extend(self.state.fingerprint());
         fp
@@ -205,7 +192,7 @@ impl IncidentSnapshot {
         fnv1a_words(&self.fingerprint())
     }
 
-    /// The request ids of the `k` worst-latency spans in the snapshot
+    /// The request ids of the `k` worst-latency records in the snapshot
     /// (latency descending, id ascending on ties) — the concrete
     /// requests an incident links as exemplars. Under a deterministic
     /// trace seed the caller can derive each one's trace id
@@ -222,7 +209,7 @@ impl IncidentSnapshot {
 #[derive(Debug)]
 pub struct FlightRecorder {
     events: VecDeque<RecEvent>,
-    spans: VecDeque<SpanSummary>,
+    spans: VecDeque<EventRecord>,
     windows: VecDeque<WindowStats>,
     event_capacity: usize,
     span_capacity: usize,
@@ -279,8 +266,8 @@ impl FlightRecorder {
         self.events.push_back(RecEvent { cycle, name: name.to_string(), detail });
     }
 
-    /// Records a finalized-request summary.
-    pub fn push_span(&mut self, span: SpanSummary) {
+    /// Records a finalized request.
+    pub fn push_span(&mut self, span: EventRecord) {
         if self.spans.len() == self.span_capacity {
             self.spans.pop_front();
         }
@@ -346,6 +333,24 @@ impl FlightRecorder {
 mod tests {
     use super::*;
     use crate::slo::SignalKind;
+    use sc_telemetry::{CycleAttribution, Outcome};
+
+    fn record(id: u64, outcome: Outcome, latency: u64, attempts: u64, at: u64) -> EventRecord {
+        EventRecord {
+            id,
+            trace: id,
+            replica: None,
+            outcome,
+            attempts,
+            hedged: false,
+            hedge_won: false,
+            arrival: at.saturating_sub(latency),
+            finished_at: at,
+            latency,
+            deadline_slack: 0,
+            attribution: CycleAttribution::new(),
+        }
+    }
 
     fn breach(cycle: u64) -> Signal {
         Signal {
@@ -374,13 +379,7 @@ mod tests {
     fn exemplar_span_ids_rank_worst_latency_first() {
         let mut r = FlightRecorder::new(8, 8, 8, 4);
         for (id, latency) in [(1u64, 50u64), (2, 900), (3, 900), (4, 10), (5, 400)] {
-            r.push_span(SpanSummary {
-                id,
-                outcome: "completed".to_string(),
-                latency,
-                attempts: 1,
-                finished_at: 1000 + id,
-            });
+            r.push_span(record(id, Outcome::Completed { tier: 0 }, latency, 1, 1000 + id));
         }
         r.freeze(&breach(1100), &SystemState::idle());
         let inc = &r.incidents()[0];
@@ -416,13 +415,7 @@ mod tests {
     fn snapshot_json_and_digest_cover_the_state() {
         let mut r = FlightRecorder::new(4, 4, 4, 4);
         r.push_event(10, "breaker.trip", "failures=4".to_string());
-        r.push_span(SpanSummary {
-            id: 7,
-            outcome: "failed".to_string(),
-            latency: 321,
-            attempts: 3,
-            finished_at: 90,
-        });
+        r.push_span(record(7, Outcome::Failed, 321, 3, 90));
         let mut state = SystemState::idle();
         state.queue_depth = 5;
         r.freeze(&breach(100), &state);

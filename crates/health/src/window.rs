@@ -155,7 +155,7 @@ impl WindowStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sc_telemetry::metrics::{log2_bounds, Sample};
+    use sc_telemetry::metrics::{log2_bounds, Outcome};
 
     #[test]
     fn boundaries_are_pure_functions_of_the_index() {
@@ -171,10 +171,10 @@ mod tests {
         let bounds = log2_bounds(32);
         let mut t = Tally::new(&bounds);
         for latency in [10, 10, 12, 900] {
-            t.add(Sample::Completed { latency, degraded: false }, &bounds);
+            t.add(Outcome::Completed { tier: 0 }, latency, &bounds);
         }
-        t.add(Sample::Shed, &bounds);
-        t.add(Sample::Error, &bounds);
+        t.add(Outcome::Shed, 0, &bounds);
+        t.add(Outcome::Failed, 0, &bounds);
         let s = WindowStats::freeze(0, 100, &t, &bounds, &[], false);
         assert_eq!(s.finalized, 6);
         assert_eq!(s.completed, 4);
@@ -200,7 +200,7 @@ mod tests {
     fn fingerprint_changes_with_any_field() {
         let bounds = log2_bounds(32);
         let mut t = Tally::new(&bounds);
-        t.add(Sample::Completed { latency: 3, degraded: true }, &bounds);
+        t.add(Outcome::Completed { tier: 1 }, 3, &bounds);
         let a = WindowStats::freeze(0, 10, &t, &bounds, &[0], false);
         let mut b = a.clone();
         b.over_limit[0] = 1;

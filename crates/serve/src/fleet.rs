@@ -62,11 +62,9 @@
 
 use std::collections::BTreeMap;
 
-use sc_health::{
-    HealthConfig, HealthMonitor, HealthReport, Sample, SpanSummary, SystemState, Verdict,
-};
+use sc_health::{HealthConfig, HealthMonitor, HealthReport, SystemState, Verdict};
 use sc_telemetry::metrics::{counter, Counter};
-use sc_telemetry::{BackendProfile, EventRecord, FoldedStacks, SpanTree};
+use sc_telemetry::{BackendProfile, EventRecord, FoldedStacks, Outcome, SpanTree, TraceId};
 
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::clock::VirtualClock;
@@ -74,7 +72,7 @@ use crate::hedge::HedgePolicy;
 use crate::placement::Placement;
 use crate::queue::{AdmissionQueue, Queued};
 use crate::recovery::{RecoveryManager, RecoveryPolicy, RecoveryStats, ReplicaPhase};
-use crate::report::{latency_percentile_of, Outcome, Response, Segment};
+use crate::report::{latency_percentile_of, records_under, response_words, Segment};
 use crate::server::{
     build_trace, fold_timeline, metrics, settle_wait, Backend, Request, ServerConfig,
 };
@@ -190,28 +188,13 @@ impl ShardReport {
     }
 }
 
-/// Fleet-only routing facts for one response (aligned with
-/// [`FleetReport::responses`] by index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResponseMeta {
-    /// Request id (mirrors the response).
-    pub id: u64,
-    /// Replica that finalized the request (`None` for requests that
-    /// died before ever reaching one, e.g. dead on arrival).
-    pub replica: Option<usize>,
-    /// Whether a hedge duplicate was ever launched for this request.
-    pub hedged: bool,
-    /// Whether a hedge duplicate won the race outright.
-    pub hedge_won: bool,
-}
-
 /// Aggregated result of one [`Fleet::run`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetReport {
-    /// Every request's terminal record, in finalization order.
-    pub responses: Vec<Response>,
-    /// Routing facts per response, same order.
-    pub meta: Vec<ResponseMeta>,
+    /// Every request's terminal record, in finalization order, with its
+    /// routing facts: the replica that finalized it (`None` for a request
+    /// dead on arrival), and whether a hedge was launched and won.
+    pub responses: Vec<EventRecord>,
     /// Completions per degradation tier (index = tier).
     pub completed_by_tier: Vec<u64>,
     /// Requests shed at admission (any replica).
@@ -280,17 +263,11 @@ impl FleetReport {
     }
 
     /// One observability [`EventRecord`] per response, in finalization
-    /// order: [`crate::report::event_records_of`] with the fleet's
-    /// routing meta (replica, hedging) layered on top. Derived on
-    /// demand so the report never stores a second O(requests) copy.
-    pub fn event_records(&self, trace_seed: u64, requests: &[Request]) -> Vec<EventRecord> {
-        let mut recs = crate::report::event_records_of(trace_seed, &self.responses, requests);
-        for (rec, m) in recs.iter_mut().zip(&self.meta) {
-            rec.replica = m.replica.map(|x| x as u64);
-            rec.hedged = m.hedged;
-            rec.hedge_won = m.hedge_won;
-        }
-        recs
+    /// order, with trace ids under `trace_seed`: the responses
+    /// themselves, re-keyed. `requests` is no longer read, as each
+    /// response carries its own arrival and deadline slack.
+    pub fn event_records(&self, trace_seed: u64, _requests: &[Request]) -> Vec<EventRecord> {
+        records_under(trace_seed, &self.responses).collect()
     }
 
     /// Flattens the whole report into a `Vec<u64>` for
@@ -314,17 +291,9 @@ impl FleetReport {
             self.horizon,
         ];
         fp.extend(self.completed_by_tier.iter().copied());
-        for (r, m) in self.responses.iter().zip(&self.meta) {
-            let tier = match r.outcome {
-                Outcome::Completed { tier } => tier as u64,
-                _ => u64::MAX,
-            };
-            fp.extend([r.id, r.outcome.code(), tier, r.attempts as u64, r.finished_at, r.latency]);
-            fp.extend([
-                m.replica.map_or(u64::MAX, |x| x as u64),
-                m.hedged as u64,
-                m.hedge_won as u64,
-            ]);
+        for r in &self.responses {
+            fp.extend(response_words(r));
+            fp.extend([r.replica.unwrap_or(u64::MAX), r.hedged as u64, r.hedge_won as u64]);
             fp.extend(r.attribution.fingerprint());
         }
         for t in &self.traces {
@@ -605,7 +574,6 @@ impl<'f> Run<'f> {
             fold_path: String::new(),
             out: FleetReport {
                 responses: Vec::with_capacity(requests),
-                meta: Vec::with_capacity(requests),
                 traces: Vec::with_capacity(kept),
                 completed_by_tier: vec![0; tiers],
                 shards: vec![ShardReport::default(); n],
@@ -1104,8 +1072,9 @@ impl<'f> Run<'f> {
     /// Settles `entry` as `outcome` at `now` on `replica` (`None` when
     /// it never reached one). Closes the request's hedge track, folds
     /// its timeline and the track's shadow windows into its attribution
-    /// and the folded profile, builds its span tree only when kept, and
-    /// feeds the shard and then the fleet monitor.
+    /// and the folded profile, writes its one [`EventRecord`] as the
+    /// response, builds its span tree only when kept, and feeds the
+    /// shard and then the fleet monitor.
     fn finalize(
         &mut self,
         mut entry: Queued,
@@ -1146,42 +1115,34 @@ impl<'f> Run<'f> {
             "request {id}: attribution must sum to latency + concurrent shadows"
         );
         sc_telemetry::record_attribution(&attribution);
-        out.responses.push(Response {
+        let seed = self.fleet.config.server.trace_seed;
+        // A deadline of `u64::MAX` means none: the slack takes i128,
+        // saturated to i64, so it never reads as missed.
+        let slack = i128::from(entry.req.deadline) - i128::from(now);
+        let record = EventRecord {
             id,
-            payload: entry.req.payload,
+            trace: TraceId::derive(seed, id).0,
+            replica: replica.map(|r| r as u64),
             outcome,
-            attempts: entry.attempts,
+            attempts: u64::from(entry.attempts),
+            hedged: track.launched > 0,
+            hedge_won,
+            arrival: entry.req.arrival,
             finished_at: now,
             latency,
+            deadline_slack: slack.clamp(i64::MIN.into(), i64::MAX.into()) as i64,
             attribution,
-        });
-        out.meta.push(ResponseMeta { id, replica, hedged: track.launched > 0, hedge_won });
+        };
+        out.responses.push(record);
         if self.fleet.config.keep_traces {
-            let seed = self.fleet.config.server.trace_seed;
             let tree = build_trace(seed, &entry, now, &track.shadows, &track.replays);
             debug_assert_eq!(tree.validate(), Ok(()), "span tree for request {id} is malformed");
             out.traces.push(tree);
         }
-        let sample = match outcome {
-            Outcome::Completed { tier } => Sample::Completed { latency, degraded: tier > 0 },
-            Outcome::Shed => Sample::Shed,
-            Outcome::TimedOut => Sample::TimedOut,
-            Outcome::BreakerOpen | Outcome::Failed => Sample::Error,
-        };
-        let span = SpanSummary {
-            id,
-            outcome: outcome.name().to_string(),
-            latency,
-            attempts: entry.attempts,
-            finished_at: now,
-        };
-        if let Some(hm) = replica.and_then(|r| self.shard_mons[r].as_mut()) {
-            hm.sample(sample);
-            hm.record_span(span.clone());
-        }
-        if let Some(hm) = self.fleet_mon.as_mut() {
-            hm.sample(sample);
-            hm.record_span(span);
+        let shard = replica.and_then(|r| self.shard_mons[r].as_mut());
+        for hm in shard.into_iter().chain(self.fleet_mon.as_mut()) {
+            hm.sample(outcome, latency);
+            hm.record_span(&record);
         }
     }
 
@@ -1679,8 +1640,8 @@ mod tests {
         assert_eq!(report.hedge_wasted_cycles, 1_000, "the primary burned [0, 1000) for nothing");
         assert_eq!(r.attribution.concurrent_total(), 1_000);
         assert_eq!(r.attribution.total(), r.latency + 1_000);
-        assert!(report.meta[0].hedged && report.meta[0].hedge_won);
-        assert_eq!(report.meta[0].replica, Some(1));
+        assert!(r.hedged && r.hedge_won);
+        assert_eq!(r.replica, Some(1));
         assert_eq!(report.shards[0].cancelled, 1, "the losing primary was cancelled");
         assert_eq!(report.shards[1].completed, 1);
         report.traces[0].validate().expect("shadowed tree is still well-formed");
@@ -1724,7 +1685,7 @@ mod tests {
             "only the pre-failure overlap [500, 700) is double burn"
         );
         assert_eq!(r.attribution.total(), r.latency + 200);
-        assert_eq!(report.meta[0].replica, Some(1));
+        assert_eq!(r.replica, Some(1));
         assert_eq!(r.attempts, 1, "the adopted hedge is not a retry");
     }
 
@@ -1768,13 +1729,12 @@ mod tests {
         }
         // Post-window arrivals reach the recovered replicas again.
         let late_completions_on_down = report
-            .meta
+            .responses
             .iter()
-            .zip(&report.responses)
-            .filter(|(m, r)| {
+            .filter(|r| {
                 r.finished_at > 25_000
-                    && m.replica.is_some_and(|q| down.contains(&q))
-                    && matches!(r.outcome, Outcome::Completed { .. })
+                    && r.replica.is_some_and(|q| down.contains(&(q as usize)))
+                    && r.completed()
             })
             .count();
         assert!(late_completions_on_down > 0, "recovered replicas serve traffic again");

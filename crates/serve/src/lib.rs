@@ -34,7 +34,9 @@
 //! * [`backend`] — [`Backend`] implementations over the tiled
 //!   accelerator ([`AccelBackend`]) and whole-network quantized
 //!   inference ([`NeuralBackend`]);
-//! * [`report`] — per-run outcome accounting and latency percentiles.
+//! * [`report`] — per-run outcome accounting and latency percentiles;
+//!   each finalized request is one [`sc_telemetry::EventRecord`]
+//!   ([`Response`]) with an [`Outcome`].
 //!
 //! ## Live health telemetry
 //!
@@ -85,14 +87,17 @@ pub use backend::{AccelBackend, AccelPayload, NeuralBackend};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use clock::VirtualClock;
 pub use degrade::{DegradePolicy, DegradeTier};
-pub use fleet::{Fleet, FleetConfig, FleetReport, ResponseMeta, ShardReport};
+pub use fleet::{Fleet, FleetConfig, FleetReport, ShardReport};
 pub use hedge::HedgePolicy;
 pub use placement::Placement;
 pub use queue::{AdmissionQueue, ShedPolicy};
 pub use recovery::{PlannedRestart, RecoveryManager, RecoveryPolicy, RecoveryStats, ReplicaPhase};
-pub use report::{Outcome, Response, ServeReport};
+pub use report::ServeReport;
 pub use retry::RetryPolicy;
 pub use sc_health::{HealthConfig, HealthReport, Objective};
+/// A finalized request's one record: each report's response type.
+pub use sc_telemetry::EventRecord as Response;
+pub use sc_telemetry::Outcome;
 pub use server::{Backend, BackendReply, Request, Server, ServerConfig};
 
 /// Canonical `sc-fault` site names registered by this crate.

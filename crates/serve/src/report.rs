@@ -1,23 +1,18 @@
 //! Per-run outcome accounting.
 //!
-//! The server finalizes every request exactly once; the report holds the
-//! full response list (finalization order, which is deterministic) plus
-//! the aggregates a load study needs: outcome counts, per-tier
-//! completions, virtual-latency percentiles, and the peak queue depth.
+//! The server finalizes every request exactly once, as one
+//! [`EventRecord`]; the report holds the full response list
+//! (finalization order, which is deterministic) plus the aggregates a
+//! load study needs: outcome counts, per-tier completions,
+//! virtual-latency percentiles, and the peak queue depth.
 //! [`ServeReport::fingerprint`] flattens all of it into a `Vec<u64>` for
-//! bitwise-reproducibility assertions.
-//!
-//! Since the tracing PR every response also carries its
-//! [`CycleAttribution`] and the report the full [`SpanTree`] list, both
-//! derived from the [`RequestAcct`] timeline the server keeps per
-//! request.
-
-use std::collections::BTreeMap;
+//! bitwise-reproducibility assertions. Each response's
+//! [`CycleAttribution`](sc_telemetry::CycleAttribution) and the report's
+//! [`SpanTree`]s are derived from the [`RequestAcct`] timeline the
+//! server keeps per request.
 
 use sc_health::HealthReport;
-use sc_telemetry::{
-    BackendProfile, CycleAttribution, EventRecord, FoldedStacks, SpanTree, TraceId,
-};
+use sc_telemetry::{BackendProfile, EventRecord, FoldedStacks, SpanTree, TraceId};
 
 use crate::server::Request;
 
@@ -73,80 +68,10 @@ impl RequestAcct {
     }
 }
 
-/// Terminal outcome of one request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Outcome {
-    /// Served successfully at the given degradation tier (0 = full
-    /// precision).
-    Completed {
-        /// Degradation tier the response was served at.
-        tier: usize,
-    },
-    /// Dropped by admission control (queue full).
-    Shed,
-    /// Deadline expired — while queued, waiting out a backoff, or
-    /// mid-service.
-    TimedOut,
-    /// Retry budget exhausted against an open breaker (failed fast).
-    BreakerOpen,
-    /// Backend kept failing until the retry budget ran out.
-    Failed,
-}
-
-impl Outcome {
-    /// Stable small code for fingerprints and JSON.
-    pub fn code(&self) -> u64 {
-        match self {
-            Outcome::Completed { .. } => 0,
-            Outcome::Shed => 1,
-            Outcome::TimedOut => 2,
-            Outcome::BreakerOpen => 3,
-            Outcome::Failed => 4,
-        }
-    }
-
-    /// Short name used in tables and JSON.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Outcome::Completed { .. } => "completed",
-            Outcome::Shed => "shed",
-            Outcome::TimedOut => "timed-out",
-            Outcome::BreakerOpen => "breaker-open",
-            Outcome::Failed => "failed",
-        }
-    }
-}
-
-/// One finalized request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Response {
-    /// Request id.
-    pub id: u64,
-    /// Payload index the request named.
-    pub payload: usize,
-    /// Terminal outcome.
-    pub outcome: Outcome,
-    /// Attempts made (0 if the request never reached a dispatch).
-    pub attempts: u32,
-    /// Virtual tick at which the request was finalized.
-    pub finished_at: u64,
-    /// `finished_at − arrival`: sojourn time in ticks (for completed
-    /// requests, the serving latency).
-    pub latency: u64,
-    /// Where every cycle of `latency` went, bucketed by
-    /// [`sc_telemetry::CycleCategory`]. The non-structural buckets sum
-    /// exactly to `latency` (the span-tree tiling invariant).
-    pub attribution: CycleAttribution,
-}
-
 /// Nearest-rank percentile over completed responses' latencies, shared
 /// by the single-server and fleet reports.
-pub(crate) fn latency_percentile_of(responses: &[Response], p: f64) -> u64 {
-    let mut lat: Vec<u64> = responses
-        .iter()
-        .filter(|r| matches!(r.outcome, Outcome::Completed { .. }))
-        .map(|r| r.latency)
-        .collect();
+pub(crate) fn latency_percentile_of(responses: &[EventRecord], p: f64) -> u64 {
+    let mut lat: Vec<u64> = responses.iter().filter(|r| r.completed()).map(|r| r.latency).collect();
     if lat.is_empty() {
         return 0;
     }
@@ -155,52 +80,29 @@ pub(crate) fn latency_percentile_of(responses: &[Response], p: f64) -> u64 {
     lat[rank.clamp(1, lat.len()) - 1]
 }
 
-/// Builds one observability [`EventRecord`] per response (finalization
-/// order) from a response list and the workload it answered, under the
-/// run's trace seed. Replica and hedge facts default to "single
-/// unsharded server"; the fleet report layers its routing meta on top.
-pub fn event_records_of(
+/// The responses as event records under `trace_seed`: each keeps every
+/// field but its trace id, which is derived from `trace_seed`.
+pub(crate) fn records_under(
     trace_seed: u64,
-    responses: &[Response],
-    requests: &[Request],
-) -> Vec<EventRecord> {
-    let deadlines: BTreeMap<u64, u64> = requests.iter().map(|r| (r.id, r.deadline)).collect();
-    responses
-        .iter()
-        .map(|r| {
-            let tier = match r.outcome {
-                Outcome::Completed { tier } => Some(tier as u64),
-                _ => None,
-            };
-            // `u64::MAX` means no deadline; it also stands in for a
-            // response whose request is missing. Both take the slack in
-            // i128, saturated to i64, so they never read as missed.
-            let deadline = deadlines.get(&r.id).copied().unwrap_or(u64::MAX);
-            let slack = i128::from(deadline) - i128::from(r.finished_at);
-            EventRecord {
-                id: r.id,
-                trace: TraceId::derive(trace_seed, r.id).0,
-                replica: None,
-                tier,
-                outcome: r.outcome.name().to_string(),
-                attempts: r.attempts as u64,
-                hedged: false,
-                hedge_won: false,
-                arrival: r.finished_at - r.latency,
-                finished_at: r.finished_at,
-                latency: r.latency,
-                deadline_slack: slack.clamp(i64::MIN.into(), i64::MAX.into()) as i64,
-                attribution: r.attribution,
-            }
-        })
-        .collect()
+    responses: &[EventRecord],
+) -> impl Iterator<Item = EventRecord> + '_ {
+    responses.iter().map(move |r| EventRecord { trace: TraceId::derive(trace_seed, r.id).0, ..*r })
+}
+
+/// The fingerprint words a server and a fleet report share per
+/// response: id, outcome code, tier (`u64::MAX` when not completed),
+/// attempts, finalization tick and latency.
+pub(crate) fn response_words(r: &EventRecord) -> [u64; 6] {
+    let tier = r.outcome.tier().map_or(u64::MAX, |t| t as u64);
+    [r.id, r.outcome.code(), tier, r.attempts, r.finished_at, r.latency]
 }
 
 /// Aggregated result of one [`crate::Server::run`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
-    /// Every request's terminal record, in finalization order.
-    pub responses: Vec<Response>,
+    /// Every request's terminal record, in finalization order. Equal to
+    /// a one-replica fleet's: each names replica 0.
+    pub responses: Vec<EventRecord>,
     /// Completions per degradation tier (index = tier).
     pub completed_by_tier: Vec<u64>,
     /// Requests shed at admission.
@@ -249,10 +151,14 @@ impl ServeReport {
         latency_percentile_of(&self.responses, p)
     }
 
-    /// One observability [`EventRecord`] per response (see
-    /// [`event_records_of`]).
-    pub fn event_records(&self, trace_seed: u64, requests: &[Request]) -> Vec<EventRecord> {
-        event_records_of(trace_seed, &self.responses, requests)
+    /// One observability [`EventRecord`] per response, in finalization
+    /// order, with trace ids under `trace_seed` and no replica: a server
+    /// is unsharded. `requests` is no longer read, as each response
+    /// carries its own arrival and deadline slack.
+    pub fn event_records(&self, trace_seed: u64, _requests: &[Request]) -> Vec<EventRecord> {
+        records_under(trace_seed, &self.responses)
+            .map(|r| EventRecord { replica: None, ..r })
+            .collect()
     }
 
     /// Flattens the whole report — aggregates and every response — into
@@ -270,11 +176,7 @@ impl ServeReport {
         ];
         fp.extend(self.completed_by_tier.iter().copied());
         for r in &self.responses {
-            let tier = match r.outcome {
-                Outcome::Completed { tier } => tier as u64,
-                _ => u64::MAX,
-            };
-            fp.extend([r.id, r.outcome.code(), tier, r.attempts as u64, r.finished_at, r.latency]);
+            fp.extend(response_words(r));
             fp.extend(r.attribution.fingerprint());
         }
         for t in &self.traces {
@@ -291,15 +193,20 @@ impl ServeReport {
 mod tests {
     use super::*;
 
-    fn completed(id: u64, latency: u64) -> Response {
-        Response {
+    fn completed(id: u64, latency: u64) -> EventRecord {
+        EventRecord {
             id,
-            payload: 0,
-            outcome: Outcome::Completed { tier: 0 },
+            trace: TraceId::derive(0, id).0,
+            replica: Some(0),
+            outcome: sc_telemetry::Outcome::Completed { tier: 0 },
             attempts: 1,
+            hedged: false,
+            hedge_won: false,
+            arrival: 0,
             finished_at: latency,
             latency,
-            attribution: CycleAttribution::new(),
+            deadline_slack: 0,
+            attribution: sc_telemetry::CycleAttribution::new(),
         }
     }
 
@@ -349,21 +256,25 @@ mod tests {
 
     #[test]
     fn a_request_without_a_deadline_never_misses_it() {
+        use crate::server::{Backend, BackendReply, Server, ServerConfig};
         use sc_telemetry::json::Json;
         use sc_telemetry::{ObsConfig, ObsLog};
 
-        // Request 1 has no deadline; request 2 is missing from the
-        // workload. Both complete at tick 10.
-        let requests = [Request { id: 1, arrival: 0, deadline: u64::MAX, payload: 0 }];
-        let recs = event_records_of(0, &[completed(1, 10), completed(2, 10)], &requests);
-        for r in &recs {
-            assert_eq!(
-                r.deadline_slack,
-                i64::MAX,
-                "request {}: slack saturates, never wraps",
-                r.id
-            );
+        struct TenCycles;
+        impl Backend for TenCycles {
+            fn payloads(&self) -> usize {
+                1
+            }
+            fn serve(&mut self, _: usize, _: Option<u32>) -> Result<BackendReply, sc_core::Error> {
+                Ok(BackendReply { outputs: vec![], cycles: 10, profile: BackendProfile::default() })
+            }
         }
+        // Request 1 has no deadline and completes at tick 10.
+        let requests = vec![Request { id: 1, arrival: 0, deadline: u64::MAX, payload: 0 }];
+        let report = Server::new(ServerConfig::default()).run(&mut TenCycles, requests.clone());
+        let recs = report.event_records(0, &requests);
+        assert_eq!((recs.len(), recs[0].finished_at), (1, 10));
+        assert_eq!(recs[0].deadline_slack, i64::MAX, "the slack saturates, never wraps");
         let mut log = ObsLog::new("unit", ObsConfig::new(100, 0));
         let idx = log.scenario("no-deadline", "", 1);
         log.ingest(idx, &recs);

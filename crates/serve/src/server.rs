@@ -423,7 +423,7 @@ impl Server {
 mod tests {
     use super::*;
     use crate::degrade::DegradeTier;
-    use crate::report::Outcome;
+    use sc_telemetry::Outcome;
 
     /// Fixed-service-time backend that fails its first `fail_first`
     /// calls, and serves degraded requests proportionally faster.

@@ -15,7 +15,8 @@
 //!   single flag check when disabled, so instrumented hot loops (the tile
 //!   engine, the RTL cycle loop) pay ~nothing in normal runs. Its
 //!   [`metrics::Tally`] is the one windowed aggregate sc-health and
-//!   [`obs`] share.
+//!   [`obs`] share, and [`metrics::Outcome`] the one terminal outcome
+//!   of a served request, with its names.
 //! * [`export`] — dependency-free CSV and JSON serialization for metric
 //!   snapshots and arbitrary tables (the `sc-bench` CSV writer is a thin
 //!   wrapper over this).
@@ -61,7 +62,7 @@ pub mod trace;
 
 pub use bench::{bench_run, BenchCtx};
 pub use manifest::{HealthSummary, RunManifest, TraceSummary, MANIFEST_SCHEMA_VERSION};
-pub use metrics::{counter, gauge, histogram, Counter, Gauge, Histogram};
+pub use metrics::{counter, gauge, histogram, Counter, Gauge, Histogram, Outcome};
 pub use obs::{
     folded_share_regressions, EventRecord, FoldedStacks, ObsConfig, ObsLog, ObsQuery, ObsView,
     ScenarioSummary, OBS_SCHEMA_VERSION,

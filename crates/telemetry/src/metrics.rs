@@ -1,8 +1,9 @@
 //! A process-global metrics registry: named counters, gauges, and
 //! fixed-bucket histograms — plus [`Tally`], the one windowed aggregate
 //! that sc-health's windows and the [`crate::obs`] log's aggregates
-//! share, and [`window_span`], the bounds of their windows. Histograms
-//! and tallies share one bucket lookup and one nearest-rank walk.
+//! share, [`Outcome`], the terminal outcome of a request it counts, and
+//! [`window_span`], the bounds of their windows. Histograms and tallies
+//! share one bucket lookup and one nearest-rank walk.
 //!
 //! Handles are `Arc`-backed and cheap to clone; instrumentation sites
 //! cache them in `OnceLock` statics so the name lookup happens once.
@@ -179,33 +180,91 @@ pub fn window_span(index: u64, width: u64) -> (u64, u64) {
     (index.saturating_mul(width), index.saturating_add(1).saturating_mul(width))
 }
 
-/// One finalized request, as a windowed aggregate classifies it.
+/// Terminal outcome of one finalized request: what the serving layer
+/// decides, what an [`EventRecord`](crate::EventRecord) carries, and what
+/// a [`Tally`] counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Sample {
-    /// Served successfully; `degraded` when tier ≥ 1.
+pub enum Outcome {
+    /// Served successfully at the given degradation tier (0 = full
+    /// precision).
     Completed {
-        /// Sojourn time in virtual cycles.
-        latency: u64,
-        /// Whether it was served at a degraded tier.
-        degraded: bool,
+        /// Degradation tier the response was served at.
+        tier: usize,
     },
-    /// Dropped at admission.
+    /// Dropped by admission control (queue full).
     Shed,
-    /// Deadline expired.
+    /// Deadline expired — while queued, waiting out a backoff, or
+    /// mid-service.
     TimedOut,
-    /// Backend-path failure (retries exhausted or breaker fail-fast).
-    Error,
+    /// Retry budget exhausted against an open breaker (failed fast).
+    BreakerOpen,
+    /// Backend kept failing until the retry budget ran out.
+    Failed,
+}
+
+impl Outcome {
+    /// Every outcome once, in code order (the completion at tier 0).
+    pub const ALL: [Outcome; 5] = [
+        Outcome::Completed { tier: 0 },
+        Outcome::Shed,
+        Outcome::TimedOut,
+        Outcome::BreakerOpen,
+        Outcome::Failed,
+    ];
+
+    /// Stable small code for fingerprints.
+    pub fn code(&self) -> u64 {
+        match self {
+            Outcome::Completed { .. } => 0,
+            Outcome::Shed => 1,
+            Outcome::TimedOut => 2,
+            Outcome::BreakerOpen => 3,
+            Outcome::Failed => 4,
+        }
+    }
+
+    /// Short name used in tables, event logs, incidents and JSON.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Outcome::Completed { .. } => "completed",
+            Outcome::Shed => "shed",
+            Outcome::TimedOut => "timed-out",
+            Outcome::BreakerOpen => "breaker-open",
+            Outcome::Failed => "failed",
+        }
+    }
+
+    /// The tier a completion was served at; `None` for every other
+    /// outcome.
+    pub fn tier(&self) -> Option<usize> {
+        match self {
+            Outcome::Completed { tier } => Some(*tier),
+            _ => None,
+        }
+    }
+
+    /// The outcome [`Outcome::name`] calls `name`, served at `tier`:
+    /// `None` when the name is unknown, or when `tier` is not `Some`
+    /// exactly for a completion.
+    pub(crate) fn from_name(name: &str, tier: Option<usize>) -> Option<Outcome> {
+        let outcome = match Outcome::ALL.into_iter().find(|o| o.name() == name)? {
+            Outcome::Completed { .. } => Outcome::Completed { tier: tier? },
+            other => other,
+        };
+        (outcome.tier() == tier).then_some(outcome)
+    }
 }
 
 /// The one windowed aggregate: what one window (or one group, or a
-/// whole stream) of [`Sample`]s adds up to. It counts every outcome,
-/// buckets completed latencies, and keeps their saturating sum and exact
-/// maximum, so its quantiles clamp to the aggregate's own maximum. The
-/// bucket bounds are passed to each call rather than stored, so the
-/// many tallies of one log or monitor share one bounds vector.
+/// whole stream) of finalized requests adds up to. It counts every
+/// outcome, buckets completed latencies, and keeps their saturating sum
+/// and exact maximum, so its quantiles clamp to the aggregate's own
+/// maximum. The bucket bounds are passed to each call rather than
+/// stored, so the many tallies of one log or monitor share one bounds
+/// vector.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tally {
-    /// Samples of any outcome.
+    /// Requests of any outcome.
     pub finalized: u64,
     /// Completions (any tier).
     pub completed: u64,
@@ -215,7 +274,7 @@ pub struct Tally {
     pub shed: u64,
     /// Requests whose deadline expired.
     pub timed_out: u64,
-    /// Backend-caused failures.
+    /// Backend-caused failures: breaker-open and failed requests.
     pub errors: u64,
     /// Completed-latency counts per bucket; the last is the overflow
     /// bucket.
@@ -242,23 +301,25 @@ impl Tally {
         }
     }
 
-    /// Counts one sample; for a completion, returns the bucket its
-    /// latency landed in.
-    pub fn add(&mut self, sample: Sample, bounds: &[u64]) -> Option<usize> {
+    /// Counts one request finalized as `outcome` after `latency` cycles.
+    /// A completion at tier ≥ 1 is degraded, and a breaker-open or failed
+    /// request is an error. Only a completion's latency is counted: its
+    /// bucket is returned.
+    pub fn add(&mut self, outcome: Outcome, latency: u64, bounds: &[u64]) -> Option<usize> {
         self.finalized += 1;
-        match sample {
-            Sample::Completed { latency, degraded } => {
+        match outcome {
+            Outcome::Completed { tier } => {
                 self.completed += 1;
-                self.degraded += degraded as u64;
+                self.degraded += (tier > 0) as u64;
                 let b = bucket_of(bounds, latency);
                 self.buckets[b] += 1;
                 self.latency_sum = self.latency_sum.saturating_add(latency);
                 self.max = self.max.max(latency);
                 return Some(b);
             }
-            Sample::Shed => self.shed += 1,
-            Sample::TimedOut => self.timed_out += 1,
-            Sample::Error => self.errors += 1,
+            Outcome::Shed => self.shed += 1,
+            Outcome::TimedOut => self.timed_out += 1,
+            Outcome::BreakerOpen | Outcome::Failed => self.errors += 1,
         }
         None
     }
@@ -636,24 +697,25 @@ mod tests {
     fn tally_counts_every_outcome_and_saturates_its_latency_sum() {
         let bounds = log2_bounds(10);
         let mut t = Tally::new(&bounds);
-        for s in [
-            Sample::Completed { latency: 10, degraded: false },
-            Sample::Completed { latency: 12, degraded: true },
-            Sample::Completed { latency: 900, degraded: false },
-            Sample::Shed,
-            Sample::TimedOut,
-            Sample::Error,
+        for (outcome, latency) in [
+            (Outcome::Completed { tier: 0 }, 10),
+            (Outcome::Completed { tier: 2 }, 12),
+            (Outcome::Completed { tier: 0 }, 900),
+            (Outcome::Shed, 5),
+            (Outcome::TimedOut, 7_000),
+            (Outcome::BreakerOpen, 3),
+            (Outcome::Failed, 40),
         ] {
-            t.add(s, &bounds);
+            t.add(outcome, latency, &bounds);
         }
-        assert_eq!((t.finalized, t.completed, t.degraded), (6, 3, 1));
-        assert_eq!((t.shed, t.timed_out, t.errors), (1, 1, 1));
-        assert_eq!((t.latency_sum, t.max), (922, 900));
+        assert_eq!((t.finalized, t.completed, t.degraded), (7, 3, 1));
+        assert_eq!((t.shed, t.timed_out, t.errors), (1, 1, 2));
+        assert_eq!((t.latency_sum, t.max), (922, 900), "only completions count latency");
         // Nearest rank 2 of 3 lands in (8, 16]; the top rank clamps to
         // the tally's own max, not the (512, 1024] bound.
         assert_eq!((t.quantile(&bounds, 0.5), t.quantile(&bounds, 0.99)), (16, 900));
-        let big = Sample::Completed { latency: u64::MAX - 1, degraded: false };
-        assert_eq!(t.add(big, &bounds), Some(bounds.len()), "past the last bound: overflow");
+        let big = Outcome::Completed { tier: 0 };
+        assert_eq!(t.add(big, u64::MAX - 1, &bounds), Some(bounds.len()), "overflow bucket");
         assert_eq!(t.latency_sum, u64::MAX, "the sum saturates");
         assert_eq!(Tally::new(&bounds).quantile(&bounds, 0.99), 0, "empty tally");
     }

@@ -7,9 +7,10 @@
 //! spike, and where did their cycles go". This module answers it in
 //! **O(windows + samples)** memory, not O(requests):
 //!
-//! * [`EventRecord`] — one compact record per finalized request: trace
-//!   id, replica (shard), degradation tier, outcome, retries/hedges,
-//!   deadline slack, latency, and the full 14-category
+//! * [`EventRecord`] — the one record of a finalized request, written
+//!   once by the serving loop: trace id, replica (shard), [`Outcome`]
+//!   (with the degradation tier of a completion), retries/hedges,
+//!   arrival, deadline slack, latency, and the full per-category
 //!   [`CycleAttribution`].
 //! * [`ObsLog`] — the streaming accumulator. Each record updates
 //!   tumbling virtual-clock windows (keyed on `finished_at / window`),
@@ -48,15 +49,12 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::json::Json;
-use crate::metrics::{log2_bounds, rank_bucket, window_span, Sample, Tally};
+use crate::metrics::{log2_bounds, rank_bucket, window_span, Outcome, Tally};
 use crate::trace::{fnv1a, split_mix, CycleAttribution, CycleCategory, SpanTree};
 
 /// Schema version stamped into the event-log header (and validated by
 /// the ci.sh obs gate alongside the manifest schema).
 pub const OBS_SCHEMA_VERSION: u64 = 1;
-
-/// The outcome name [`EventRecord`]s use for completed requests.
-pub const OUTCOME_COMPLETED: &str = "completed";
 
 fn hex_trace(t: u64) -> String {
     format!("0x{t:016x}")
@@ -66,24 +64,22 @@ fn parse_hex_trace(s: &str) -> Option<u64> {
     u64::from_str_radix(s.strip_prefix("0x")?, 16).ok()
 }
 
-/// One compact record per finalized request — everything a post-mortem
-/// needs, nothing request-sized (no span tree, no payload data).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The one record of a finalized request — everything a post-mortem
+/// needs, nothing request-sized (no span tree, no payload data). The
+/// serving loop writes it once, as the request's response; health
+/// windows, incident snapshots and the obs log all read it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventRecord {
     /// Request id.
     pub id: u64,
     /// The request's deterministic [`crate::TraceId`] bits.
     pub trace: u64,
     /// Replica (shard) that finalized the request; `None` when it died
-    /// before reaching one (shed, dead on arrival) or was served by a
+    /// on arrival, before reaching one, and in the event records of a
     /// single unsharded server.
     pub replica: Option<u64>,
-    /// Degradation tier served at (`Some` only for completions; 0 =
-    /// full precision).
-    pub tier: Option<u64>,
-    /// Terminal outcome short name (`completed`, `shed`, `timed-out`,
-    /// `breaker-open`, `failed`).
-    pub outcome: String,
+    /// Terminal outcome; a completion carries its degradation tier.
+    pub outcome: Outcome,
     /// Dispatch attempts made (0 if the request never reached one).
     pub attempts: u64,
     /// Whether a hedge duplicate was ever launched for this request.
@@ -97,7 +93,9 @@ pub struct EventRecord {
     /// `finished_at − arrival`: sojourn time in ticks.
     pub latency: u64,
     /// `deadline − finished_at`: non-negative when the request beat its
-    /// deadline, negative when it was finalized past it.
+    /// deadline, negative when it was finalized past it. Taken in i128
+    /// and saturated to i64, so a request without a deadline
+    /// (`u64::MAX`) reads `i64::MAX`, never missed.
     pub deadline_slack: i64,
     /// Where every latency cycle went, bucketed by
     /// [`CycleCategory`] (concurrent buckets ride on top).
@@ -112,21 +110,7 @@ impl EventRecord {
 
     /// Whether the request completed (any tier).
     pub fn completed(&self) -> bool {
-        self.outcome == OUTCOME_COMPLETED
-    }
-
-    /// The record as a windowed aggregate counts it: `shed` and
-    /// `timed-out` keep their names, and every outcome other than those
-    /// and a completion is an error.
-    pub(crate) fn sample(&self) -> Sample {
-        match self.outcome.as_str() {
-            OUTCOME_COMPLETED => {
-                Sample::Completed { latency: self.latency, degraded: self.tier.unwrap_or(0) > 0 }
-            }
-            "shed" => Sample::Shed,
-            "timed-out" => Sample::TimedOut,
-            _ => Sample::Error,
-        }
+        self.outcome.tier().is_some()
     }
 
     /// Flat form for bitwise-determinism fingerprints.
@@ -135,8 +119,8 @@ impl EventRecord {
             self.id,
             self.trace,
             self.replica.map_or(u64::MAX, |r| r),
-            self.tier.map_or(u64::MAX, |t| t),
-            fnv1a(&self.outcome),
+            self.outcome.tier().map_or(u64::MAX, |t| t as u64),
+            fnv1a(self.outcome.name()),
             self.attempts,
             self.hedged as u64,
             self.hedge_won as u64,
@@ -161,8 +145,8 @@ impl EventRecord {
             ("id", Json::UInt(self.id)),
             ("trace", Json::Str(hex_trace(self.trace))),
             ("replica", self.replica.map_or(Json::Null, Json::UInt)),
-            ("tier", self.tier.map_or(Json::Null, Json::UInt)),
-            ("outcome", Json::Str(self.outcome.clone())),
+            ("tier", self.outcome.tier().map_or(Json::Null, |t| Json::UInt(t as u64))),
+            ("outcome", Json::Str(self.outcome.name().to_string())),
             ("attempts", Json::UInt(self.attempts)),
             ("hedged", Json::Bool(self.hedged)),
             ("hedge_won", Json::Bool(self.hedge_won)),
@@ -175,7 +159,9 @@ impl EventRecord {
     }
 
     /// Parses a record back out of a `sample`/`top` log line.
-    /// Returns `None` on shape mismatch.
+    /// Returns `None` on shape mismatch, including an unknown outcome
+    /// name, and a tier missing from a completion or present on any
+    /// other outcome.
     pub fn from_json(j: &Json) -> Option<EventRecord> {
         let mut attribution = CycleAttribution::new();
         if let Some(Json::Obj(pairs)) = j.get("attr") {
@@ -184,12 +170,12 @@ impl EventRecord {
                 attribution.add(*c, v.as_u64()?);
             }
         }
+        let tier = j.get("tier").and_then(Json::as_u64).and_then(|t| usize::try_from(t).ok());
         Some(EventRecord {
             id: j.get("id")?.as_u64()?,
             trace: parse_hex_trace(j.get("trace")?.as_str()?)?,
             replica: j.get("replica").and_then(Json::as_u64),
-            tier: j.get("tier").and_then(Json::as_u64),
-            outcome: j.get("outcome")?.as_str()?.to_string(),
+            outcome: Outcome::from_name(j.get("outcome")?.as_str()?, tier)?,
             attempts: j.get("attempts")?.as_u64()?,
             hedged: j.get("hedged")?.as_bool()?,
             hedge_won: j.get("hedge_won")?.as_bool()?,
@@ -443,7 +429,7 @@ struct Exemplar {
 /// A bounded aggregate over a slice of the record stream (one window,
 /// one group key, or a whole scenario): the record stream's [`Tally`],
 /// one exemplar per latency bucket, merged attribution, and the
-/// deadline, hedge and retry counts a [`Sample`] does not carry.
+/// deadline, hedge and retry counts a [`Tally`] does not keep.
 #[derive(Debug, Clone, PartialEq)]
 struct Agg {
     /// Draw key: distinguishes this aggregate's exemplar reservoirs
@@ -476,7 +462,7 @@ impl Agg {
         self.missed_deadline += (rec.deadline_slack < 0) as u64;
         self.hedged += rec.hedged as u64;
         self.retries += rec.retries();
-        if let Some(idx) = self.tally.add(rec.sample(), bounds) {
+        if let Some(idx) = self.tally.add(rec.outcome, rec.latency, bounds) {
             // Reservoir of size 1 per bucket: the n-th completed record
             // in the bucket replaces the exemplar with probability 1/n,
             // decided by a counter-keyed SplitMix64 draw — deterministic,
@@ -556,7 +542,7 @@ struct ScenarioObs {
     seen: u64,
     total: Agg,
     windows: BTreeMap<u64, Agg>,
-    by_outcome: BTreeMap<String, Agg>,
+    by_outcome: BTreeMap<&'static str, Agg>,
     by_tier: BTreeMap<u64, Agg>,
     by_replica: BTreeMap<u64, Agg>,
     reservoir: Vec<EventRecord>,
@@ -645,17 +631,12 @@ impl ObsLog {
             .entry(w)
             .or_insert_with(|| Agg::new(split_mix(base ^ w), bounds))
             .record(rec, bounds, seed);
-        // Outcome keys are a handful of names: clone one only the first
-        // time it is seen.
-        match sc.by_outcome.get_mut(rec.outcome.as_str()) {
-            Some(agg) => agg.record(rec, bounds, seed),
-            None => {
-                let mut agg = Agg::new(split_mix(base ^ fnv1a(&rec.outcome)), bounds);
-                agg.record(rec, bounds, seed);
-                sc.by_outcome.insert(rec.outcome.clone(), agg);
-            }
-        }
-        if let Some(t) = rec.tier {
+        let name = rec.outcome.name();
+        sc.by_outcome
+            .entry(name)
+            .or_insert_with(|| Agg::new(split_mix(base ^ fnv1a(name)), bounds))
+            .record(rec, bounds, seed);
+        if let Some(t) = rec.outcome.tier().map(|t| t as u64) {
             sc.by_tier
                 .entry(t)
                 .or_insert_with(|| Agg::new(split_mix(base ^ 0x7139 ^ t), bounds))
@@ -672,23 +653,23 @@ impl ObsLog {
         // on the per-stream record index, so the sample is a pure
         // function of the stream.
         if sc.reservoir.len() < cfg.reservoir {
-            sc.reservoir.push(rec.clone());
+            sc.reservoir.push(*rec);
         } else if cfg.reservoir > 0 {
             let j = split_mix(seed ^ base ^ sc.seen) % sc.seen;
             if (j as usize) < cfg.reservoir {
-                sc.reservoir[j as usize] = rec.clone();
+                sc.reservoir[j as usize] = *rec;
             }
         }
         // Top-k keeps the largest `(latency, id)` keys. A record that
         // would be evicted at once (the map is full and its key is below
-        // the smallest kept) is never cloned in.
+        // the smallest kept) is never copied in.
         let key = (rec.latency, rec.id);
         if rec.completed()
             && cfg.top_k > 0
             && (sc.top.len() < cfg.top_k
                 || sc.top.first_key_value().is_some_and(|(k, _)| key >= *k))
         {
-            sc.top.insert(key, rec.clone());
+            sc.top.insert(key, *rec);
             if sc.top.len() > cfg.top_k {
                 sc.top.pop_first();
             }
@@ -808,7 +789,7 @@ impl ObsLog {
                 line(Json::obj(pairs));
             };
             for (k, agg) in &sc.by_outcome {
-                group("outcome", Json::Str(k.clone()), agg);
+                group("outcome", Json::Str(k.to_string()), agg);
             }
             for (k, agg) in &sc.by_tier {
                 group("tier", Json::UInt(*k), agg);
@@ -918,9 +899,9 @@ impl ScenarioLines {
 }
 
 fn record_selected(rec: &EventRecord, q: &ObsQuery) -> bool {
-    q.outcome.as_deref().is_none_or(|o| o == rec.outcome)
+    q.outcome.as_deref().is_none_or(|o| o == rec.outcome.name())
         && q.replica.is_none_or(|r| rec.replica == Some(r))
-        && q.tier.is_none_or(|t| rec.tier == Some(t))
+        && q.tier.is_none_or(|t| rec.outcome.tier().is_some_and(|x| x as u64 == t))
 }
 
 fn uint_of(j: &Json, key: &str) -> u64 {
@@ -1103,7 +1084,7 @@ impl ObsView {
                     rec.latency,
                     hex_trace(rec.trace),
                     rec.replica.map_or("-".to_string(), |r| r.to_string()),
-                    rec.tier.map_or("-".to_string(), |t| t.to_string()),
+                    rec.outcome.tier().map_or("-".to_string(), |t| t.to_string()),
                     rec.attempts,
                     if rec.hedged { "yes" } else { "no" },
                     rec.deadline_slack,
@@ -1235,7 +1216,7 @@ mod tests {
     use super::*;
     use crate::trace::TraceId;
 
-    fn rec(id: u64, outcome: &str, latency: u64, finished_at: u64) -> EventRecord {
+    fn rec(id: u64, outcome: Outcome, latency: u64, finished_at: u64) -> EventRecord {
         let mut attribution = CycleAttribution::new();
         attribution.add(CycleCategory::QueueWait, latency / 4);
         attribution.add(CycleCategory::MacStream, latency - latency / 4);
@@ -1243,8 +1224,7 @@ mod tests {
             id,
             trace: TraceId::derive(7, id).0,
             replica: Some(id % 3),
-            tier: (outcome == OUTCOME_COMPLETED).then_some(id % 2),
-            outcome: outcome.to_string(),
+            outcome,
             attempts: 1 + id % 2,
             hedged: id.is_multiple_of(5),
             hedge_won: false,
@@ -1256,11 +1236,16 @@ mod tests {
         }
     }
 
+    /// Request `id` completed, at tier `id % 2`.
+    fn done(id: u64) -> Outcome {
+        Outcome::Completed { tier: (id % 2) as usize }
+    }
+
     fn sample_log(n: u64) -> ObsLog {
         let mut log = ObsLog::new("unit", ObsConfig::new(1000, 0xC0FFEE));
         let idx = log.scenario("storm", "serve.backend", 3);
         for i in 0..n {
-            let outcome = if i % 10 == 9 { "shed" } else { OUTCOME_COMPLETED };
+            let outcome = if i % 10 == 9 { Outcome::Shed } else { done(i) };
             // Heavy-ish tail: latency grows with a power-of-two kick.
             let latency = 10 + (i % 7) * 30 + if i % 100 == 42 { 4000 } else { 0 };
             log.record(idx, &rec(i, outcome, latency, 50 + i * 37));
@@ -1323,8 +1308,8 @@ mod tests {
         // `ObsConfig::new`'s clamp; the log clamps again.
         let mut log = ObsLog::new("unit", ObsConfig { window: 0, ..ObsConfig::new(1000, 1) });
         let idx = log.scenario("storm", "", 1);
-        log.record(idx, &rec(1, OUTCOME_COMPLETED, 40, 90));
-        log.record(idx, &rec(2, OUTCOME_COMPLETED, 40, 91));
+        log.record(idx, &rec(1, done(1), 40, 90));
+        log.record(idx, &rec(2, done(2), 40, 91));
         assert_eq!(log.summary(idx).windows, 2, "one-tick windows");
         let text = log.render_jsonl();
         let header = Json::parse(text.lines().next().expect("a header line")).expect("JSON");
@@ -1361,14 +1346,14 @@ mod tests {
         let field = |j: &Json, k: &str| j.get(k).and_then(Json::as_u64);
         // A completion finished on the clock's last tick: its window
         // ends there.
-        let last = rec(0, OUTCOME_COMPLETED, u64::MAX / 2, u64::MAX);
+        let last = rec(0, done(0), u64::MAX / 2, u64::MAX);
         log.record(idx, &last);
         let w = window(&log).expect("a window line");
         assert_eq!(field(&w, "start"), Some(u64::MAX / 1000 * 1000));
         assert_eq!(field(&w, "end"), Some(u64::MAX), "the last window ends at the clock's end");
         // Two more, and the latencies sum past `u64::MAX`.
         for id in 1..=2 {
-            log.record(idx, &EventRecord { id, ..last.clone() });
+            log.record(idx, &EventRecord { id, ..last });
         }
         let w = window(&log).expect("a window line");
         assert_eq!(field(&w, "latency_sum"), Some(u64::MAX), "the sum saturates");
@@ -1490,15 +1475,44 @@ mod tests {
 
     #[test]
     fn event_record_json_round_trips() {
-        let r = rec(42, OUTCOME_COMPLETED, 77, 1000);
-        let j = Json::obj(r.json_fields().into_iter().collect());
-        let back = EventRecord::from_json(&j).expect("round trip");
-        assert_eq!(back, r);
-        assert_eq!(back.retries(), r.attempts - 1);
-        // A shed record has no replica? (ours does; null fields parse
-        // as None when absent)
-        let shed = rec(9, "shed", 0, 500);
-        let j = Json::obj(shed.json_fields().into_iter().collect());
-        assert_eq!(EventRecord::from_json(&j), Some(shed));
+        // Every outcome round-trips through a `sample` line: the
+        // completion with its tier, the other four with none.
+        let mut log = ObsLog::new("unit", ObsConfig::new(1000, 1));
+        let idx = log.scenario("storm", "", 3);
+        let recs: Vec<EventRecord> = (0u64..)
+            .zip(Outcome::ALL)
+            .map(|(id, o)| {
+                rec(
+                    id,
+                    if o.tier().is_some() { Outcome::Completed { tier: 2 } } else { o },
+                    77,
+                    1000,
+                )
+            })
+            .collect();
+        log.ingest(idx, &recs);
+        let text = log.render_jsonl();
+        let view = ObsView::parse(&text).expect("parse back");
+        assert_eq!(view.scenarios[0].samples, recs);
+        assert_eq!(recs[0].retries(), recs[0].attempts - 1);
+        // An unknown outcome name, a completion without its tier and a
+        // tier on any other outcome are malformed lines.
+        let line = |outcome: Outcome| {
+            let name = format!(r#""outcome":"{}""#, outcome.name());
+            text.lines()
+                .find(|l| l.contains(r#""kind":"sample""#) && l.contains(&name))
+                .expect("a sample line per outcome")
+        };
+        let completed = line(Outcome::Completed { tier: 2 });
+        let shed = line(Outcome::Shed);
+        for (good, bad) in [
+            (completed, completed.replace(r#""outcome":"completed""#, r#""outcome":"complete""#)),
+            (completed, completed.replace(r#""tier":2"#, r#""tier":null"#)),
+            (shed, shed.replace(r#""tier":null"#, r#""tier":1"#)),
+        ] {
+            assert_ne!(good, bad);
+            let e = ObsView::parse(&text.replace(good, &bad)).unwrap_err();
+            assert!(e.contains("malformed sample record"), "{e}");
+        }
     }
 }

@@ -105,6 +105,17 @@ SEAM_HITS="$(grep -rnE 'bitplane::engine|set_engine|EngineKind' crates/*/src \
     || { echo "engine switch named outside sc-rtlsim and the bench bins:" >&2
          echo "$SEAM_HITS" >&2; exit 1; }
 
+echo "==> outcome format guard: outcome names are spelled only where Outcome is defined"
+# Event logs, incident snapshots, sc_obs filters and the health windows
+# all read an outcome's name from sc_telemetry's Outcome::name, and its
+# Tally::add decides which outcomes are errors. A second spelling of a
+# name anywhere else could drift from that one table unnoticed.
+OUTCOME_HITS="$(grep -rnE '"(timed-out|breaker-open)"' crates/*/src crates/*/tests tests \
+    | grep -vE '^crates/telemetry/src/metrics\.rs:' || true)"
+[ -z "$OUTCOME_HITS" ] \
+    || { echo "outcome name spelled outside sc_telemetry::metrics::Outcome:" >&2
+         echo "$OUTCOME_HITS" >&2; exit 1; }
+
 echo "==> benchmark gate: build, test and smoke-run perfbench"
 # perfbench/ is its own workspace, so the workspace build above never
 # compiles it and a crate API change could break the benchmark
