@@ -15,39 +15,48 @@ pub const SIDE: usize = 28;
 /// contrast, stroke blur, and pixel noise to the reference glyph.
 pub fn mnist_like(count: usize, seed: u64) -> Dataset {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x6d6e_6973_745f_6c6b);
+    // The smooth source image depends only on the digit.
+    let sources: Vec<Vec<f32>> = (0..NUM_CLASSES as u8).map(glyph_source).collect();
     let mut images = Vec::with_capacity(count);
     let mut labels = Vec::with_capacity(count);
     for i in 0..count {
         let digit = (i % NUM_CLASSES) as u8;
-        images.push(render_digit(digit, &mut rng));
+        images.push(render_digit(&sources[digit as usize], &mut rng));
         labels.push(digit);
     }
     Dataset::new(images, labels, 1, SIDE, SIDE)
 }
 
-/// Rasterizes one distorted digit.
-fn render_digit(digit: u8, rng: &mut SmallRng) -> Vec<f32> {
-    // Up-sample the glyph bitmap to a smooth source image first
-    // (2× with a soft edge) so that bilinear sampling gives anti-aliased
-    // strokes like real handwriting scans.
-    const UP: usize = 2;
-    let (sw, sh) = (GLYPH_W * UP, GLYPH_H * UP);
-    let g = glyph(digit);
-    let mut src = vec![0.0f32; sw * sh];
-    for (gy, row) in g.iter().enumerate() {
+/// Up-sampling factor from a glyph bitmap to its source image.
+const UP: usize = 2;
+/// Source image width.
+const SRC_W: usize = GLYPH_W * UP;
+/// Source image height.
+const SRC_H: usize = GLYPH_H * UP;
+
+/// Up-samples a digit's glyph bitmap to a smooth source image (2× with
+/// a soft edge), so that bilinear sampling gives anti-aliased strokes
+/// like real handwriting scans.
+fn glyph_source(digit: u8) -> Vec<f32> {
+    let mut src = vec![0.0f32; SRC_W * SRC_H];
+    for (gy, row) in glyph(digit).iter().enumerate() {
         for (gx, &cell) in row.iter().enumerate() {
             if cell == 1 {
                 for dy in 0..UP {
                     for dx in 0..UP {
-                        src[(gy * UP + dy) * sw + gx * UP + dx] = 1.0;
+                        src[(gy * UP + dy) * SRC_W + gx * UP + dx] = 1.0;
                     }
                 }
             }
         }
     }
     // One box-blur pass softens stroke edges.
-    let src = box_blur(&src, sw, sh);
+    box_blur(&src, SRC_W, SRC_H)
+}
 
+/// Rasterizes one distorted digit from its source image.
+fn render_digit(src: &[f32], rng: &mut SmallRng) -> Vec<f32> {
+    let (sw, sh) = (SRC_W, SRC_H);
     let angle = rng.gen_range_f32(-0.26f32..0.26); // ±15°
     let scale = rng.gen_range_f32(0.75f32..1.15);
     let jx = rng.gen_range_f32(-2.5f32..2.5);
@@ -70,7 +79,7 @@ fn render_digit(digit: u8, rng: &mut SmallRng) -> Vec<f32> {
     for y in 0..SIDE {
         for x in 0..SIDE {
             let (sx, sy) = t.apply(x as f32, y as f32);
-            out[y * SIDE + x] = bilinear(&src, sw, sh, sx, sy) * contrast;
+            out[y * SIDE + x] = bilinear(src, sw, sh, sx, sy) * contrast;
         }
     }
     add_noise(&mut out, 0.03, rng);

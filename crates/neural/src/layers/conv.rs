@@ -4,6 +4,7 @@
 use crate::arith::QuantArith;
 use crate::fault::FaultModel;
 use crate::tensor::Tensor;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Arithmetic mode of a convolution layer's MAC chain.
@@ -197,7 +198,16 @@ impl Conv2d {
     fn forward_float(&self, input: &Tensor, h: usize, w: usize) -> Tensor {
         let (oh, ow) = self.output_hw(h, w);
         let x = input.data();
-        let k = self.k;
+        let (k, stride, pad) = (self.k, self.stride, self.pad);
+        // Weight-stationary: each plane starts at its bias, then each
+        // weight (ic, ky, kx), in that order, is added as one row axpy
+        // per output row over the rectangle of outputs whose tap lands
+        // inside the input. Every output thus gets the same float adds
+        // in the same order as an output-stationary loop over its
+        // in-bounds taps. A padded tap adds nothing rather than `w·0`,
+        // which would turn a -0.0 sum into +0.0.
+        let rows: Vec<Range<usize>> = (0..k).map(|ky| tap_range(ky, pad, stride, h, oh)).collect();
+        let cols: Vec<Range<usize>> = (0..k).map(|kx| tap_range(kx, pad, stride, w, ow)).collect();
         // Output channels are independent, so the oc loop runs on the
         // sc-par pool in chunks; each chunk fills a contiguous slab of
         // output planes that the merge below concatenates in chunk
@@ -208,29 +218,20 @@ impl Conv2d {
             for (slot, oc) in ocs.enumerate() {
                 let w_oc = &self.weights[oc * self.in_c * k * k..(oc + 1) * self.in_c * k * k];
                 let plane = &mut slab[slot * oh * ow..(slot + 1) * oh * ow];
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = self.bias[oc];
-                        for ic in 0..self.in_c {
-                            let w_ic = &w_oc[ic * k * k..(ic + 1) * k * k];
-                            let x_ic = &x[ic * h * w..(ic + 1) * h * w];
-                            for ky in 0..k {
-                                let iy = (oy * self.stride + ky) as i64 - self.pad as i64;
-                                if iy < 0 || iy >= h as i64 {
-                                    continue;
-                                }
-                                let row = &x_ic[iy as usize * w..(iy as usize + 1) * w];
-                                let wrow = &w_ic[ky * k..(ky + 1) * k];
-                                for (kx, &wv) in wrow.iter().enumerate() {
-                                    let ix = (ox * self.stride + kx) as i64 - self.pad as i64;
-                                    if ix < 0 || ix >= w as i64 {
-                                        continue;
-                                    }
-                                    acc += wv * row[ix as usize];
-                                }
-                            }
+                plane.fill(self.bias[oc]);
+                for ic in 0..self.in_c {
+                    let x_ic = &x[ic * h * w..(ic + 1) * h * w];
+                    for (tap, &wv) in w_oc[ic * k * k..(ic + 1) * k * k].iter().enumerate() {
+                        let (ky, kx) = (tap / k, tap % k);
+                        let span = &cols[kx];
+                        if span.is_empty() {
+                            continue;
                         }
-                        plane[oy * ow + ox] = acc;
+                        for oy in rows[ky].clone() {
+                            let x0 = (oy * stride + ky - pad) * w + span.start * stride + kx - pad;
+                            let out = &mut plane[oy * ow + span.start..oy * ow + span.end];
+                            axpy(out, wv, &x_ic[x0..], stride);
+                        }
                     }
                 }
             }
@@ -442,14 +443,154 @@ impl Conv2d {
     }
 }
 
+/// `out[i] += w·x[i·stride]` for each `i < out.len()`, in order.
+fn axpy(out: &mut [f32], w: f32, x: &[f32], stride: usize) {
+    // The unit-stride loop (every zoo net's) vectorizes; `step_by` does
+    // not. Both add the same products in the same order.
+    if stride == 1 {
+        for (y, &xv) in out.iter_mut().zip(x) {
+            *y += w * xv;
+        }
+    } else {
+        for (y, &xv) in out.iter_mut().zip(x.iter().step_by(stride)) {
+            *y += w * xv;
+        }
+    }
+}
+
+/// The outputs `o < n_out` whose kernel tap `t` lands inside an input of
+/// length `n_in`: `0 ≤ o·stride + t − pad < n_in`. Empty when none does.
+fn tap_range(t: usize, pad: usize, stride: usize, n_in: usize, n_out: usize) -> Range<usize> {
+    let lo = pad.saturating_sub(t).div_ceil(stride);
+    let hi = (n_in + pad).checked_sub(t + 1).map_or(0, |last| last / stride + 1).min(n_out);
+    lo..hi.max(lo)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zoo::InitRng;
+    use crate::layers::LayerKind;
+    use crate::net::Network;
+    use crate::zoo::{self, InitRng};
     use sc_core::Precision;
 
     fn rng() -> InitRng {
         InitRng::new(7)
+    }
+
+    /// The output-stationary float forward, kept as the oracle of the
+    /// weight-stationary one: each output starts at its bias and adds
+    /// its in-bounds taps in (ic, ky, kx) order.
+    fn output_stationary_forward(conv: &Conv2d, input: &Tensor) -> Tensor {
+        let (h, w) = conv.check_input(input);
+        let (oh, ow) = conv.output_hw(h, w);
+        let (x, k) = (input.data(), conv.k);
+        let mut out = Vec::with_capacity(conv.out_c * oh * ow);
+        for oc in 0..conv.out_c {
+            let w_oc = &conv.weights[oc * conv.in_c * k * k..(oc + 1) * conv.in_c * k * k];
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = conv.bias[oc];
+                    for ic in 0..conv.in_c {
+                        let w_ic = &w_oc[ic * k * k..(ic + 1) * k * k];
+                        let x_ic = &x[ic * h * w..(ic + 1) * h * w];
+                        for ky in 0..k {
+                            let iy = (oy * conv.stride + ky) as i64 - conv.pad as i64;
+                            if iy < 0 || iy >= h as i64 {
+                                continue;
+                            }
+                            let row = &x_ic[iy as usize * w..(iy as usize + 1) * w];
+                            for (kx, &wv) in w_ic[ky * k..(ky + 1) * k].iter().enumerate() {
+                                let ix = (ox * conv.stride + kx) as i64 - conv.pad as i64;
+                                if ix < 0 || ix >= w as i64 {
+                                    continue;
+                                }
+                                acc += wv * row[ix as usize];
+                            }
+                        }
+                    }
+                    out.push(acc);
+                }
+            }
+        }
+        Tensor::new(out, &[conv.out_c, oh, ow])
+    }
+
+    /// Runs `conv.forward` and asserts its output equals the oracle's
+    /// bit for bit.
+    fn forward_matching_the_oracle(conv: &mut Conv2d, x: &Tensor, case: &str) -> Tensor {
+        let want = output_stationary_forward(conv, x);
+        let got = conv.forward(x);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.shape(), want.shape(), "{case}");
+        assert_eq!(bits(&got), bits(&want), "{case}");
+        got
+    }
+
+    #[test]
+    fn float_forward_matches_the_output_stationary_oracle_bit_for_bit() {
+        let mut init = rng();
+        for (in_c, k) in [(1, 1), (3, 1), (3, 5), (1, 7), (2, 7)] {
+            for pad in 0..=3 {
+                for stride in 1..=3 {
+                    for (h, w) in [(9, 11), (3, 4)] {
+                        if h + 2 * pad < k || w + 2 * pad < k {
+                            continue;
+                        }
+                        let mut conv = Conv2d::new(in_c, 3, k, stride, pad, &mut init);
+                        // Signed-zero weights, biases and pixels: every
+                        // fifth pixel is +0.0, every other seventh -0.0.
+                        conv.weights[0] = -0.0;
+                        conv.set_bias(vec![-0.0, 0.0, 0.375]);
+                        let x: Vec<f32> = (0..in_c * h * w)
+                            .map(|i| match i {
+                                _ if i % 5 == 0 => 0.0,
+                                _ if i % 7 == 0 => -0.0,
+                                _ => ((i * 37 % 23) as f32 - 11.0) / 7.0,
+                            })
+                            .collect();
+                        let case = format!("in_c {in_c} k {k} pad {pad} stride {stride} {h}x{w}");
+                        let y = forward_matching_the_oracle(
+                            &mut conv,
+                            &Tensor::new(x, &[in_c, h, w]),
+                            &case,
+                        );
+                        if pad >= k {
+                            // The corner output has no in-bounds tap, so it
+                            // is its -0.0 bias, sign included.
+                            assert_eq!(y.data()[0].to_bits(), (-0.0f32).to_bits(), "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs `net` in float over a synthetic image of `shape`, checking
+    /// every conv layer (with varied biases, one of them -0.0) against
+    /// the oracle.
+    fn every_conv_layer_matches_the_oracle(mut net: Network, shape: &[usize]) {
+        let len = shape.iter().product();
+        let mut x = Tensor::new((0..len).map(|i| ((i % 89) as f32 / 89.0) - 0.45).collect(), shape);
+        for (idx, layer) in net.layers_mut().iter_mut().enumerate() {
+            x = match layer {
+                LayerKind::Conv(conv) => {
+                    conv.bias = (0..conv.out_c).map(|i| (i as f32 - 4.0) / 32.0).collect();
+                    conv.bias[0] = -0.0;
+                    forward_matching_the_oracle(conv, &x, &format!("conv{idx} {shape:?}"))
+                }
+                other => other.forward(&x),
+            };
+        }
+    }
+
+    #[test]
+    #[ignore = "every conv layer of the zoo nets, full-size ones included; a release pass"]
+    fn zoo_conv_layers_match_the_output_stationary_oracle_bit_for_bit() {
+        every_conv_layer_matches_the_oracle(zoo::mnist_net(42), &[1, 28, 28]);
+        every_conv_layer_matches_the_oracle(zoo::cifar_net(42), &[3, 32, 32]);
+        every_conv_layer_matches_the_oracle(zoo::mnist_net_full(42), &[1, 28, 28]);
+        every_conv_layer_matches_the_oracle(zoo::cifar_net_full(42), &[3, 32, 32]);
     }
 
     #[test]

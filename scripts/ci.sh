@@ -57,10 +57,13 @@ echo "==> engine tests (SC_THREADS=7)"
 # splits every layer over its output maps on the sc-par pool, so its
 # tests and the thread-count determinism suite run at 7 workers too, as
 # does NeuralBackend's test, which crosses sc-neural's chunked conv and
-# the engine's per-map pool.
+# the engine's per-map pool. sc-neural's own tests (the float conv
+# oracle and the trained-parameter pin) run there too: its conv splits
+# each layer over output channels on the same pool.
 SC_THREADS=7 cargo test -q -p sc-accel
 SC_THREADS=7 cargo test -q -p sc-bench --test determinism
 SC_THREADS=7 cargo test -q -p sc-serve --test neural_backend
+SC_THREADS=7 cargo test -q -p sc-neural
 
 echo "==> lane-kernel tests in release"
 # The MVM lane kernels add, clamp and flag saturation on plain i64s.
@@ -80,6 +83,13 @@ echo "==> accel vs neural: full-size zoo layers in release"
 # the tile engine; this ignored pass does the same for the paper-size
 # zoo nets, whose out_c spans several T_M groups.
 cargo test --release -q -p scnn --test integration_accel_vs_neural -- --ignored
+
+echo "==> float conv: zoo layers against the output-stationary oracle in release"
+# cargo test checks the weight-stationary float forward against its
+# output-stationary oracle, bit for bit, on small geometries; this
+# ignored pass does the same for every conv layer of the zoo nets,
+# full-size ones included.
+cargo test --release -q -p sc-neural --lib -- --ignored
 
 echo "==> engine gate: golden cross-check under both execution engines"
 # The bitplane popcount fast paths of sc-rtlsim's run_to_done loops must
