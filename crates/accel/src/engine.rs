@@ -164,33 +164,18 @@ pub struct TileEngine {
     arithmetic: AccelArithmetic,
     extra_bits: u32,
     policy: FaultPolicy,
-    fault_key: u64,
 }
 
 impl TileEngine {
     /// Creates an engine at precision `n` with the given tiling and
     /// arithmetic. `extra_bits` is the accumulator headroom `A`.
     pub fn new(n: Precision, tiling: Tiling, arithmetic: AccelArithmetic, extra_bits: u32) -> Self {
-        TileEngine {
-            n,
-            tiling,
-            arithmetic,
-            extra_bits,
-            policy: FaultPolicy::default(),
-            fault_key: 0,
-        }
+        TileEngine { n, tiling, arithmetic, extra_bits, policy: FaultPolicy::default() }
     }
 
     /// Overrides the fault-handling policy (retry budget / degradation).
     pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Sets the fault-draw key decorrelating this engine's layers from
-    /// siblings (e.g. pass the layer index when running a network).
-    pub fn with_fault_key(mut self, key: u64) -> Self {
-        self.fault_key = key;
         self
     }
 
@@ -264,10 +249,9 @@ impl TileEngine {
         // written, then read back through the scrubbing controller).
         // Disarmed banks skip the staging entirely, leaving the borrowed
         // slices — and the computed bits — untouched.
-        let staged_input = self.stage_codes("input", input, self.fault_key)?;
+        let staged_input = self.stage_codes("input", input, 0)?;
         let input: &[i32] = staged_input.as_deref().unwrap_or(input);
-        let staged_weights =
-            self.stage_codes("weight", weights, self.fault_key ^ 0x9216_D5D9_8979_FB1B)?;
+        let staged_weights = self.stage_codes("weight", weights, 0x9216_D5D9_8979_FB1B)?;
         let weights: &[i32] = staged_weights.as_deref().unwrap_or(weights);
         let tile_site = sc_fault::site(sites::TILE_OUTPUT);
 
@@ -461,9 +445,9 @@ impl TileEngine {
         tiles
     }
 
-    /// Stages a code buffer through a parity-protected SRAM bank when
-    /// its fault site is armed; `Ok(None)` leaves the original buffer in
-    /// use. Scrub-on-read repairs what parity can see; masked
+    /// Stages a code buffer through a parity-protected SRAM bank, its
+    /// fault draws keyed by `key`, when its fault site is armed;
+    /// `Ok(None)` leaves the original buffer in use. Scrub-on-read repairs what parity can see; masked
     /// corruption is clamped into the code range (the operand register
     /// physically holds `N` bits).
     ///
@@ -583,7 +567,7 @@ impl TileEngine {
     ) -> Vec<(usize, i64)> {
         let kind = site.kind();
         let per_attempt = matches!(kind, FaultKind::Transient | FaultKind::Starve);
-        let mut instance = self.fault_key ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut instance = (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         if per_attempt {
             instance ^= (attempt as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
             instance ^= (replica + 1).wrapping_mul(0x1656_67B1_9E37_79F9);

@@ -195,7 +195,7 @@ struct ScenarioRow {
     /// The arrival trace the scenario answered, kept so event records
     /// can recover per-request deadlines.
     workload: Vec<Request>,
-    report: sc_serve::ServeReport,
+    report: sc_serve::FleetReport,
     /// Bucketed p50/p99 over *this scenario's* slice of the shared
     /// `serve.latency` registry histogram: the snapshot after the run
     /// less the pre-scenario baseline
@@ -269,7 +269,7 @@ impl ScenarioRow {
             ("timed_out", Json::UInt(r.timed_out)),
             ("failed", Json::UInt(r.failed)),
             ("breaker_rejected", Json::UInt(r.breaker_rejected)),
-            ("breaker_trips", Json::UInt(r.breaker_trips)),
+            ("breaker_trips", Json::UInt(r.shards[0].breaker_trips)),
             ("retries", Json::UInt(r.retries)),
             ("max_queue_depth", Json::UInt(r.max_queue_depth as u64)),
             ("p50_ticks", Json::UInt(r.latency_percentile(50.0))),
@@ -1171,7 +1171,7 @@ fn run(ctx: &mut sc_telemetry::BenchCtx) {
         )
     };
     assert!(row.report.retries > 0, "a mostly-dead backend must drive retries");
-    assert!(row.report.breaker_trips >= 1, "sustained failures must trip the breaker");
+    assert!(row.report.shards[0].breaker_trips >= 1, "sustained failures must trip the breaker");
     rows.push(row);
     print_row(rows.last().unwrap());
 
@@ -1294,11 +1294,16 @@ fn run(ctx: &mut sc_telemetry::BenchCtx) {
     // over every storm in this run — the single-server scenarios, the
     // fleet storms, and the heavy-tail obs storm — all under the shared
     // trace seed, written to `results/obs/` with its folded-stack cycle
-    // profile.
+    // profile. A single server is logged unsharded: its records name no
+    // replica.
     let mut obs = ObsLog::new("serve_storm", ObsConfig::new(OBS_WINDOW, OBS_SEED));
     for row in &rows {
         let idx = obs.scenario(row.name, row.site, 1);
-        obs.ingest(idx, &row.report.event_records(TRACE_SEED, &row.workload));
+        let mut records = row.report.event_records(TRACE_SEED, &row.workload);
+        for r in &mut records {
+            r.replica = None;
+        }
+        obs.ingest(idx, &records);
         obs.fold(idx, &row.report.folded);
     }
     for row in &frows {

@@ -1,10 +1,5 @@
 //! Minimal command-line helpers shared by the experiment binaries.
 
-/// Returns whether `--quick` was passed (reduced-size run).
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
 /// Returns the value following `--<name>` parsed as `T`, if present.
 pub fn arg_value<T: std::str::FromStr>(name: &str) -> Option<T> {
     let flag = format!("--{name}");

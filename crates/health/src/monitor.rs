@@ -36,60 +36,28 @@ use crate::slo::{Objective, ObjectiveState, Signal, SignalKind, Verdict};
 use crate::window::WindowStats;
 
 /// Monitor configuration. `window = 0` disables health monitoring
-/// entirely ([`HealthMonitor::new`] returns `None`).
-#[derive(Debug, Clone, PartialEq)]
+/// entirely ([`HealthMonitor::new`] returns `None`). An enabled monitor
+/// raises the degradation tier floor on each breach, and its flight
+/// recorder keeps the last 32 events, 32 finalized requests and 8
+/// closed windows and freezes at most 8 incidents.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct HealthConfig {
     /// Window width in virtual cycles (0 = disabled).
     pub window: u64,
     /// Declared objectives.
     pub objectives: Vec<Objective>,
-    /// Flight-recorder event-ring capacity.
-    pub recorder_events: usize,
-    /// Flight-recorder span-ring capacity.
-    pub recorder_spans: usize,
-    /// Closed windows kept for incident snapshots.
-    pub incident_windows: usize,
-    /// Incident snapshots kept before further breaches are counted but
-    /// dropped.
-    pub max_incidents: usize,
-    /// Retention mode for the incident cap: `false` (default) drops
-    /// breaches past `max_incidents`; `true` evicts the oldest snapshot
-    /// by virtual clock so the latest `max_incidents` are always kept.
-    pub evict_oldest_incidents: bool,
-    /// Whether a breach raises the degradation tier floor (and full
-    /// recovery clears it).
-    pub degrade_on_breach: bool,
 }
 
 impl HealthConfig {
     /// Monitoring off (the default for servers that don't opt in).
     pub fn disabled() -> HealthConfig {
-        HealthConfig {
-            window: 0,
-            objectives: Vec::new(),
-            recorder_events: 0,
-            recorder_spans: 0,
-            incident_windows: 0,
-            max_incidents: 0,
-            evict_oldest_incidents: false,
-            degrade_on_breach: false,
-        }
+        HealthConfig::default()
     }
 
-    /// A monitoring setup with `window`-cycle windows, the given
-    /// objectives, breach-driven degradation, and flight-recorder
-    /// defaults (32 events, 32 spans, 8 windows, 8 incidents).
+    /// A monitoring setup with `window`-cycle windows and the given
+    /// objectives.
     pub fn with_objectives(window: u64, objectives: Vec<Objective>) -> HealthConfig {
-        HealthConfig {
-            window,
-            objectives,
-            recorder_events: 32,
-            recorder_spans: 32,
-            incident_windows: 8,
-            max_incidents: 8,
-            evict_oldest_incidents: false,
-            degrade_on_breach: true,
-        }
+        HealthConfig { window, objectives }
     }
 
     /// Whether monitoring is on.
@@ -98,11 +66,21 @@ impl HealthConfig {
     }
 }
 
-impl Default for HealthConfig {
-    fn default() -> HealthConfig {
-        HealthConfig::disabled()
-    }
-}
+/// Flight-recorder event-ring capacity.
+const RECORDER_EVENTS: usize = 32;
+/// Flight-recorder span-ring capacity.
+const RECORDER_SPANS: usize = 32;
+/// Closed windows kept for incident snapshots.
+const INCIDENT_WINDOWS: usize = 8;
+/// Incident snapshots kept before further breaches are counted but
+/// dropped.
+const MAX_INCIDENTS: usize = 8;
+
+/// The most windows a monitor's series may hold. [`HealthMonitor::advance`]
+/// refuses to close windows past it, so a clock that jumps far ahead of
+/// the window width (a saturated tick near `u64::MAX`) is an error, not
+/// a loop over every window in between.
+pub const MAX_WINDOWS: u64 = 1 << 20;
 
 /// One verdict-driven tier-floor move.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -198,13 +176,8 @@ impl HealthMonitor {
             .enumerate()
             .map(|(slot, o)| ObjectiveState::new(o.clone(), slot))
             .collect();
-        let recorder = FlightRecorder::new(
-            cfg.recorder_events,
-            cfg.recorder_spans,
-            cfg.incident_windows,
-            cfg.max_incidents,
-        )
-        .evict_oldest(cfg.evict_oldest_incidents);
+        let recorder =
+            FlightRecorder::new(RECORDER_EVENTS, RECORDER_SPANS, INCIDENT_WINDOWS, MAX_INCIDENTS);
         let bounds = log2_bounds(32);
         Some(HealthMonitor {
             max_tier,
@@ -241,14 +214,41 @@ impl HealthMonitor {
     /// state a breach freezes into its incident: it is called once when
     /// at least one window closes, and not at all otherwise. The capture's
     /// `tier_floor` is overwritten with the floor in force at the breach.
-    pub fn advance(&mut self, now: u64, state: impl FnOnce() -> SystemState) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`sc_core::Error::InvalidConfig`], before closing any
+    /// window, when closing every window up to `now` would grow the
+    /// series past [`MAX_WINDOWS`].
+    pub fn advance(
+        &mut self,
+        now: u64,
+        state: impl FnOnce() -> SystemState,
+    ) -> Result<(), sc_core::Error> {
         if self.open_end() > now {
-            return;
+            return Ok(());
+        }
+        // Windows `index..now / window` end by `now`. At `u64::MAX` every
+        // window past the clock's end ends there too, without end.
+        let closing = match now {
+            u64::MAX => u64::MAX,
+            _ => now / self.cfg.window - self.index,
+        };
+        if closing > MAX_WINDOWS.saturating_sub(self.series.len() as u64) {
+            return Err(sc_core::Error::InvalidConfig {
+                what: "health monitor".to_string(),
+                reason: format!(
+                    "closing the {}-cycle windows up to tick {now} would grow the series past \
+                     {MAX_WINDOWS} windows",
+                    self.cfg.window
+                ),
+            });
         }
         let mut capture = state();
         while self.open_end() <= now {
             self.close_window(&mut capture);
         }
+        Ok(())
     }
 
     /// One past the last cycle of the open window.
@@ -290,7 +290,7 @@ impl HealthMonitor {
                             signal.objective, signal.fast_burn, signal.slow_burn
                         ),
                     );
-                    if self.cfg.degrade_on_breach && self.floor < self.max_tier {
+                    if self.floor < self.max_tier {
                         floor_move = Some((self.floor + 1, signal.objective.clone()));
                     }
                 }
@@ -307,11 +307,7 @@ impl HealthMonitor {
         }
         // A recovery only clears the floor when *every* objective is
         // green again — sustained green, not the first good window.
-        if floor_move.is_none()
-            && self.floor > 0
-            && self.cfg.degrade_on_breach
-            && self.verdict() == Verdict::Green
-        {
+        if floor_move.is_none() && self.floor > 0 && self.verdict() == Verdict::Green {
             if let Some(last) = self.signals.last() {
                 if last.kind == SignalKind::Recover && last.cycle == stats.end {
                     floor_move = Some((0, last.objective.clone()));
@@ -396,14 +392,22 @@ impl HealthMonitor {
     /// Closes windows up to `horizon` (capturing `state` as
     /// [`HealthMonitor::advance`] does), flushes the trailing partial
     /// window (reported, never SLO-evaluated), and produces the report.
-    pub fn finish(mut self, horizon: u64, state: impl FnOnce() -> SystemState) -> HealthReport {
-        self.advance(horizon, state);
+    ///
+    /// # Errors
+    ///
+    /// As [`HealthMonitor::advance`] to `horizon`.
+    pub fn finish(
+        mut self,
+        horizon: u64,
+        state: impl FnOnce() -> SystemState,
+    ) -> Result<HealthReport, sc_core::Error> {
+        self.advance(horizon, state)?;
         if self.tally.finalized > 0 {
             let partial = self.freeze(true);
             self.series.push(partial);
         }
         self.time_in_tier[self.floor] += horizon.saturating_sub(self.floor_since);
-        HealthReport {
+        Ok(HealthReport {
             window: self.cfg.window,
             horizon,
             series: self.series,
@@ -411,11 +415,10 @@ impl HealthMonitor {
             signals: self.signals,
             incidents: self.recorder.incidents().to_vec(),
             dropped_incidents: self.recorder.dropped_incidents(),
-            evicted_incidents: self.recorder.evicted_incidents(),
             transitions: self.transitions,
             time_in_tier: self.time_in_tier,
             reseeds: self.reseeds,
-        }
+        })
     }
 }
 
@@ -436,8 +439,6 @@ pub struct HealthReport {
     pub incidents: Vec<IncidentSnapshot>,
     /// Breaches dropped after the incident cap.
     pub dropped_incidents: u64,
-    /// Snapshots evicted by the retention cap (evict-oldest mode).
-    pub evicted_incidents: u64,
     /// Verdict-driven tier-floor moves, in order.
     pub transitions: Vec<TierTransition>,
     /// Virtual cycles spent at each tier floor (index = tier).
@@ -503,7 +504,6 @@ impl HealthReport {
             ("signals", Json::Arr(self.signals.iter().map(Signal::to_json).collect())),
             ("incidents", Json::UInt(self.incidents.len() as u64)),
             ("dropped_incidents", Json::UInt(self.dropped_incidents)),
-            ("evicted_incidents", Json::UInt(self.evicted_incidents)),
             ("reseeds", Json::UInt(self.reseeds)),
             (
                 "transitions",
@@ -516,13 +516,7 @@ impl HealthReport {
     /// Flattens the whole report — series, verdicts, signals, incidents,
     /// transitions — into `u64`s for bitwise-determinism assertions.
     pub fn fingerprint(&self) -> Vec<u64> {
-        let mut fp = vec![
-            self.window,
-            self.horizon,
-            self.dropped_incidents,
-            self.evicted_incidents,
-            self.reseeds,
-        ];
+        let mut fp = vec![self.window, self.horizon, self.dropped_incidents, self.reseeds];
         for w in &self.series {
             fp.extend(w.fingerprint());
         }
@@ -565,13 +559,13 @@ mod tests {
     #[test]
     fn events_on_a_boundary_land_in_the_window_that_starts_there() {
         let mut m = monitor(vec![Objective::error_rate("errors", 0.1).with_spans(1, 1)]);
-        m.advance(0, SystemState::idle);
+        m.advance(0, SystemState::idle).unwrap();
         m.sample(Outcome::Completed { tier: 0 }, 10);
         // Advancing to exactly cycle 100 closes window 0 before any
         // event at 100 is recorded.
-        m.advance(100, SystemState::idle);
+        m.advance(100, SystemState::idle).unwrap();
         m.sample(Outcome::Failed, 0);
-        let report = m.finish(150, SystemState::idle);
+        let report = m.finish(150, SystemState::idle).unwrap();
         assert_eq!(report.series.len(), 2);
         assert_eq!(report.series[0].completed, 1);
         assert_eq!(report.series[0].errors, 0);
@@ -588,14 +582,14 @@ mod tests {
             calls.set(calls.get() + 1);
             SystemState::idle()
         };
-        m.advance(0, state);
-        m.advance(99, state);
+        m.advance(0, state).unwrap();
+        m.advance(99, state).unwrap();
         assert_eq!(calls.get(), 0, "no window ends by 99");
-        m.advance(100, state);
+        m.advance(100, state).unwrap();
         assert_eq!(calls.get(), 1, "closing window 0 captures once");
-        m.advance(450, state);
+        m.advance(450, state).unwrap();
         assert_eq!(calls.get(), 2, "closing windows 1 to 3 captures once more");
-        let report = m.finish(450, state);
+        let report = m.finish(450, state).unwrap();
         assert_eq!(calls.get(), 2, "the open window [400, 500) does not close at 450");
         assert_eq!(report.closed_windows(), 4);
     }
@@ -608,7 +602,7 @@ mod tests {
         state.queue_depth = 9;
         // Two windows of 50% errors: fast and slow both burn 10x.
         for w in 0..2u64 {
-            m.advance(w * 100, || state.clone());
+            m.advance(w * 100, || state.clone()).unwrap();
             for i in 0..10 {
                 if i % 2 == 0 {
                     m.sample(Outcome::Failed, 0);
@@ -617,10 +611,10 @@ mod tests {
                 }
             }
         }
-        m.advance(200, || state.clone());
+        m.advance(200, || state.clone()).unwrap();
         assert_eq!(m.verdict(), Verdict::Breached);
         assert_eq!(m.tier_floor(), 1, "one breach raises the floor one tier");
-        let report = m.finish(500, || state.clone());
+        let report = m.finish(500, || state.clone()).unwrap();
         assert_eq!(report.breaches(), 1);
         assert_eq!(report.incidents.len(), 1);
         let inc = &report.incidents[0];
@@ -645,18 +639,18 @@ mod tests {
             Objective::error_rate("errors", 0.01).with_spans(1, 1).with_recovery(8),
             Objective::p99("latency", 16).with_spans(2, 2).with_recovery(8),
         ]);
-        m.advance(0, SystemState::idle);
+        m.advance(0, SystemState::idle).unwrap();
         for _ in 0..10 {
             m.sample(Outcome::Failed, 0);
         }
-        m.advance(100, SystemState::idle); // closes window 0: error breach
+        m.advance(100, SystemState::idle).unwrap(); // closes window 0: error breach
         assert_eq!(m.tier_floor(), 1);
         for _ in 0..10 {
             m.sample(Outcome::Completed { tier: 1 }, 100);
         }
-        m.advance(200, SystemState::idle); // closes window 1: latency breach
+        m.advance(200, SystemState::idle).unwrap(); // closes window 1: latency breach
         assert_eq!(m.tier_floor(), 2, "a second objective's breach stacks the floor");
-        let report = m.finish(200, SystemState::idle);
+        let report = m.finish(200, SystemState::idle).unwrap();
         assert_eq!(report.breaches(), 2);
         assert_eq!(report.incidents.len(), 2);
         assert_eq!(report.incidents[1].state.tier_floor, 1, "second incident sees the first raise");
@@ -671,14 +665,14 @@ mod tests {
         let mut m =
             monitor(vec![Objective::error_rate("errors", 0.01).with_spans(1, 1).with_recovery(1)]);
         for w in 0..12u64 {
-            m.advance(w * 100, SystemState::idle);
+            m.advance(w * 100, SystemState::idle).unwrap();
             if w % 2 == 0 {
                 m.sample(Outcome::Failed, 0);
             } else {
                 m.sample(Outcome::Completed { tier: 0 }, 5);
             }
         }
-        let report = m.finish(1200, SystemState::idle);
+        let report = m.finish(1200, SystemState::idle).unwrap();
         assert_eq!(report.breaches(), 6);
         assert_eq!(report.recoveries(), 6, "every odd window recovers the objective");
         // The floor oscillates 0 ↔ 1, never past the ladder's top tier.
@@ -694,11 +688,11 @@ mod tests {
                 Objective::p99("latency", 16).with_spans(1, 2),
             ]);
             for w in 0..6u64 {
-                m.advance(w * 100, SystemState::idle);
+                m.advance(w * 100, SystemState::idle).unwrap();
                 m.sample(Outcome::Completed { tier: (w % 2 == 0) as usize }, 10 + w);
                 m.sample(Outcome::Shed, 0);
             }
-            m.finish(600, SystemState::idle)
+            m.finish(600, SystemState::idle).unwrap()
         };
         let a = run();
         let b = run();
@@ -710,20 +704,42 @@ mod tests {
             Objective::p99("latency", 16).with_spans(1, 2),
         ]);
         for w in 0..6u64 {
-            m.advance(w * 100, SystemState::idle);
+            m.advance(w * 100, SystemState::idle).unwrap();
             m.sample(Outcome::Completed { tier: (w % 2 == 0) as usize }, 10 + w);
         }
-        assert_ne!(a.digest(), m.finish(600, SystemState::idle).digest());
+        assert_ne!(a.digest(), m.finish(600, SystemState::idle).unwrap().digest());
+    }
+
+    #[test]
+    fn closing_windows_past_the_cap_fails_before_any_closes() {
+        let mut m = monitor(Vec::new());
+        m.advance(250, SystemState::idle).unwrap();
+        assert_eq!(m.series.len(), 2);
+        let captured = std::cell::Cell::new(false);
+        // From two closed windows, tick 100·(MAX_WINDOWS + 1) is the first
+        // whose windows would not fit; at u64::MAX they never end.
+        for now in [100 * (MAX_WINDOWS + 1), u64::MAX] {
+            let err = m.advance(now, || {
+                captured.set(true);
+                SystemState::idle()
+            });
+            assert!(matches!(err, Err(sc_core::Error::InvalidConfig { .. })), "{err:?}");
+            assert_eq!((m.series.len(), m.index), (2, 2), "no window closed");
+        }
+        assert!(!captured.get(), "no state captured");
+        m.sample(Outcome::Completed { tier: 0 }, 5);
+        m.advance(300, SystemState::idle).unwrap();
+        assert!(m.finish(u64::MAX, SystemState::idle).is_err());
     }
 
     #[test]
     fn a_window_latency_sum_saturates() {
         let mut m = monitor(Vec::new());
-        m.advance(0, SystemState::idle);
+        m.advance(0, SystemState::idle).unwrap();
         for _ in 0..3 {
             m.sample(Outcome::Completed { tier: 0 }, u64::MAX / 2);
         }
-        let w = &m.finish(50, SystemState::idle).series[0];
+        let w = &m.finish(50, SystemState::idle).unwrap().series[0];
         assert_eq!((w.completed, w.latency_sum), (3, u64::MAX), "the sum saturates");
         assert_eq!((w.max_latency, w.p99), (u64::MAX / 2, u64::MAX / 2));
     }
@@ -733,16 +749,17 @@ mod tests {
         use sc_telemetry::{split_mix, CycleAttribution, ObsConfig, ObsLog};
         // One seeded stream of all five outcomes, dense but with
         // stretches of empty windows, fed to a monitor and to an obs log
-        // with the same window width and latency bounds.
+        // with the same window width. Latencies stay below 2^15, where
+        // the monitor's log2(32) and the log's log2(24) bucket bounds
+        // are the same.
         let mut m = monitor(Vec::new());
-        let cfg = ObsConfig { bounds: m.bounds.clone(), ..ObsConfig::new(m.cfg.window, 7) };
-        let mut log = ObsLog::new("unit", cfg);
+        let mut log = ObsLog::new("unit", ObsConfig::new(m.cfg.window, 7));
         let scenario = log.scenario("stream", "", 1);
         let mut now = 0u64;
         for id in 0..4000u64 {
             let draw = split_mix(0x5EED ^ id);
             now += if draw.is_multiple_of(97) { 1000 } else { draw % 23 };
-            m.advance(now, SystemState::idle);
+            m.advance(now, SystemState::idle).unwrap();
             let latency = (draw >> 8) % (1 << ((draw >> 40) % 16));
             let outcome = match (draw >> 4) % 8 {
                 0 => Outcome::Shed,
@@ -770,7 +787,7 @@ mod tests {
                 },
             );
         }
-        let report = m.finish(now, SystemState::idle);
+        let report = m.finish(now, SystemState::idle).unwrap();
         let fields = [
             "count",
             "completed",
@@ -818,14 +835,14 @@ mod tests {
     #[test]
     fn p99_objective_counts_over_limit_completions() {
         let mut m = monitor(vec![Objective::p99("latency", 16).with_spans(1, 1)]);
-        m.advance(0, SystemState::idle);
+        m.advance(0, SystemState::idle).unwrap();
         for lat in [10, 10, 10, 40] {
             m.sample(Outcome::Completed { tier: 0 }, lat);
         }
-        m.advance(100, SystemState::idle);
+        m.advance(100, SystemState::idle).unwrap();
         // 25% of completions over the 16-cycle limit on a 1% budget.
         assert_eq!(m.verdict(), Verdict::Breached);
-        let report = m.finish(100, SystemState::idle);
+        let report = m.finish(100, SystemState::idle).unwrap();
         assert_eq!(report.series[0].over_limit, vec![1]);
         let json = report.to_json();
         assert_eq!(json.get("verdict").and_then(|j| j.as_str()), Some("breached"));

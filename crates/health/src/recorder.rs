@@ -216,10 +216,7 @@ pub struct FlightRecorder {
     window_capacity: usize,
     incidents: Vec<IncidentSnapshot>,
     max_incidents: usize,
-    evict_oldest_incidents: bool,
-    frozen_total: u64,
     dropped_incidents: u64,
-    evicted_incidents: u64,
 }
 
 impl FlightRecorder {
@@ -240,22 +237,8 @@ impl FlightRecorder {
             window_capacity: windows.max(1),
             incidents: Vec::new(),
             max_incidents,
-            evict_oldest_incidents: false,
-            frozen_total: 0,
             dropped_incidents: 0,
-            evicted_incidents: 0,
         }
-    }
-
-    /// Switches the incident cap from drop-newest (the default: breaches
-    /// past the cap are counted, not kept) to evict-oldest retention:
-    /// the oldest snapshot by virtual clock makes room for the new one,
-    /// so the recorder always holds the *latest* `max_incidents`
-    /// breaches. Sequence numbers keep counting monotonically either
-    /// way.
-    pub fn evict_oldest(mut self, on: bool) -> FlightRecorder {
-        self.evict_oldest_incidents = on;
-        self
     }
 
     /// Records a point event (evicting the oldest at capacity).
@@ -283,23 +266,15 @@ impl FlightRecorder {
     }
 
     /// Freezes an incident snapshot for a breach `signal`. Returns
-    /// whether it was kept: `false` once `max_incidents` is reached in
-    /// the default drop-newest mode (the drop is counted, not silent);
-    /// in evict-oldest mode ([`FlightRecorder::evict_oldest`]) the
-    /// oldest snapshot is evicted instead and the new one is kept.
+    /// whether it was kept: `false` once `max_incidents` is reached (the
+    /// drop is counted, not silent).
     pub fn freeze(&mut self, signal: &Signal, state: &SystemState) -> bool {
         if self.incidents.len() >= self.max_incidents {
-            if !self.evict_oldest_incidents || self.max_incidents == 0 {
-                self.dropped_incidents += 1;
-                return false;
-            }
-            // Incidents are frozen in virtual-clock order, so the front
-            // is the oldest.
-            self.incidents.remove(0);
-            self.evicted_incidents += 1;
+            self.dropped_incidents += 1;
+            return false;
         }
         self.incidents.push(IncidentSnapshot {
-            seq: self.frozen_total,
+            seq: self.incidents.len() as u64,
             cycle: signal.cycle,
             objective: signal.objective.clone(),
             fast_burn: signal.fast_burn,
@@ -309,7 +284,6 @@ impl FlightRecorder {
             spans: self.spans.iter().cloned().collect(),
             state: state.clone(),
         });
-        self.frozen_total += 1;
         true
     }
 
@@ -321,11 +295,6 @@ impl FlightRecorder {
     /// Breaches that arrived after the incident cap was hit.
     pub fn dropped_incidents(&self) -> u64 {
         self.dropped_incidents
-    }
-
-    /// Snapshots evicted by the retention cap (evict-oldest mode only).
-    pub fn evicted_incidents(&self) -> u64 {
-        self.evicted_incidents
     }
 }
 
@@ -396,19 +365,6 @@ mod tests {
         assert!(!r.freeze(&breach(200), &SystemState::idle()));
         assert_eq!(r.incidents().len(), 1);
         assert_eq!(r.dropped_incidents(), 1);
-        assert_eq!(r.evicted_incidents(), 0);
-    }
-
-    #[test]
-    fn evict_oldest_retention_keeps_the_latest_incidents() {
-        let mut r = FlightRecorder::new(2, 2, 2, 2).evict_oldest(true);
-        for c in [100, 200, 300, 400] {
-            assert!(r.freeze(&breach(c), &SystemState::idle()), "evict-oldest always keeps");
-        }
-        let kept: Vec<(u64, u64)> = r.incidents().iter().map(|i| (i.seq, i.cycle)).collect();
-        assert_eq!(kept, vec![(2, 300), (3, 400)], "oldest-by-clock evicted, seq monotonic");
-        assert_eq!(r.evicted_incidents(), 2);
-        assert_eq!(r.dropped_incidents(), 0, "evictions are not drops");
     }
 
     #[test]

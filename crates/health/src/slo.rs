@@ -14,7 +14,7 @@
 //! fast. Following the SRE dual-window alerting recipe, an objective
 //! **breaches** only when both a short span (`fast_windows`, catches the
 //! onset quickly) and a long span (`slow_windows`, rejects blips) burn
-//! at or above `burn_threshold`. A breached objective **recovers**
+//! at or above [`BURN_THRESHOLD`]. A breached objective **recovers**
 //! after `recover_windows` consecutive windows whose single-window burn
 //! is below the threshold.
 //!
@@ -27,6 +27,10 @@ use std::collections::VecDeque;
 use sc_telemetry::fnv1a;
 
 use crate::window::WindowStats;
+
+/// The burn rate at or above which a span counts as burning: 1.0, the
+/// error budget consumed exactly as fast as the objective allows.
+pub const BURN_THRESHOLD: f64 = 1.0;
 
 /// What an [`Objective`] constrains.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,22 +108,19 @@ pub struct Objective {
     pub fast_windows: usize,
     /// Long span: windows in the slow burn-rate average.
     pub slow_windows: usize,
-    /// Breach when both spans burn at or above this rate.
-    pub burn_threshold: f64,
     /// Consecutive sub-threshold windows required to recover.
     pub recover_windows: usize,
 }
 
 impl Objective {
     /// An objective with the default alerting shape: fast span 3,
-    /// slow span 12, threshold 1.0, recovery after 3 green windows.
+    /// slow span 12, recovery after 3 green windows.
     pub fn new(name: &str, kind: ObjectiveKind) -> Objective {
         Objective {
             name: name.to_string(),
             kind,
             fast_windows: 3,
             slow_windows: 12,
-            burn_threshold: 1.0,
             recover_windows: 3,
         }
     }
@@ -146,12 +147,6 @@ impl Objective {
         self
     }
 
-    /// Overrides the burn threshold.
-    pub fn with_threshold(mut self, t: f64) -> Objective {
-        self.burn_threshold = t;
-        self
-    }
-
     /// Overrides the recovery streak length.
     pub fn with_recovery(mut self, windows: usize) -> Objective {
         self.recover_windows = windows;
@@ -167,7 +162,7 @@ impl Objective {
     }
 
     /// Checks that the objective is well-formed: positive budget,
-    /// `1 ≤ fast ≤ slow`, positive threshold and recovery streak.
+    /// `1 ≤ fast ≤ slow`, and a positive recovery streak.
     ///
     /// # Errors
     ///
@@ -188,9 +183,6 @@ impl Objective {
         }
         if self.fast_windows > self.slow_windows {
             return Err(invalid("fast span wider than slow span".to_string()));
-        }
-        if self.burn_threshold.is_nan() || self.burn_threshold <= 0.0 {
-            return Err(invalid("non-positive threshold".to_string()));
         }
         if self.recover_windows < 1 {
             return Err(invalid("recovery streak must be >= 1".to_string()));
@@ -384,7 +376,7 @@ impl ObjectiveState {
         if fast > self.worst_fast_burn {
             self.worst_fast_burn = fast;
         }
-        let t = self.objective.burn_threshold;
+        let t = BURN_THRESHOLD;
         let signal = |kind| Signal {
             cycle: w.end,
             window: w.index,
@@ -440,7 +432,7 @@ impl ObjectiveState {
             ("budget", Json::Num(self.objective.kind.budget())),
             ("fast_windows", Json::UInt(self.objective.fast_windows as u64)),
             ("slow_windows", Json::UInt(self.objective.slow_windows as u64)),
-            ("burn_threshold", Json::Num(self.objective.burn_threshold)),
+            ("burn_threshold", Json::Num(BURN_THRESHOLD)),
             ("verdict", Json::Str(self.verdict.label().to_string())),
             ("breaches", Json::UInt(self.breaches)),
             ("recoveries", Json::UInt(self.recoveries)),

@@ -91,14 +91,6 @@ impl Network {
         })
     }
 
-    /// Mutable iteration over the convolution layers.
-    pub fn conv_layers_mut(&mut self) -> impl Iterator<Item = &mut Conv2d> {
-        self.layers.iter_mut().filter_map(|l| match l {
-            LayerKind::Conv(c) => Some(c),
-            _ => None,
-        })
-    }
-
     /// All convolution weights flattened (for the weight-magnitude /
     /// latency statistics of Fig. 7).
     pub fn conv_weights(&self) -> Vec<f32> {
@@ -138,14 +130,16 @@ impl Network {
     }
 }
 
-/// 99th percentile of a sample vector (sorted in place; 0 for empty).
+/// 99th percentile of a sample vector (reordered in place; 0 for
+/// empty): the element a full sort would put at that rank. Samples are
+/// absolute values, so elements that compare equal are bitwise equal
+/// (there is no `-0.0`), and selecting the rank returns the same bits.
 fn percentile_99(samples: &mut [f32]) -> f32 {
     if samples.is_empty() {
         return 0.0;
     }
     let idx = ((samples.len() - 1) as f64 * 0.99) as usize;
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN activations"));
-    samples[idx]
+    *samples.select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).expect("no NaN activations")).1
 }
 
 #[cfg(test)]
@@ -198,6 +192,22 @@ mod tests {
     fn conv_weights_collected() {
         let net = tiny_net();
         assert_eq!(net.conv_weights().len(), 2 * 3 * 3);
+    }
+
+    #[test]
+    fn percentile_99_is_the_fully_sorted_rank() {
+        for (seed, len) in [(1u64, 1usize), (2, 2), (3, 99), (4, 100), (5, 101), (6, 4097)] {
+            // Absolute values of few distinct magnitudes: ties abound.
+            let mut rng = InitRng::new(seed);
+            let samples: Vec<f32> =
+                (0..len).map(|_| (rng.normal() * 4.0).round().abs() / 8.0).collect();
+            let mut sorted = samples.clone();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let idx = ((len - 1) as f64 * 0.99) as usize;
+            let got = percentile_99(&mut samples.clone());
+            assert_eq!(got.to_bits(), sorted[idx].to_bits(), "seed {seed}, {len} samples");
+        }
+        assert_eq!(percentile_99(&mut []), 0.0);
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its raw data.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns a tensor with the same data and a new shape.
     ///
     /// # Panics

@@ -72,7 +72,7 @@ use crate::hedge::HedgePolicy;
 use crate::placement::Placement;
 use crate::queue::{AdmissionQueue, Queued};
 use crate::recovery::{RecoveryManager, RecoveryPolicy, RecoveryStats, ReplicaPhase};
-use crate::report::{latency_percentile_of, records_under, response_words, Segment};
+use crate::report::Segment;
 use crate::server::{
     build_trace, fold_timeline, metrics, settle_wait, Backend, Request, ServerConfig,
 };
@@ -188,7 +188,8 @@ impl ShardReport {
     }
 }
 
-/// Aggregated result of one [`Fleet::run`].
+/// Aggregated result of one [`Fleet::run`], or of one
+/// [`crate::Server::run`]: a server's is its one-replica fleet's.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetReport {
     /// Every request's terminal record, in finalization order, with its
@@ -257,9 +258,17 @@ impl FleetReport {
         self.completed_by_tier.iter().skip(1).sum()
     }
 
-    /// The `p`-th percentile (nearest-rank) of completed latencies.
+    /// The `p`-th percentile (0 < p ≤ 100, nearest-rank) of completed
+    /// requests' virtual latencies; 0 when nothing completed.
     pub fn latency_percentile(&self, p: f64) -> u64 {
-        latency_percentile_of(&self.responses, p)
+        let mut lat: Vec<u64> =
+            self.responses.iter().filter(|r| r.completed()).map(|r| r.latency).collect();
+        if lat.is_empty() {
+            return 0;
+        }
+        lat.sort_unstable();
+        let rank = ((p / 100.0) * lat.len() as f64).ceil() as usize;
+        lat[rank.clamp(1, lat.len()) - 1]
     }
 
     /// One observability [`EventRecord`] per response, in finalization
@@ -267,7 +276,10 @@ impl FleetReport {
     /// themselves, re-keyed. `requests` is no longer read, as each
     /// response carries its own arrival and deadline slack.
     pub fn event_records(&self, trace_seed: u64, _requests: &[Request]) -> Vec<EventRecord> {
-        records_under(trace_seed, &self.responses).collect()
+        self.responses
+            .iter()
+            .map(|r| EventRecord { trace: TraceId::derive(trace_seed, r.id).0, ..*r })
+            .collect()
     }
 
     /// Flattens the whole report into a `Vec<u64>` for
@@ -292,7 +304,8 @@ impl FleetReport {
         ];
         fp.extend(self.completed_by_tier.iter().copied());
         for r in &self.responses {
-            fp.extend(response_words(r));
+            let tier = r.outcome.tier().map_or(u64::MAX, |t| t as u64);
+            fp.extend([r.id, r.outcome.code(), tier, r.attempts, r.finished_at, r.latency]);
             fp.extend([r.replica.unwrap_or(u64::MAX), r.hedged as u64, r.hedge_won as u64]);
             fp.extend(r.attribution.fingerprint());
         }
@@ -468,6 +481,10 @@ impl Fleet {
     ///
     /// Rejects a backend count that differs from the configured replica
     /// count, and a request naming a payload any backend does not have.
+    /// Fails with a monitor's error when a tick lies so far ahead that
+    /// closing the windows up to it would grow the monitor's series past
+    /// [`sc_health::monitor::MAX_WINDOWS`] (see
+    /// [`HealthMonitor::advance`]).
     pub fn try_run(
         &self,
         backends: &mut [Box<dyn Backend>],
@@ -514,7 +531,7 @@ impl Fleet {
         while let Some(t) = run.next_event(arrivals.peek().map(|r| r.arrival)) {
             let now = t.max(clock.now());
             clock.advance_to(now);
-            run.advance_monitors(now);
+            run.advance_monitors(now)?;
             run.recover(now);
             run.complete(now);
             run.note_trips(now);
@@ -525,7 +542,7 @@ impl Fleet {
             run.launch_hedges(now, backends);
             run.dispatch(now, backends);
         }
-        Ok(run.finish(clock.now()))
+        run.finish(clock.now())
     }
 }
 
@@ -631,7 +648,7 @@ impl<'f> Run<'f> {
     /// Advances the monitors to `now`, before any event at `now` is
     /// processed: shards in index order, then the fleet view. Each
     /// captures the serving-side state only if a window closes.
-    fn advance_monitors(&mut self, now: u64) {
+    fn advance_monitors(&mut self, now: u64) -> Result<(), sc_core::Error> {
         for (r, mon) in self.shard_mons.iter_mut().enumerate() {
             if let Some(hm) = mon {
                 hm.advance(now, || {
@@ -642,14 +659,15 @@ impl<'f> Run<'f> {
                         &self.recovery,
                         r,
                     )
-                });
+                })?;
             }
         }
         if let Some(hm) = self.fleet_mon.as_mut() {
             hm.advance(now, || {
                 fleet_state(&self.queues, &self.inflight, &self.breakers, &self.recovery)
-            });
+            })?;
         }
+        Ok(())
     }
 
     /// Recovery lifecycle transitions due at `now`. They run before
@@ -1023,7 +1041,7 @@ impl<'f> Run<'f> {
     /// Closes the monitors at `horizon`, stamps the final breaker,
     /// lifecycle and recovery state into the report, and publishes the
     /// report's totals to the `serve.*` and `fleet.*` counters.
-    fn finish(mut self, horizon: u64) -> FleetReport {
+    fn finish(mut self, horizon: u64) -> Result<FleetReport, sc_core::Error> {
         for r in 0..self.queues.len() {
             let state = shard_state(
                 &self.queues[r],
@@ -1037,13 +1055,20 @@ impl<'f> Run<'f> {
             shard.breaker_state = state.breaker.clone();
             shard.lifecycle = state.lifecycle.clone();
             shard.rejoins = state.rejoins;
-            shard.health = self.shard_mons[r].take().map(|hm| close_monitor(hm, horizon, || state));
+            shard.health = self.shard_mons[r]
+                .take()
+                .map(|hm| close_monitor(hm, horizon, || state))
+                .transpose()?;
         }
-        self.out.health = self.fleet_mon.take().map(|hm| {
-            close_monitor(hm, horizon, || {
-                fleet_state(&self.queues, &self.inflight, &self.breakers, &self.recovery)
+        self.out.health = self
+            .fleet_mon
+            .take()
+            .map(|hm| {
+                close_monitor(hm, horizon, || {
+                    fleet_state(&self.queues, &self.inflight, &self.breakers, &self.recovery)
+                })
             })
-        });
+            .transpose()?;
         self.out.horizon = horizon;
         self.out.recovery = self.recovery.as_ref().map(RecoveryManager::stats).unwrap_or_default();
         let (m, out) = (metrics(), self.out);
@@ -1066,7 +1091,7 @@ impl<'f> Run<'f> {
         ] {
             published.incr(total);
         }
-        out
+        Ok(out)
     }
 
     /// Settles `entry` as `outcome` at `now` on `replica` (`None` when
@@ -1364,15 +1389,15 @@ fn close_monitor(
     hm: HealthMonitor,
     horizon: u64,
     state: impl FnOnce() -> SystemState,
-) -> HealthReport {
+) -> Result<HealthReport, sc_core::Error> {
     let m = metrics();
-    let report = hm.finish(horizon, state);
+    let report = hm.finish(horizon, state)?;
     m.health_windows.incr(report.closed_windows());
     m.health_breach.incr(report.breaches());
     m.health_recover.incr(report.recoveries());
     m.health_incident.incr(report.incidents.len() as u64);
     m.health_floor_raise.incr(report.transitions.iter().filter(|t| t.to > t.from).count() as u64);
-    report
+    Ok(report)
 }
 
 /// Replica `r`'s serving-side state, for its shard monitor to capture
@@ -2009,6 +2034,38 @@ mod tests {
         let report = fleet.run(&mut backends(&[50_000, 500]), trace(10, 100, 1_000_000));
         assert_eq!(report.hedges_launched, 0, "a delay of u64::MAX means never");
         assert_eq!(report.completed(), 10);
+    }
+
+    #[test]
+    fn a_monitored_run_to_the_end_of_the_clock_is_an_error_not_a_hang() {
+        let started = std::time::Instant::now();
+        let health =
+            HealthConfig::with_objectives(1_000, vec![sc_health::Objective::goodput("g", 0.9)]);
+        let is_cap_error = |r: &Result<FleetReport, sc_core::Error>| match r {
+            Err(sc_core::Error::InvalidConfig { what, .. }) => what == "health monitor",
+            _ => false,
+        };
+        // A brownout of u64::MAX saturates the one service window, so the
+        // next tick is the clock's last: the monitor would close every
+        // 1,000-cycle window up to it.
+        let browned = {
+            let _faults = scoped(FaultPlan::parse("serve.replica.brownout:flip@1.0").unwrap());
+            Fleet::new(FleetConfig {
+                replicas: 1,
+                fleet_health: health.clone(),
+                brownout_factor: u64::MAX,
+                ..FleetConfig::default()
+            })
+            .try_run(&mut backends(&[100]), trace(1, 0, 1_000))
+        };
+        assert!(is_cap_error(&browned), "{browned:?}");
+        // A server's monitor stops the same way at a late arrival.
+        let _guard = no_faults();
+        let late = vec![Request { id: 0, arrival: u64::MAX / 2, deadline: u64::MAX, payload: 0 }];
+        let server = crate::Server::new(ServerConfig { health, ..ServerConfig::default() })
+            .try_run(&mut Mock { cycles: 100, fail: false }, late);
+        assert!(is_cap_error(&server), "{server:?}");
+        assert!(started.elapsed() < std::time::Duration::from_secs(1), "{:?}", started.elapsed());
     }
 
     #[test]

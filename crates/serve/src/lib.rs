@@ -34,9 +34,10 @@
 //! * [`backend`] — [`Backend`] implementations over the tiled
 //!   accelerator ([`AccelBackend`]) and whole-network quantized
 //!   inference ([`NeuralBackend`]);
-//! * [`report`] — per-run outcome accounting and latency percentiles;
-//!   each finalized request is one [`sc_telemetry::EventRecord`]
-//!   ([`Response`]) with an [`Outcome`].
+//! * [`report`] — the per-request accounting timeline each response's
+//!   attribution and span tree are derived from. Every run reports as
+//!   one [`FleetReport`], a server's too: each finalized request is one
+//!   [`sc_telemetry::EventRecord`] ([`Response`]) with an [`Outcome`].
 //!
 //! ## Live health telemetry
 //!
@@ -48,7 +49,7 @@
 //! degradation-tier **floor** on top of the occupancy ladder — the
 //! server degrades on burn and recovers only on sustained green. The
 //! full [`sc_health::HealthReport`] rides home on
-//! [`ServeReport::health`].
+//! [`FleetReport::health`].
 //!
 //! ## Fault injection
 //!
@@ -92,7 +93,6 @@ pub use hedge::HedgePolicy;
 pub use placement::Placement;
 pub use queue::{AdmissionQueue, ShedPolicy};
 pub use recovery::{PlannedRestart, RecoveryManager, RecoveryPolicy, RecoveryStats, ReplicaPhase};
-pub use report::ServeReport;
 pub use retry::RetryPolicy;
 pub use sc_health::{HealthConfig, HealthReport, Objective};
 /// A finalized request's one record: each report's response type.

@@ -1,23 +1,20 @@
-//! Per-run outcome accounting.
+//! Per-request accounting timelines.
 //!
-//! The server finalizes every request exactly once, as one
-//! [`EventRecord`]; the report holds the full response list
-//! (finalization order, which is deterministic) plus the aggregates a
-//! load study needs: outcome counts, per-tier completions,
-//! virtual-latency percentiles, and the peak queue depth.
-//! [`ServeReport::fingerprint`] flattens all of it into a `Vec<u64>` for
-//! bitwise-reproducibility assertions. Each response's
-//! [`CycleAttribution`](sc_telemetry::CycleAttribution) and the report's
-//! [`SpanTree`]s are derived from the [`RequestAcct`] timeline the
-//! server keeps per request.
+//! A served run reports as one [`FleetReport`](crate::FleetReport),
+//! whichever front-end ran it: a [`crate::Server`] is a one-replica
+//! fleet. This module keeps the timeline the loop accumulates per
+//! request while it is alive: each [`Segment`] of a [`RequestAcct`] is
+//! one accounted slice of its lifetime. Finalization folds the timeline
+//! into the response's
+//! [`CycleAttribution`](sc_telemetry::CycleAttribution) and the run's
+//! folded profile, and replays it into the request's
+//! [`SpanTree`](sc_telemetry::SpanTree) when traces are kept.
 
-use sc_health::HealthReport;
-use sc_telemetry::{BackendProfile, EventRecord, FoldedStacks, SpanTree, TraceId};
-
-use crate::server::Request;
+use sc_telemetry::BackendProfile;
 
 /// One accounted slice of a request's lifetime, recorded by the server
-/// as events happen and replayed into a [`SpanTree`] at finalization.
+/// as events happen and replayed into a
+/// [`SpanTree`](sc_telemetry::SpanTree) at finalization.
 /// Segments are contiguous on the virtual clock by construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Segment {
@@ -68,130 +65,12 @@ impl RequestAcct {
     }
 }
 
-/// Nearest-rank percentile over completed responses' latencies, shared
-/// by the single-server and fleet reports.
-pub(crate) fn latency_percentile_of(responses: &[EventRecord], p: f64) -> u64 {
-    let mut lat: Vec<u64> = responses.iter().filter(|r| r.completed()).map(|r| r.latency).collect();
-    if lat.is_empty() {
-        return 0;
-    }
-    lat.sort_unstable();
-    let rank = ((p / 100.0) * lat.len() as f64).ceil() as usize;
-    lat[rank.clamp(1, lat.len()) - 1]
-}
-
-/// The responses as event records under `trace_seed`: each keeps every
-/// field but its trace id, which is derived from `trace_seed`.
-pub(crate) fn records_under(
-    trace_seed: u64,
-    responses: &[EventRecord],
-) -> impl Iterator<Item = EventRecord> + '_ {
-    responses.iter().map(move |r| EventRecord { trace: TraceId::derive(trace_seed, r.id).0, ..*r })
-}
-
-/// The fingerprint words a server and a fleet report share per
-/// response: id, outcome code, tier (`u64::MAX` when not completed),
-/// attempts, finalization tick and latency.
-pub(crate) fn response_words(r: &EventRecord) -> [u64; 6] {
-    let tier = r.outcome.tier().map_or(u64::MAX, |t| t as u64);
-    [r.id, r.outcome.code(), tier, r.attempts, r.finished_at, r.latency]
-}
-
-/// Aggregated result of one [`crate::Server::run`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeReport {
-    /// Every request's terminal record, in finalization order. Equal to
-    /// a one-replica fleet's: each names replica 0.
-    pub responses: Vec<EventRecord>,
-    /// Completions per degradation tier (index = tier).
-    pub completed_by_tier: Vec<u64>,
-    /// Requests shed at admission.
-    pub shed: u64,
-    /// Requests whose deadline expired.
-    pub timed_out: u64,
-    /// Requests failed fast against an open breaker.
-    pub breaker_rejected: u64,
-    /// Requests that exhausted their retry budget on backend errors.
-    pub failed: u64,
-    /// Retry dispatches performed (attempts beyond each request's
-    /// first).
-    pub retries: u64,
-    /// Times the breaker tripped open.
-    pub breaker_trips: u64,
-    /// Peak admission-queue depth observed.
-    pub max_queue_depth: usize,
-    /// Virtual tick at which the last event was processed.
-    pub horizon: u64,
-    /// One causal span tree per request, in finalization order (same
-    /// order as `responses`).
-    pub traces: Vec<SpanTree>,
-    /// Folded-stack cycle profile over every span tree. It is a pure
-    /// function of `traces`, so [`ServeReport::fingerprint`] leaves it
-    /// out.
-    pub folded: FoldedStacks,
-    /// The health monitor's report (window series, SLO verdicts,
-    /// incidents), when [`crate::ServerConfig::health`] enables it.
-    pub health: Option<HealthReport>,
-}
-
-impl ServeReport {
-    /// Total completions across tiers.
-    pub fn completed(&self) -> u64 {
-        self.completed_by_tier.iter().sum()
-    }
-
-    /// Completions at degraded tiers (tier ≥ 1).
-    pub fn degraded(&self) -> u64 {
-        self.completed_by_tier.iter().skip(1).sum()
-    }
-
-    /// The `p`-th percentile (0 < p ≤ 100, nearest-rank) of completed
-    /// requests' virtual latencies; 0 when nothing completed.
-    pub fn latency_percentile(&self, p: f64) -> u64 {
-        latency_percentile_of(&self.responses, p)
-    }
-
-    /// One observability [`EventRecord`] per response, in finalization
-    /// order, with trace ids under `trace_seed` and no replica: a server
-    /// is unsharded. `requests` is no longer read, as each response
-    /// carries its own arrival and deadline slack.
-    pub fn event_records(&self, trace_seed: u64, _requests: &[Request]) -> Vec<EventRecord> {
-        records_under(trace_seed, &self.responses)
-            .map(|r| EventRecord { replica: None, ..r })
-            .collect()
-    }
-
-    /// Flattens the whole report — aggregates and every response — into
-    /// a `Vec<u64>` for bitwise-determinism assertions.
-    pub fn fingerprint(&self) -> Vec<u64> {
-        let mut fp = vec![
-            self.shed,
-            self.timed_out,
-            self.breaker_rejected,
-            self.failed,
-            self.retries,
-            self.breaker_trips,
-            self.max_queue_depth as u64,
-            self.horizon,
-        ];
-        fp.extend(self.completed_by_tier.iter().copied());
-        for r in &self.responses {
-            fp.extend(response_words(r));
-            fp.extend(r.attribution.fingerprint());
-        }
-        for t in &self.traces {
-            fp.extend(t.fingerprint());
-        }
-        if let Some(h) = &self.health {
-            fp.extend(h.fingerprint());
-        }
-        fp
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use sc_telemetry::{EventRecord, TraceId};
+
+    use crate::fleet::FleetReport;
+    use crate::server::Request;
 
     fn completed(id: u64, latency: u64) -> EventRecord {
         EventRecord {
@@ -210,23 +89,18 @@ mod tests {
         }
     }
 
+    /// A report of `responses`, all completed at full precision.
+    fn report(responses: Vec<EventRecord>) -> FleetReport {
+        FleetReport {
+            completed_by_tier: vec![responses.len() as u64],
+            responses,
+            ..FleetReport::default()
+        }
+    }
+
     #[test]
     fn percentiles_are_nearest_rank() {
-        let report = ServeReport {
-            responses: (1..=100).map(|i| completed(i, i * 10)).collect(),
-            completed_by_tier: vec![100],
-            shed: 0,
-            timed_out: 0,
-            breaker_rejected: 0,
-            failed: 0,
-            retries: 0,
-            breaker_trips: 0,
-            max_queue_depth: 1,
-            horizon: 1000,
-            traces: vec![],
-            folded: FoldedStacks::new(),
-            health: None,
-        };
+        let report = report((1..=100).map(|i| completed(i, i * 10)).collect());
         assert_eq!(report.latency_percentile(50.0), 500);
         assert_eq!(report.latency_percentile(99.0), 990);
         assert_eq!(report.latency_percentile(100.0), 1000);
@@ -236,29 +110,14 @@ mod tests {
 
     #[test]
     fn empty_report_percentile_is_zero() {
-        let report = ServeReport {
-            responses: vec![],
-            completed_by_tier: vec![0],
-            shed: 0,
-            timed_out: 0,
-            breaker_rejected: 0,
-            failed: 0,
-            retries: 0,
-            breaker_trips: 0,
-            max_queue_depth: 0,
-            horizon: 0,
-            traces: vec![],
-            folded: FoldedStacks::new(),
-            health: None,
-        };
-        assert_eq!(report.latency_percentile(99.0), 0);
+        assert_eq!(report(vec![]).latency_percentile(99.0), 0);
     }
 
     #[test]
     fn a_request_without_a_deadline_never_misses_it() {
         use crate::server::{Backend, BackendReply, Server, ServerConfig};
         use sc_telemetry::json::Json;
-        use sc_telemetry::{ObsConfig, ObsLog};
+        use sc_telemetry::{BackendProfile, ObsConfig, ObsLog};
 
         struct TenCycles;
         impl Backend for TenCycles {
@@ -289,21 +148,7 @@ mod tests {
 
     #[test]
     fn fingerprint_covers_responses() {
-        let mut a = ServeReport {
-            responses: vec![completed(1, 10)],
-            completed_by_tier: vec![1],
-            shed: 0,
-            timed_out: 0,
-            breaker_rejected: 0,
-            failed: 0,
-            retries: 0,
-            breaker_trips: 0,
-            max_queue_depth: 1,
-            horizon: 10,
-            traces: vec![],
-            folded: FoldedStacks::new(),
-            health: None,
-        };
+        let mut a = report(vec![completed(1, 10)]);
         let fp = a.fingerprint();
         a.responses[0].latency = 11;
         assert_ne!(fp, a.fingerprint());

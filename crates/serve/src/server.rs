@@ -6,13 +6,16 @@
 //! shedding, EDF dispatch, degradation tier, retry backoff, breaker
 //! transition — is a pure function of the request trace, the
 //! configuration, and the armed fault plan. Re-running the same trace
-//! therefore reproduces the same [`ServeReport`] bitwise, at any
+//! therefore reproduces the same [`FleetReport`] bitwise, at any
 //! `SC_THREADS` setting, which is what makes overload behaviour and
 //! fault storms regression-testable.
 //!
 //! A server is a one-replica [`Fleet`] with hedging and recovery off and
 //! [`ServerConfig::health`] as its fleet-level monitor, so the fleet
-//! loop in [`crate::fleet`] is the only event loop. With one replica it
+//! loop in [`crate::fleet`] is the only event loop, and a run reports
+//! as that fleet's [`FleetReport`], unchanged: its responses name
+//! replica 0, its breaker trips are `shards[0].breaker_trips`, and its
+//! monitor's report is [`FleetReport::health`]. With one replica it
 //! dispatches at most one request at a time (the backend models one
 //! accelerator); retried requests re-enter the admission queue behind a
 //! backoff gate and compete for capacity like everyone else. This module
@@ -30,9 +33,9 @@ use sc_telemetry::{
 };
 
 use crate::degrade::DegradePolicy;
-use crate::fleet::{Fleet, FleetConfig};
+use crate::fleet::{Fleet, FleetConfig, FleetReport};
 use crate::queue::{Queued, ShedPolicy};
-use crate::report::{Segment, ServeReport};
+use crate::report::Segment;
 use crate::retry::RetryPolicy;
 
 /// One inference request.
@@ -374,23 +377,28 @@ impl Server {
     ///
     /// Panics if a request names a payload the backend does not have
     /// (use [`Server::try_run`] to get an error instead).
-    pub fn run(&self, backend: &mut dyn Backend, requests: Vec<Request>) -> ServeReport {
+    pub fn run(&self, backend: &mut dyn Backend, requests: Vec<Request>) -> FleetReport {
         self.try_run(backend, requests).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible form of [`Server::run`], for externally-supplied
-    /// workloads and tuning.
+    /// workloads and tuning. It runs, and reports exactly as, the
+    /// one-replica fleet
+    /// `FleetConfig { server: ServerConfig { health: HealthConfig::disabled(), ..config },
+    /// replicas: 1, hedge: None, fleet_health: config.health, recovery: None,
+    /// keep_traces: true, ..FleetConfig::default() }`.
     ///
     /// # Errors
     ///
     /// Rejects invalid tuning (see [`Fleet::try_new`]: a zero queue
-    /// capacity, a malformed SLO objective) and a request naming a
-    /// payload index the backend does not have.
+    /// capacity, a malformed SLO objective), a request naming a payload
+    /// index the backend does not have, and a run whose monitor would
+    /// outgrow its window series (see [`Fleet::try_run`]).
     pub fn try_run(
         &self,
         backend: &mut dyn Backend,
         requests: Vec<Request>,
-    ) -> Result<ServeReport, sc_core::Error> {
+    ) -> Result<FleetReport, sc_core::Error> {
         let fleet = Fleet::try_new(FleetConfig {
             server: ServerConfig { health: HealthConfig::disabled(), ..self.config.clone() },
             replicas: 1,
@@ -400,22 +408,7 @@ impl Server {
             keep_traces: true,
             ..FleetConfig::default()
         })?;
-        let f = fleet.serve(&mut [backend], requests)?;
-        Ok(ServeReport {
-            responses: f.responses,
-            completed_by_tier: f.completed_by_tier,
-            shed: f.shed,
-            timed_out: f.timed_out,
-            breaker_rejected: f.breaker_rejected,
-            failed: f.failed,
-            retries: f.retries,
-            breaker_trips: f.shards[0].breaker_trips,
-            max_queue_depth: f.max_queue_depth,
-            horizon: f.horizon,
-            traces: f.traces,
-            folded: f.folded,
-            health: f.health,
-        })
+        fleet.serve(&mut [backend], requests)
     }
 }
 
@@ -537,7 +530,7 @@ mod tests {
         assert_eq!(report.completed(), 1);
         assert_eq!(report.retries, 2);
         assert_eq!(report.responses[0].attempts, 3);
-        assert_eq!(report.breaker_trips, 0, "two failures stay under the threshold");
+        assert_eq!(report.shards[0].breaker_trips, 0, "two failures stay under the threshold");
     }
 
     #[test]
@@ -551,7 +544,7 @@ mod tests {
         let mut backend = MockBackend { cycles: 50, fail_first: u32::MAX, calls: 0 };
         let report = server.run(&mut backend, trace(20, 10, 50_000));
         assert_eq!(report.completed(), 0);
-        assert!(report.breaker_trips >= 1);
+        assert!(report.shards[0].breaker_trips >= 1);
         assert!(
             report.breaker_rejected > 0,
             "after the trip, requests fail fast without touching the backend"

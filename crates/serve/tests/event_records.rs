@@ -4,16 +4,15 @@
 //! A 4-replica storm with hedging, a crash window, a request without a
 //! deadline and one dead on arrival covers every way a record is
 //! written: hedged and hedge-won completions, a record with no replica,
-//! and a deadline slack saturated at `i64::MAX`. A `Server` answers like
-//! a one-replica fleet, and its event records differ only in naming no
-//! replica.
+//! and a deadline slack saturated at `i64::MAX`. A `Server` reports
+//! exactly as the one-replica fleet it runs.
 
 use std::collections::BTreeMap;
 
 use sc_fault::{scoped, FaultPlan};
 use sc_serve::{
-    Backend, BackendReply, Fleet, FleetConfig, HedgePolicy, Outcome, Request, Response,
-    RetryPolicy, Server, ServerConfig, ShedPolicy,
+    Backend, BackendReply, BreakerConfig, Fleet, FleetConfig, HealthConfig, HedgePolicy, Objective,
+    Outcome, Request, Response, RetryPolicy, Server, ServerConfig, ShedPolicy,
 };
 use sc_telemetry::{BackendProfile, TraceId};
 
@@ -136,25 +135,50 @@ fn every_record_agrees_with_its_request() {
 }
 
 #[test]
-fn a_servers_records_are_a_one_replica_fleets_without_the_replica() {
+fn a_server_is_a_one_replica_fleet() {
     let _faults = scoped(FaultPlan::parse("serve.backend:flip@0.3;seed=5").unwrap());
     let reqs = requests(160, 1_000);
-    let server = Server::new(server_config()).run(&mut Scaled(1), reqs.clone());
-    let fleet =
-        Fleet::new(FleetConfig { server: server_config(), replicas: 1, ..FleetConfig::default() });
+    let health = HealthConfig::with_objectives(
+        2_000,
+        vec![
+            Objective::goodput("goodput", 0.95).with_spans(1, 2).with_recovery(2),
+            Objective::p99("p99", 4_000).with_spans(1, 2).with_recovery(2),
+        ],
+    );
+    let config = ServerConfig {
+        breaker: BreakerConfig { failure_threshold: 3, cooldown: 800 },
+        health: health.clone(),
+        ..server_config()
+    };
+    let server = Server::new(config.clone()).run(&mut Scaled(1), reqs.clone());
+    // The fleet `Server::try_run` documents: one replica, no hedging or
+    // recovery, the server's monitor at fleet level, every trace kept.
+    let fleet = Fleet::new(FleetConfig {
+        server: ServerConfig { health: HealthConfig::disabled(), ..config },
+        replicas: 1,
+        hedge: None,
+        fleet_health: health,
+        recovery: None,
+        keep_traces: true,
+        ..FleetConfig::default()
+    });
     let single = fleet.run(&mut [Box::new(Scaled(1)) as Box<dyn Backend>], reqs.clone());
-    assert_eq!(server.responses, single.responses, "a server is a one-replica fleet");
+    assert_eq!(server, single, "a server is a one-replica fleet");
+    assert_eq!(server.fingerprint(), single.fingerprint());
+    // The compared reports carry every part a storm can fill in.
     assert_records_match(&server.responses, &reqs, TRACE_SEED);
     let outcomes: Vec<u64> = server.responses.iter().map(|r| r.outcome.code()).collect();
-    for code in [0, 1, 2, 4] {
+    for code in [0, 1, 2, 3, 4] {
         assert!(outcomes.contains(&code), "outcome code {code} occurs: {outcomes:?}");
     }
-    let records = server.event_records(TRACE_SEED, &reqs);
-    let fleet_records = single.event_records(TRACE_SEED, &reqs);
-    assert_eq!(records.len(), fleet_records.len());
-    for (s, f) in records.iter().zip(&fleet_records) {
-        assert_eq!(s.replica, None, "a server names no replica");
-        assert_eq!(*s, Response { replica: None, ..*f });
-    }
-    assert!(fleet_records.iter().any(|r| r.replica == Some(0)));
+    assert!(
+        server.responses.iter().all(|r| r.replica.unwrap_or(0) == 0),
+        "every record names replica 0, or none when dead on arrival"
+    );
+    assert_eq!(server.traces.len(), reqs.len(), "one span tree per request");
+    assert!(server.folded.total() > 0, "a folded profile");
+    assert!(server.shards[0].breaker_trips > 0, "the breaker trips");
+    let h = server.health.as_ref().expect("the server's monitor reports at fleet level");
+    assert!(h.breaches() > 0 && !h.incidents.is_empty(), "the storm breaches its objectives");
+    assert!(server.shards[0].health.is_none(), "and no shard monitor runs");
 }

@@ -15,8 +15,8 @@ use std::collections::BTreeSet;
 use sc_fault::{scoped, FaultPlan};
 use sc_serve::{
     Backend, BackendReply, BreakerConfig, DegradePolicy, DegradeTier, Fleet, FleetConfig,
-    FleetReport, HedgePolicy, RecoveryPolicy, Request, Response, RetryPolicy, ServeReport, Server,
-    ServerConfig, ShedPolicy,
+    FleetReport, HedgePolicy, RecoveryPolicy, Request, Response, RetryPolicy, Server, ServerConfig,
+    ShedPolicy,
 };
 use sc_telemetry::{
     BackendProfile, CycleCategory, FoldedStacks, LayerProfile, SpanTree, TileProfile,
@@ -105,7 +105,7 @@ fn requests(n: u64, lull: u64) -> Vec<Request> {
 
 /// A `Server` under backend faults: retries, breaker trips with
 /// fail-fast rejections, sheds and queue expiries.
-fn server_storm(profiled: bool) -> ServeReport {
+fn server_storm(profiled: bool) -> FleetReport {
     let _faults = scoped(FaultPlan::parse("serve.backend:flip@0.4;seed=5").unwrap());
     let server = Server::new(ServerConfig {
         queue_capacity: 8,

@@ -391,32 +391,38 @@ pub fn folded_share_regressions(
         .collect()
 }
 
-/// Sampling/windowing parameters for one [`ObsLog`].
+/// Windowing and sampling parameters for one [`ObsLog`]. Every log
+/// keeps a [`RESERVOIR`]-record sample and the [`TOP_K`] slowest
+/// completions per scenario, and buckets latency at the `serve.latency`
+/// log2(24) bounds, so bucket exemplars line up with the registry
+/// histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Tumbling-window width in virtual cycles (windows key on
     /// `finished_at / window`).
     pub window: u64,
-    /// Reservoir size: how many full records each scenario stream keeps
-    /// (Algorithm R, counter-keyed draws).
-    pub reservoir: usize,
-    /// How many slowest completed requests each scenario keeps exactly.
-    pub top_k: usize,
     /// Seed folded into every sampling draw.
     pub seed: u64,
-    /// Latency bucket upper bounds (one extra overflow bucket is
-    /// implied). Defaults to the `serve.latency` log2 bounds so bucket
-    /// exemplars line up with the registry histogram.
-    pub bounds: Vec<u64>,
 }
 
 impl ObsConfig {
-    /// A config with the standard sizes: 64-record reservoir, top-10,
-    /// `serve.latency`-compatible log2(24) bounds.
+    /// A config with `window`-cycle windows (at least 1) and sampling
+    /// seed `seed`.
     pub fn new(window: u64, seed: u64) -> ObsConfig {
-        ObsConfig { window: window.max(1), reservoir: 64, top_k: 10, seed, bounds: log2_bounds(24) }
+        ObsConfig { window: window.max(1), seed }
     }
 }
+
+/// Reservoir size: how many full records each scenario stream keeps
+/// (Algorithm R, counter-keyed draws).
+pub const RESERVOIR: usize = 64;
+
+/// How many slowest completed requests each scenario keeps exactly.
+pub const TOP_K: usize = 10;
+
+/// Largest power of two among the latency bucket upper bounds
+/// (`log2_bounds(BOUNDS_EXP)`; one extra overflow bucket is implied).
+const BOUNDS_EXP: u32 = 24;
 
 /// One latency-bucket exemplar: a concrete request behind an aggregate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -575,6 +581,8 @@ pub struct ScenarioSummary {
 pub struct ObsLog {
     bench: String,
     cfg: ObsConfig,
+    /// Latency bucket upper bounds, `log2_bounds(BOUNDS_EXP)`.
+    bounds: Vec<u64>,
     scenarios: Vec<ScenarioObs>,
 }
 
@@ -584,7 +592,7 @@ impl ObsLog {
     /// the window used.
     pub fn new(bench: impl Into<String>, mut cfg: ObsConfig) -> ObsLog {
         cfg.window = cfg.window.max(1);
-        ObsLog { bench: bench.into(), cfg, scenarios: Vec::new() }
+        ObsLog { bench: bench.into(), cfg, bounds: log2_bounds(BOUNDS_EXP), scenarios: Vec::new() }
     }
 
     /// Opens a new scenario stream and returns its index. `site` names
@@ -598,7 +606,7 @@ impl ObsLog {
     ) -> usize {
         let name = name.into();
         let key = split_mix(self.cfg.seed ^ fnv1a(&name));
-        let bounds = &self.cfg.bounds;
+        let bounds = &self.bounds;
         self.scenarios.push(ScenarioObs {
             name,
             site: site.into(),
@@ -621,7 +629,7 @@ impl ObsLog {
     /// windows and groups exist).
     pub fn record(&mut self, idx: usize, rec: &EventRecord) {
         let cfg = &self.cfg;
-        let (seed, bounds) = (cfg.seed, cfg.bounds.as_slice());
+        let (seed, bounds) = (cfg.seed, self.bounds.as_slice());
         let sc = &mut self.scenarios[idx];
         sc.seen += 1;
         sc.total.record(rec, bounds, seed);
@@ -652,11 +660,11 @@ impl ObsLog {
         // uniformly-drawn slot with probability K/n. The draw is keyed
         // on the per-stream record index, so the sample is a pure
         // function of the stream.
-        if sc.reservoir.len() < cfg.reservoir {
+        if sc.reservoir.len() < RESERVOIR {
             sc.reservoir.push(*rec);
-        } else if cfg.reservoir > 0 {
+        } else {
             let j = split_mix(seed ^ base ^ sc.seen) % sc.seen;
-            if (j as usize) < cfg.reservoir {
+            if (j as usize) < RESERVOIR {
                 sc.reservoir[j as usize] = *rec;
             }
         }
@@ -665,12 +673,10 @@ impl ObsLog {
         // the smallest kept) is never copied in.
         let key = (rec.latency, rec.id);
         if rec.completed()
-            && cfg.top_k > 0
-            && (sc.top.len() < cfg.top_k
-                || sc.top.first_key_value().is_some_and(|(k, _)| key >= *k))
+            && (sc.top.len() < TOP_K || sc.top.first_key_value().is_some_and(|(k, _)| key >= *k))
         {
             sc.top.insert(key, *rec);
-            if sc.top.len() > cfg.top_k {
+            if sc.top.len() > TOP_K {
                 sc.top.pop_first();
             }
         }
@@ -697,7 +703,7 @@ impl ObsLog {
             requests: sc.seen,
             completed: sc.total.tally.completed,
             goodput: sc.total.goodput(),
-            p99: sc.total.tally.quantile(&self.cfg.bounds, 0.99),
+            p99: sc.total.tally.quantile(&self.bounds, 0.99),
             max_latency: sc.total.tally.max,
             windows: sc.windows.len() as u64,
         }
@@ -716,7 +722,7 @@ impl ObsLog {
     /// Upper bound on emitted log lines — a pure function of windows,
     /// groups, and sample sizes, independent of the request count.
     pub fn line_bound(&self) -> usize {
-        let b = self.cfg.bounds.len() + 1;
+        let b = self.bounds.len() + 1;
         1 + self
             .scenarios
             .iter()
@@ -748,10 +754,10 @@ impl ObsLog {
             ("schema_version", Json::UInt(OBS_SCHEMA_VERSION)),
             ("bench", Json::Str(self.bench.clone())),
             ("window", Json::UInt(self.cfg.window)),
-            ("reservoir", Json::UInt(self.cfg.reservoir as u64)),
-            ("top_k", Json::UInt(self.cfg.top_k as u64)),
+            ("reservoir", Json::UInt(RESERVOIR as u64)),
+            ("top_k", Json::UInt(TOP_K as u64)),
             ("seed", Json::UInt(self.cfg.seed)),
-            ("bounds", Json::Arr(self.cfg.bounds.iter().map(|&b| Json::UInt(b)).collect())),
+            ("bounds", Json::Arr(self.bounds.iter().map(|&b| Json::UInt(b)).collect())),
             ("scenarios", Json::UInt(self.scenarios.len() as u64)),
         ]));
         for (i, sc) in self.scenarios.iter().enumerate() {
@@ -764,7 +770,7 @@ impl ObsLog {
                 ("replicas", Json::UInt(sc.replicas)),
                 ("requests", Json::UInt(sc.seen)),
             ];
-            pairs.extend(sc.total.json_fields(&self.cfg.bounds));
+            pairs.extend(sc.total.json_fields(&self.bounds));
             line(Json::obj(pairs));
             for (&w, agg) in &sc.windows {
                 let (start, end) = window_span(w, self.cfg.window);
@@ -775,7 +781,7 @@ impl ObsLog {
                     ("start", Json::UInt(start)),
                     ("end", Json::UInt(end)),
                 ];
-                pairs.extend(agg.json_fields(&self.cfg.bounds));
+                pairs.extend(agg.json_fields(&self.bounds));
                 line(Json::obj(pairs));
             }
             let mut group = |by: &str, key: Json, agg: &Agg| {
@@ -785,7 +791,7 @@ impl ObsLog {
                     ("by", Json::Str(by.into())),
                     ("key", key),
                 ];
-                pairs.extend(agg.json_fields(&self.cfg.bounds));
+                pairs.extend(agg.json_fields(&self.bounds));
                 line(Json::obj(pairs));
             };
             for (k, agg) in &sc.by_outcome {
@@ -802,10 +808,7 @@ impl ObsLog {
                 line(Json::obj(vec![
                     ("kind", Json::Str("exemplar".into())),
                     ("scenario", Json::UInt(i)),
-                    (
-                        "le",
-                        self.cfg.bounds.get(b).map_or(Json::Str("+inf".into()), |&v| Json::UInt(v)),
-                    ),
+                    ("le", self.bounds.get(b).map_or(Json::Str("+inf".into()), |&v| Json::UInt(v))),
                     ("bucket_count", Json::UInt(sc.total.tally.buckets[b])),
                     ("trace", Json::Str(hex_trace(e.trace))),
                     ("id", Json::UInt(e.id)),
@@ -1261,9 +1264,9 @@ mod tests {
         // count (finished_at span), never with the request count.
         let small_sc = &small.scenarios[0];
         let large_sc = &large.scenarios[0];
-        assert_eq!(small_sc.reservoir.len(), small.cfg.reservoir);
-        assert_eq!(large_sc.reservoir.len(), large.cfg.reservoir);
-        assert_eq!(large_sc.top.len(), large.cfg.top_k);
+        assert_eq!(small_sc.reservoir.len(), RESERVOIR);
+        assert_eq!(large_sc.reservoir.len(), RESERVOIR);
+        assert_eq!(large_sc.top.len(), TOP_K);
         assert!(large.line_bound() < 4000, "bound {} is windows+samples", large.line_bound());
         let ratio = large.line_bound() as f64 / small.line_bound() as f64;
         let window_ratio = large_sc.windows.len() as f64 / small_sc.windows.len() as f64;

@@ -136,7 +136,11 @@ echo "==> benchmark gate: build, test and smoke-run perfbench"
 # workload's modelled statistics over a prefix that is fixed whatever
 # the run length or host speed, so the 2-s run must reproduce its pin
 # below. A change meant to move a modelled statistic updates the pin
-# and says why in CHANGES.md, as for a results/baseline/ refresh.
+# and says why in CHANGES.md, as for a results/baseline/ refresh. A
+# change to a report's fingerprint layout moves a pin without moving a
+# statistic; it may move one only if CHANGES.md shows a scratch copy of
+# the parent, edited to fingerprint the new way and in nothing else,
+# reproducing each new pin.
 # Each workload also runs once traced (--trace 1), the run perf changes
 # cite per-layer rows from: run.py checks its metric set against
 # BENCHMARK.json, and it must be correct and pinned too. The traced
@@ -150,10 +154,10 @@ CARGO_TARGET_DIR="$BENCH_TARGET" \
     cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 BENCH_RESULT="$(mktemp)"
 for pin in cnn_infer:42:0:0x5da69178275a374d accel_conv:42:0:0xe94c5448241851aa \
-    serve_storm:42:0:0x4a91f2bb419d1bfd cnn_infer:42:1:0x2e4694ea144a6cb8 \
-    accel_conv:42:1:0xe94c5448241851aa serve_storm:42:1:0x4a91f2bb419d1bfd \
+    serve_storm:42:0:0xa967e55dd029118b cnn_infer:42:1:0x2e4694ea144a6cb8 \
+    accel_conv:42:1:0xe94c5448241851aa serve_storm:42:1:0xa967e55dd029118b \
     cnn_infer:1729:0:0xed640a66d9c14e3b accel_conv:1729:0:0xd59edcadce2a675e \
-    serve_storm:1729:0:0xbbd631ec7a544f48; do
+    serve_storm:1729:0:0xa1c5c242ea350ec0; do
     IFS=: read -r w seed trace pinned <<< "$pin"
     CARGO_TARGET_DIR="$BENCH_TARGET" python3 perfbench/run.py --workload "$w" --seed "$seed" \
         --seconds 2 --trace "$trace" > "$BENCH_RESULT"
