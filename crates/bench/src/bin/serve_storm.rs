@@ -50,7 +50,7 @@ use sc_serve::{
     RetryPolicy, Server, ServerConfig, ShedPolicy,
 };
 use sc_telemetry::json::Json;
-use sc_telemetry::metrics::{histogram, log2_bounds};
+use sc_telemetry::metrics::{histogram, log2_bounds, LATENCY_BOUNDS_EXP};
 use sc_telemetry::{BackendProfile, ObsConfig, ObsLog, ScenarioSummary, TileProfile, TraceId};
 
 const N_BITS: u32 = 8;
@@ -213,7 +213,7 @@ fn run_scenario(
     backend: &mut dyn Backend,
     requests: Vec<Request>,
 ) -> ScenarioRow {
-    let lat = histogram("serve.latency", &log2_bounds(24));
+    let lat = histogram("serve.latency", &log2_bounds(LATENCY_BOUNDS_EXP));
     let base = lat.snapshot();
     let report = Server::new(config).run(backend, requests.clone());
     let window = lat.snapshot().since(&base);

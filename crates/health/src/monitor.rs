@@ -28,7 +28,7 @@
 
 use sc_telemetry::json::Json;
 use sc_telemetry::manifest::HealthSummary;
-use sc_telemetry::metrics::{log2_bounds, window_span, Outcome, Tally};
+use sc_telemetry::metrics::{log2_bounds, window_span, Outcome, Tally, LATENCY_BOUNDS_EXP};
 use sc_telemetry::{fnv1a, fnv1a_words, EventRecord};
 
 use crate::recorder::{FlightRecorder, IncidentSnapshot, SystemState};
@@ -178,7 +178,7 @@ impl HealthMonitor {
             .collect();
         let recorder =
             FlightRecorder::new(RECORDER_EVENTS, RECORDER_SPANS, INCIDENT_WINDOWS, MAX_INCIDENTS);
-        let bounds = log2_bounds(32);
+        let bounds = log2_bounds(LATENCY_BOUNDS_EXP);
         Some(HealthMonitor {
             max_tier,
             index: 0,
@@ -516,24 +516,42 @@ impl HealthReport {
     /// Flattens the whole report — series, verdicts, signals, incidents,
     /// transitions — into `u64`s for bitwise-determinism assertions.
     pub fn fingerprint(&self) -> Vec<u64> {
-        let mut fp = vec![self.window, self.horizon, self.dropped_incidents, self.reseeds];
+        let mut fp = Vec::with_capacity(self.fingerprint_len());
+        self.fingerprint_into(&mut fp);
+        fp
+    }
+
+    /// Appends [`HealthReport::fingerprint`]'s words to `fp`.
+    pub fn fingerprint_into(&self, fp: &mut Vec<u64>) {
+        fp.extend([self.window, self.horizon, self.dropped_incidents, self.reseeds]);
         for w in &self.series {
-            fp.extend(w.fingerprint());
+            w.fingerprint_into(fp);
         }
         for o in &self.objectives {
-            fp.extend(o.fingerprint());
+            o.fingerprint_into(fp);
         }
         for s in &self.signals {
-            fp.extend(s.fingerprint());
+            s.fingerprint_into(fp);
         }
         for i in &self.incidents {
-            fp.extend(i.fingerprint());
+            i.fingerprint_into(fp);
         }
         for t in &self.transitions {
             fp.extend(t.fingerprint());
         }
-        fp.extend(self.time_in_tier.iter().copied());
-        fp
+        fp.extend_from_slice(&self.time_in_tier);
+    }
+
+    /// The number of words [`HealthReport::fingerprint_into`] appends.
+    pub fn fingerprint_len(&self) -> usize {
+        let series: usize = self.series.iter().map(WindowStats::fingerprint_len).sum();
+        let incidents: usize = self.incidents.iter().map(IncidentSnapshot::fingerprint_len).sum();
+        4 + series
+            + ObjectiveState::FINGERPRINT_LEN * self.objectives.len()
+            + Signal::FINGERPRINT_LEN * self.signals.len()
+            + incidents
+            + 4 * self.transitions.len()
+            + self.time_in_tier.len()
     }
 
     /// Order-sensitive hash of [`HealthReport::fingerprint`].
@@ -711,6 +729,49 @@ mod tests {
     }
 
     #[test]
+    fn the_one_buffer_report_fingerprint_keeps_the_nested_layout() {
+        let mut m = monitor(vec![
+            Objective::error_rate("errors", 0.05).with_spans(1, 2).with_recovery(2),
+            Objective::p99("latency", 16).with_spans(1, 2),
+        ]);
+        for w in 0..6u64 {
+            m.advance(w * 100, SystemState::idle).unwrap();
+            for i in 0..10 {
+                if w < 2 && i % 2 == 0 {
+                    m.sample(Outcome::Failed, 0);
+                } else {
+                    m.sample(Outcome::Completed { tier: 0 }, 20 + w);
+                }
+            }
+        }
+        let report = m.finish(650, SystemState::idle).unwrap();
+        assert!(!report.incidents.is_empty() && !report.signals.is_empty());
+        assert!(!report.transitions.is_empty());
+        // The nested-`Vec` layout the report built before its parts
+        // appended into one buffer, kept as its model.
+        let mut nested = vec![report.window, report.horizon, report.dropped_incidents];
+        nested.push(report.reseeds);
+        for w in &report.series {
+            nested.extend(w.fingerprint());
+        }
+        for o in &report.objectives {
+            o.fingerprint_into(&mut nested);
+        }
+        for s in &report.signals {
+            s.fingerprint_into(&mut nested);
+        }
+        for i in &report.incidents {
+            nested.extend(i.fingerprint());
+        }
+        for t in &report.transitions {
+            nested.extend(t.fingerprint());
+        }
+        nested.extend(report.time_in_tier.iter().copied());
+        assert_eq!(report.fingerprint(), nested);
+        assert_eq!(report.fingerprint_len(), nested.len());
+    }
+
+    #[test]
     fn closing_windows_past_the_cap_fails_before_any_closes() {
         let mut m = monitor(Vec::new());
         m.advance(250, SystemState::idle).unwrap();
@@ -749,19 +810,26 @@ mod tests {
         use sc_telemetry::{split_mix, CycleAttribution, ObsConfig, ObsLog};
         // One seeded stream of all five outcomes, dense but with
         // stretches of empty windows, fed to a monitor and to an obs log
-        // with the same window width. Latencies stay below 2^15, where
-        // the monitor's log2(32) and the log's log2(24) bucket bounds
-        // are the same.
+        // with the same window width. Latencies stay below 2^15, then a
+        // last window holds 99 completions at 2^25 and one at 2^27: past
+        // the top bucket bound, both read the same overflow bucket.
         let mut m = monitor(Vec::new());
         let mut log = ObsLog::new("unit", ObsConfig::new(m.cfg.window, 7));
         let scenario = log.scenario("stream", "", 1);
         let mut now = 0u64;
-        for id in 0..4000u64 {
-            let draw = split_mix(0x5EED ^ id);
-            now += if draw.is_multiple_of(97) { 1000 } else { draw % 23 };
+        let past_top = (0..100u64).map(|i| (1u64 << if i == 99 { 27 } else { 25 }, 0));
+        let stream = (0..4000u64).map(|id| (0, split_mix(0x5EED ^ id))).chain(past_top);
+        for (id, (slow, draw)) in (0u64..).zip(stream) {
+            now += match (slow, id) {
+                (0, _) if draw.is_multiple_of(97) => 1000,
+                (0, _) => draw % 23,
+                (_, 4000) => m.cfg.window,
+                _ => 0,
+            };
             m.advance(now, SystemState::idle).unwrap();
-            let latency = (draw >> 8) % (1 << ((draw >> 40) % 16));
+            let latency = if slow > 0 { slow } else { (draw >> 8) % (1 << ((draw >> 40) % 16)) };
             let outcome = match (draw >> 4) % 8 {
+                _ if slow > 0 => Outcome::Completed { tier: 0 },
                 0 => Outcome::Shed,
                 1 => Outcome::TimedOut,
                 2 => Outcome::Failed,
@@ -787,7 +855,7 @@ mod tests {
                 },
             );
         }
-        let report = m.finish(now, SystemState::idle).unwrap();
+        let report = m.finish(now + 1, SystemState::idle).unwrap();
         let fields = [
             "count",
             "completed",
@@ -801,6 +869,7 @@ mod tests {
             "p99",
         ];
         let mut totals = [0u64; 10];
+        let mut last_p99 = (0, 0);
         for line in log.render_jsonl().lines() {
             let j = Json::parse(line).expect("obs lines are JSON");
             if j.get("kind").and_then(Json::as_str) != Some("window") {
@@ -822,12 +891,17 @@ mod tests {
                 w.p99,
             ];
             assert_eq!((w.index, obs), (index, health), "window {index}");
+            last_p99 = (index, obs[9]);
             totals[0] += 1;
             for (t, v) in totals[1..6].iter_mut().zip(&health[1..6]) {
                 *t += v;
             }
         }
         assert!(totals[0] > 100, "only {} obs windows", totals[0]);
+        let last = report.series.last().expect("the window past the top bound");
+        assert_eq!((last.completed, last.max_latency), (100, 1 << 27));
+        assert_eq!(last.p99, 1 << 27, "the overflow bucket reads the exact maximum");
+        assert_eq!(last_p99, (last.index, 1 << 27), "the obs log reads the same p99");
         assert!(totals[1..6].iter().all(|&t| t > 0), "every outcome occurs: {totals:?}");
         assert!(report.series.len() as u64 > totals[0], "the stream leaves some windows empty");
     }

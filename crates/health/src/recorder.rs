@@ -167,15 +167,22 @@ impl IncidentSnapshot {
     /// Flattens the entire snapshot into `u64`s for bitwise-determinism
     /// assertions.
     pub fn fingerprint(&self) -> Vec<u64> {
-        let mut fp = vec![
+        let mut fp = Vec::with_capacity(self.fingerprint_len());
+        self.fingerprint_into(&mut fp);
+        fp
+    }
+
+    /// Appends [`IncidentSnapshot::fingerprint`]'s words to `fp`.
+    pub fn fingerprint_into(&self, fp: &mut Vec<u64>) {
+        fp.extend([
             self.seq,
             self.cycle,
             fnv1a(&self.objective),
             self.fast_burn.to_bits(),
             self.slow_burn.to_bits(),
-        ];
+        ]);
         for w in &self.windows {
-            fp.extend(w.fingerprint());
+            w.fingerprint_into(fp);
         }
         for e in &self.events {
             fp.extend(e.fingerprint());
@@ -184,7 +191,13 @@ impl IncidentSnapshot {
             fp.extend(span_fingerprint(s));
         }
         fp.extend(self.state.fingerprint());
-        fp
+    }
+
+    /// The number of words [`IncidentSnapshot::fingerprint_into`]
+    /// appends.
+    pub fn fingerprint_len(&self) -> usize {
+        let windows: usize = self.windows.iter().map(WindowStats::fingerprint_len).sum();
+        5 + windows + 3 * self.events.len() + 5 * self.spans.len() + 8
     }
 
     /// Order-sensitive hash of [`IncidentSnapshot::fingerprint`].
@@ -365,6 +378,46 @@ mod tests {
         assert!(!r.freeze(&breach(200), &SystemState::idle()));
         assert_eq!(r.incidents().len(), 1);
         assert_eq!(r.dropped_incidents(), 1);
+    }
+
+    #[test]
+    fn the_one_buffer_incident_fingerprint_keeps_the_nested_layout() {
+        let mut r = FlightRecorder::new(4, 4, 4, 4);
+        r.push_event(10, "breaker.trip", "failures=4".to_string());
+        r.push_span(record(7, Outcome::Failed, 321, 3, 90));
+        let bounds = sc_telemetry::metrics::log2_bounds(8);
+        let tally = sc_telemetry::metrics::Tally::new(&bounds);
+        for index in 0..2 {
+            r.push_window(WindowStats::freeze(index, 50, &tally, &bounds, &[index, 3], false));
+        }
+        r.freeze(&breach(100), &SystemState::idle());
+        let inc = &r.incidents()[0];
+        // The nested-`Vec` layout the snapshot built before its parts
+        // appended into one buffer, kept as its model.
+        let mut nested = vec![
+            inc.seq,
+            inc.cycle,
+            fnv1a(&inc.objective),
+            inc.fast_burn.to_bits(),
+            inc.slow_burn.to_bits(),
+        ];
+        for w in &inc.windows {
+            let mut words = vec![w.index, w.start, w.end, w.partial as u64, w.finalized];
+            words.extend([w.completed, w.degraded, w.shed, w.timed_out, w.errors, w.p50, w.p90]);
+            words.extend([w.p99, w.max_latency, w.latency_sum]);
+            words.extend(w.over_limit.iter().copied());
+            nested.extend(words);
+        }
+        for e in &inc.events {
+            nested.extend(e.fingerprint());
+        }
+        for s in &inc.spans {
+            nested.extend(span_fingerprint(s));
+        }
+        nested.extend(inc.state.fingerprint());
+        assert_eq!((inc.windows.len(), inc.events.len(), inc.spans.len()), (2, 1, 1));
+        assert_eq!(inc.fingerprint(), nested);
+        assert_eq!(inc.fingerprint_len(), nested.len());
     }
 
     #[test]

@@ -264,16 +264,20 @@ impl Signal {
         ])
     }
 
-    /// Flattens into `u64`s for determinism assertions.
-    pub fn fingerprint(&self) -> Vec<u64> {
-        vec![
+    /// The number of words [`Signal::fingerprint_into`] appends.
+    pub const FINGERPRINT_LEN: usize = 6;
+
+    /// Flattens into `u64`s for determinism assertions, appended to
+    /// `fp`.
+    pub fn fingerprint_into(&self, fp: &mut Vec<u64>) {
+        fp.extend([
             self.cycle,
             self.window,
             fnv1a(&self.objective),
             matches!(self.kind, SignalKind::Breach) as u64,
             self.fast_burn.to_bits(),
             self.slow_burn.to_bits(),
-        ]
+        ]);
     }
 }
 
@@ -441,9 +445,13 @@ impl ObjectiveState {
         ])
     }
 
-    /// Flattens into `u64`s for determinism assertions.
-    pub fn fingerprint(&self) -> Vec<u64> {
-        vec![
+    /// The number of words [`ObjectiveState::fingerprint_into`] appends.
+    pub const FINGERPRINT_LEN: usize = 7;
+
+    /// Flattens into `u64`s for determinism assertions, appended to
+    /// `fp`.
+    pub fn fingerprint_into(&self, fp: &mut Vec<u64>) {
+        fp.extend([
             fnv1a(&self.objective.name),
             fnv1a(self.objective.kind.label()),
             self.verdict as u64,
@@ -451,7 +459,7 @@ impl ObjectiveState {
             self.recoveries,
             self.breached_windows,
             self.worst_fast_burn.to_bits(),
-        ]
+        ]);
     }
 }
 

@@ -94,7 +94,14 @@ impl WindowStats {
     /// Flattens every field into `u64`s for bitwise-determinism
     /// assertions.
     pub fn fingerprint(&self) -> Vec<u64> {
-        let mut fp = vec![
+        let mut fp = Vec::with_capacity(self.fingerprint_len());
+        self.fingerprint_into(&mut fp);
+        fp
+    }
+
+    /// Appends [`WindowStats::fingerprint`]'s words to `fp`.
+    pub fn fingerprint_into(&self, fp: &mut Vec<u64>) {
+        fp.extend([
             self.index,
             self.start,
             self.end,
@@ -110,9 +117,13 @@ impl WindowStats {
             self.p99,
             self.max_latency,
             self.latency_sum,
-        ];
-        fp.extend(self.over_limit.iter().copied());
-        fp
+        ]);
+        fp.extend_from_slice(&self.over_limit);
+    }
+
+    /// The number of words [`WindowStats::fingerprint_into`] appends.
+    pub fn fingerprint_len(&self) -> usize {
+        15 + self.over_limit.len()
     }
 
     /// Order-sensitive hash of [`WindowStats::fingerprint`].

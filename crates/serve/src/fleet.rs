@@ -69,7 +69,7 @@ use sc_telemetry::{BackendProfile, EventRecord, FoldedStacks, Outcome, SpanTree,
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::clock::VirtualClock;
 use crate::hedge::HedgePolicy;
-use crate::placement::Placement;
+use crate::placement::{Placement, RankKey};
 use crate::queue::{AdmissionQueue, Queued};
 use crate::recovery::{RecoveryManager, RecoveryPolicy, RecoveryStats, ReplicaPhase};
 use crate::report::Segment;
@@ -162,8 +162,9 @@ pub struct ShardReport {
 }
 
 impl ShardReport {
-    fn fingerprint(&self) -> Vec<u64> {
-        let mut fp = vec![
+    /// Appends the shard's words to a report fingerprint.
+    fn fingerprint_into(&self, fp: &mut Vec<u64>) {
+        fp.extend([
             self.dispatched,
             self.completed,
             self.failed_attempts,
@@ -180,11 +181,15 @@ impl ShardReport {
                 _ => 0,
             },
             self.rejoins,
-        ];
+        ]);
         if let Some(h) = &self.health {
-            fp.extend(h.fingerprint());
+            h.fingerprint_into(fp);
         }
-        fp
+    }
+
+    /// The number of words [`ShardReport::fingerprint_into`] appends.
+    fn fingerprint_len(&self) -> usize {
+        10 + self.health.as_ref().map_or(0, HealthReport::fingerprint_len)
     }
 }
 
@@ -283,9 +288,11 @@ impl FleetReport {
     }
 
     /// Flattens the whole report into a `Vec<u64>` for
-    /// bitwise-determinism assertions.
+    /// bitwise-determinism assertions. Every part appends into one
+    /// buffer, reserved once at the report's exact size.
     pub fn fingerprint(&self) -> Vec<u64> {
-        let mut fp = vec![
+        let mut fp = Vec::with_capacity(self.fingerprint_len());
+        fp.extend([
             self.shed,
             self.timed_out,
             self.breaker_rejected,
@@ -301,26 +308,39 @@ impl FleetReport {
             self.hedge_wasted_cycles,
             self.max_queue_depth as u64,
             self.horizon,
-        ];
-        fp.extend(self.completed_by_tier.iter().copied());
+        ]);
+        fp.extend_from_slice(&self.completed_by_tier);
         for r in &self.responses {
             let tier = r.outcome.tier().map_or(u64::MAX, |t| t as u64);
             fp.extend([r.id, r.outcome.code(), tier, r.attempts, r.finished_at, r.latency]);
             fp.extend([r.replica.unwrap_or(u64::MAX), r.hedged as u64, r.hedge_won as u64]);
-            fp.extend(r.attribution.fingerprint());
+            r.attribution.fingerprint_into(&mut fp);
         }
         for t in &self.traces {
-            fp.extend(t.fingerprint());
+            t.fingerprint_into(&mut fp);
         }
-        fp.extend(self.folded.fingerprint());
+        self.folded.fingerprint_into(&mut fp);
         for s in &self.shards {
-            fp.extend(s.fingerprint());
+            s.fingerprint_into(&mut fp);
         }
         if let Some(h) = &self.health {
-            fp.extend(h.fingerprint());
+            h.fingerprint_into(&mut fp);
         }
-        fp.extend(self.recovery.fingerprint());
+        self.recovery.fingerprint_into(&mut fp);
+        debug_assert_eq!(fp.len(), self.fingerprint_len(), "fingerprint size");
         fp
+    }
+
+    /// The number of words [`FleetReport::fingerprint`] holds.
+    fn fingerprint_len(&self) -> usize {
+        let response = |r: &EventRecord| 9 + r.attribution.fingerprint_len();
+        15 + self.completed_by_tier.len()
+            + self.responses.iter().map(response).sum::<usize>()
+            + self.traces.iter().map(SpanTree::fingerprint_len).sum::<usize>()
+            + self.folded.fingerprint_len()
+            + self.shards.iter().map(ShardReport::fingerprint_len).sum::<usize>()
+            + self.health.as_ref().map_or(0, HealthReport::fingerprint_len)
+            + RecoveryStats::FINGERPRINT_LEN
     }
 }
 
@@ -335,15 +355,18 @@ struct FleetInflight {
     finish_at: u64,
     error: Option<sc_core::Error>,
     profile: Option<BackendProfile>,
+    /// The tick this owner attempt's pending hedge launches, if one is
+    /// scheduled and not yet launched. The hedge belongs to the attempt:
+    /// it is void once the attempt leaves flight.
+    hedge_at: Option<u64>,
 }
 
 /// Per-request hedge bookkeeping, keyed by request id. Lives from the
-/// first dispatch that schedules a hedge until finalization, so losing
-/// sides accumulated across retries are all billed on the response.
+/// first hedge launch, losing side or replayed strand until
+/// finalization, so losing sides accumulated across retries are all
+/// billed on the response.
 #[derive(Default)]
 struct HedgeTrack {
-    /// Pending launch tick, if a hedge is scheduled but not yet live.
-    hedge_at: Option<u64>,
     /// The live duplicate: `(replica, launched_at)`.
     active: Option<(usize, u64)>,
     /// Closed `[start, end)` windows burned by losing sides.
@@ -562,6 +585,9 @@ struct Run<'f> {
     noted_trips: Vec<u64>,
     inflight: Vec<Option<FleetInflight>>,
     tracks: BTreeMap<u64, HedgeTrack>,
+    /// The last ranking [`Run::rank`] made, best-first; reused across
+    /// placements.
+    ranked: Vec<RankKey>,
     /// Scratch frame path for [`fold_timeline`], reused across requests.
     fold_path: String,
     out: FleetReport,
@@ -588,6 +614,7 @@ impl<'f> Run<'f> {
             noted_trips: vec![0; n],
             inflight: (0..n).map(|_| None).collect(),
             tracks: BTreeMap::new(),
+            ranked: Vec::with_capacity(n),
             fold_path: String::new(),
             out: FleetReport {
                 responses: Vec::with_capacity(requests),
@@ -599,49 +626,45 @@ impl<'f> Run<'f> {
         }
     }
 
-    /// The next event tick over the whole fleet: completions, the next
-    /// arrival (`next_arrival`), ready queue entries on idle replicas,
-    /// queued deadlines, pending hedge launches, and recovery lifecycle
-    /// events. `None` ends the run.
+    /// The next event tick over the whole fleet: completions and the
+    /// pending hedge launches of in-flight attempts, the next arrival
+    /// (`next_arrival`), ready queue entries on idle replicas, queued
+    /// deadlines, and recovery lifecycle events. `None` ends the run.
+    /// Per replica it reads the in-flight attempt and the queue's front;
+    /// only an idle replica's queue is scanned, for its backoff gates.
     fn next_event(&self, next_arrival: Option<u64>) -> Option<u64> {
         let mut event: Option<u64> = None;
-        let mut consider = |t: u64| event = Some(event.map_or(t, |e: u64| e.min(t)));
-        // With every request served and every queue drained, the run
-        // only continues for pending lifecycle transitions — and a
-        // replica whose crash window never closes can never restart, so
-        // its backoff ladder must not keep the loop alive.
-        let traffic_done = next_arrival.is_none()
-            && self.inflight.iter().all(Option::is_none)
-            && self.queues.iter().all(AdmissionQueue::is_empty);
+        let mut consider = |t: Option<u64>| {
+            if let Some(t) = t {
+                event = Some(event.map_or(t, |e: u64| e.min(t)));
+            }
+        };
         for (r, queue) in self.queues.iter().enumerate() {
             match &self.inflight[r] {
-                Some(inf) => consider(inf.finish_at),
-                None if !self.is_down(r) => {
-                    if let Some(t) = queue.next_ready_at() {
-                        consider(t);
-                    }
+                Some(inf) => {
+                    consider(Some(inf.finish_at));
+                    consider(inf.hedge_at);
                 }
+                None if !self.is_down(r) => consider(queue.next_ready_at()),
                 None => {}
             }
-            if let Some(t) = queue.next_deadline_at() {
-                consider(t);
-            }
-            if let Some(rm) = &self.recovery {
+            consider(queue.next_deadline_at());
+        }
+        if let Some(rm) = &self.recovery {
+            // With every request served and every queue drained, the run
+            // only continues for pending lifecycle transitions — and a
+            // replica whose crash window never closes can never restart,
+            // so its backoff ladder must not keep the loop alive.
+            let traffic_done = next_arrival.is_none()
+                && self.inflight.iter().all(Option::is_none)
+                && self.queues.iter().all(AdmissionQueue::is_empty);
+            for r in 0..self.queues.len() {
                 let hopeless = traffic_done && rm.is_down(r) && self.sites.crashed(r, u64::MAX);
-                if let Some(t) = rm.next_event_at(r).filter(|_| !hopeless) {
-                    consider(t);
-                }
+                consider(rm.next_event_at(r).filter(|_| !hopeless));
             }
+            consider(rm.next_planned_at());
         }
-        if let Some(t) = self.recovery.as_ref().and_then(RecoveryManager::next_planned_at) {
-            consider(t);
-        }
-        if let Some(t) = next_arrival {
-            consider(t);
-        }
-        for t in self.tracks.values().filter_map(|t| t.hedge_at) {
-            consider(t);
-        }
+        consider(next_arrival);
         event
     }
 
@@ -777,18 +800,15 @@ impl<'f> Run<'f> {
 
     /// Re-places an entry stranded on replica `r`: onto the first other
     /// replica that admits it, else the first other replica not down,
-    /// else its rank leader. Its pending hedge is void; landing off `r`
-    /// is a failover.
+    /// else its rank leader. Its pending hedge left flight with its
+    /// attempt; landing off `r` is a failover.
     fn re_place(&mut self, r: usize, entry: Queued, now: u64) {
         let id = entry.req.id;
-        if let Some(t) = self.tracks.get_mut(&id) {
-            t.hedge_at = None;
-        }
-        let order = self.rank(id, now);
+        self.rank(id, now);
         let target = self
-            .first_admitting(&order, id, now, Some(r))
-            .or_else(|| order.iter().copied().find(|&c| c != r && !self.is_down(c)))
-            .unwrap_or(order[0]);
+            .first_admitting(now, Some(r))
+            .or_else(|| self.ranked().find(|&c| c != r && !self.is_down(c)))
+            .unwrap_or_else(|| self.leader());
         if target != r {
             self.out.failovers += 1;
         }
@@ -797,14 +817,12 @@ impl<'f> Run<'f> {
 
     /// Re-queues `entry` after its attempt on replica `r` failed: onto
     /// the first replica that admits it, else its rank leader. Its
-    /// pending hedge is void; landing off `r` is a failover.
+    /// pending hedge left flight with its attempt; landing off `r` is a
+    /// failover.
     fn retry(&mut self, r: usize, entry: Queued, now: u64) {
         let id = entry.req.id;
-        if let Some(t) = self.tracks.get_mut(&id) {
-            t.hedge_at = None;
-        }
-        let order = self.rank(id, now);
-        let target = self.first_admitting(&order, id, now, None).unwrap_or(order[0]);
+        self.rank(id, now);
+        let target = self.first_admitting(now, None).unwrap_or_else(|| self.leader());
         if target != r {
             self.out.failovers += 1;
         }
@@ -915,9 +933,12 @@ impl<'f> Run<'f> {
     }
 
     /// Finalizes the queued entries whose deadline passed by `now`, per
-    /// replica.
+    /// replica. A queue whose front deadline lies past `now` holds none.
     fn expire(&mut self, now: u64) {
         for r in 0..self.queues.len() {
+            if self.queues[r].next_deadline_at().is_none_or(|d| d > now) {
+                continue;
+            }
             for dead in self.queues[r].drop_expired(now) {
                 self.finalize(dead, Outcome::TimedOut, now, Some(r), false);
             }
@@ -934,9 +955,10 @@ impl<'f> Run<'f> {
             return;
         }
         metrics().admitted.incr(1);
-        let order = self.rank(req.id, now);
-        let chosen = self.first_admitting(&order, req.id, now, None).unwrap_or(order[0]);
-        if chosen != order[0] {
+        self.rank(req.id, now);
+        let leader = self.leader();
+        let chosen = self.first_admitting(now, None).unwrap_or(leader);
+        if chosen != leader {
             self.out.failovers += 1;
         }
         self.enqueue(chosen, entry, now);
@@ -948,17 +970,10 @@ impl<'f> Run<'f> {
     /// targets a probing replica. Without one, or when its breaker
     /// refuses, the hedge is skipped.
     fn launch_hedges(&mut self, now: u64, backends: &mut [&mut dyn Backend]) {
-        let due: Vec<u64> = self
-            .tracks
-            .iter()
-            .filter(|(_, t)| t.hedge_at.is_some_and(|h| h <= now))
-            .map(|(&id, _)| id)
-            .collect();
-        for id in due {
-            self.tracks.get_mut(&id).expect("due track exists").hedge_at = None;
-            let Some(rp) = self.owner_of(id) else { continue };
-            let order = self.rank(id, now);
-            let idle = order.iter().copied().find(|&c| {
+        while let Some((id, rp)) = next_due_hedge(&self.inflight, now) {
+            self.inflight[rp].as_mut().expect("a due hedge's attempt is in flight").hedge_at = None;
+            self.rank(id, now);
+            let idle = self.ranked().find(|&c| {
                 c != rp
                     && self.inflight[c].is_none()
                     && self.is_live(c, now)
@@ -972,7 +987,7 @@ impl<'f> Run<'f> {
             let owner = self.inflight[rp].as_ref().and_then(|i| i.entry.as_ref()).expect("owner");
             let duplicate = self.attempt(&mut *backends[r2], r2, owner, tier, true, now);
             self.inflight[r2] = Some(duplicate);
-            let track = self.tracks.get_mut(&id).expect("due track exists");
+            let track = self.tracks.entry(id).or_default();
             track.active = Some((r2, now));
             track.launched += 1;
             self.out.hedges_launched += 1;
@@ -1007,8 +1022,8 @@ impl<'f> Run<'f> {
                         self.finalize(entry, Outcome::BreakerOpen, now, Some(r), false);
                         continue;
                     }
-                    let order = self.rank(id, now);
-                    if let Some(rc) = self.first_admitting(&order, id, now, Some(r)) {
+                    self.rank(id, now);
+                    if let Some(rc) = self.first_admitting(now, Some(r)) {
                         self.out.failovers += 1;
                         entry.not_before = now;
                         self.enqueue(rc, entry, now);
@@ -1027,9 +1042,7 @@ impl<'f> Run<'f> {
                 {
                     let at =
                         now.saturating_add(hedge.delay(self.fleet.estimate(entry.req.payload)));
-                    if at < attempt.finish_at {
-                        self.tracks.entry(id).or_default().hedge_at = Some(at);
-                    }
+                    attempt.hedge_at = Some(at).filter(|&at| at < attempt.finish_at);
                 }
                 attempt.entry = Some(entry);
                 self.inflight[r] = Some(attempt);
@@ -1259,6 +1272,7 @@ impl<'f> Run<'f> {
             finish_at: now.saturating_add(ticks),
             error,
             profile,
+            hedge_at: None,
         };
         let down = |what: String| {
             lasting(failure_ticks, Some(sc_core::Error::RetryExhausted { what, attempts }), None)
@@ -1290,40 +1304,41 @@ impl<'f> Run<'f> {
         }
     }
 
-    /// Every replica ranked best-first for request `id` at `now`, by
-    /// rendezvous score and then by outstanding work in estimated
-    /// cycles: the remaining in-flight window plus every queued entry's
-    /// payload estimate.
-    fn rank(&self, id: u64, now: u64) -> Vec<usize> {
-        let loads: Vec<u64> = (0..self.queues.len())
-            .map(|r| {
-                let busy = self.inflight[r].as_ref().map_or(0, |i| i.finish_at.saturating_sub(now));
-                let queued: u64 =
-                    self.queues[r].iter().map(|q| self.fleet.estimate(q.req.payload)).sum();
-                busy.saturating_add(queued)
-            })
-            .collect();
-        self.placement.rank(id, &loads)
+    /// Ranks every replica best-first for request `id` at `now` into the
+    /// `ranked` buffer, by rendezvous score and then by outstanding work
+    /// in estimated cycles: the remaining in-flight window plus every
+    /// queued entry's payload estimate, saturating at `u64::MAX`.
+    fn rank(&mut self, id: u64, now: u64) {
+        let (inflight, queues, fleet) = (&self.inflight, &self.queues, self.fleet);
+        let load = |r: usize| {
+            let busy = inflight[r].as_ref().map_or(0, |i| i.finish_at.saturating_sub(now));
+            queues[r].iter().fold(busy, |sum, q| sum.saturating_add(fleet.estimate(q.req.payload)))
+        };
+        self.placement.rank_into(id, load, &mut self.ranked);
     }
 
-    /// The first replica in `order`, other than `avoid`, that admits
-    /// request `id`: it is live and, under recovery, its lifecycle phase
-    /// admits the request's rendezvous-score bucket (a probing replica
-    /// takes only its stage's fraction, a down one nothing).
-    fn first_admitting(
-        &self,
-        order: &[usize],
-        id: u64,
-        now: u64,
-        avoid: Option<usize>,
-    ) -> Option<usize> {
-        order.iter().copied().find(|&c| {
-            Some(c) != avoid
+    /// The replicas in the order the last [`Run::rank`] gave them.
+    fn ranked(&self) -> impl Iterator<Item = usize> + '_ {
+        self.ranked.iter().map(|k| k.replica)
+    }
+
+    /// The last ranking's leader.
+    fn leader(&self) -> usize {
+        self.ranked[0].replica
+    }
+
+    /// The first replica in the last ranking, other than `avoid`, that
+    /// admits the ranked request: it is live and, under recovery, its
+    /// lifecycle phase admits the request's rendezvous-score bucket (a
+    /// probing replica takes only its stage's fraction, a down one
+    /// nothing).
+    fn first_admitting(&self, now: u64, avoid: Option<usize>) -> Option<usize> {
+        self.ranked.iter().find_map(|k| {
+            let c = k.replica;
+            let admits = Some(c) != avoid
                 && self.is_live(c, now)
-                && self
-                    .recovery
-                    .as_ref()
-                    .is_none_or(|rm| rm.admits_bucket(c, self.placement.bucket(id, c)))
+                && self.recovery.as_ref().is_none_or(|rm| rm.admits_bucket(c, k.bucket.0));
+            admits.then_some(c)
         })
     }
 
@@ -1373,6 +1388,20 @@ impl<'f> Run<'f> {
             hm.note(now, what, detail);
         }
     }
+}
+
+/// The pending hedge due by `now` with the lowest request id, as
+/// `(request id, owner replica)`. Each in-flight owner attempt holds at
+/// most one pending hedge, so this reads one slot per replica.
+fn next_due_hedge(inflight: &[Option<FleetInflight>], now: u64) -> Option<(u64, usize)> {
+    inflight
+        .iter()
+        .enumerate()
+        .filter_map(|(r, i)| {
+            let inf = i.as_ref()?;
+            inf.hedge_at.is_some_and(|h| h <= now).then_some((inf.request_id, r))
+        })
+        .min()
 }
 
 /// Closes `entry`'s attempt window, `[marker, now)`, as a
@@ -2103,7 +2132,8 @@ mod tests {
         let _guard = no_faults();
         let fleet = Fleet::new(FleetConfig { replicas: 3, ..FleetConfig::default() });
         let mut run = Run::new(&fleet, 1);
-        let order = run.rank(7, 0);
+        run.rank(7, 0);
+        let order: Vec<usize> = run.ranked().collect();
         for t in 0..BreakerConfig::default().failure_threshold {
             run.breakers[order[0]].on_failure(u64::from(t));
         }
@@ -2131,7 +2161,8 @@ mod tests {
         run.arrive(request(3, 0), 0);
         run.dispatch(0, &mut backends);
         let owner = run.owner_of(3).expect("dispatched");
-        assert_eq!(run.tracks[&3].hedge_at, Some(100), "hedge due at the payload estimate");
+        let hedge_at = |run: &Run| run.inflight[owner].as_ref().expect("owner in flight").hedge_at;
+        assert_eq!(hedge_at(&run), Some(100), "hedge due at the payload estimate");
         let others: Vec<usize> = (0..3).filter(|&r| r != owner).collect();
         let (busy, probing) = (others[0], others[1]);
         run.enqueue(busy, Queued::fresh(request(4, 1)), 0);
@@ -2141,16 +2172,277 @@ mod tests {
 
         run.launch_hedges(100, &mut backends);
         assert_eq!((run.out.hedges_launched, run.out.hedges_skipped), (0, 1));
-        assert_eq!(run.tracks[&3].hedge_at, None, "a skipped hedge is not retried");
+        assert_eq!(hedge_at(&run), None, "a skipped hedge is not retried");
 
         run.inflight[busy] = None;
-        run.tracks.get_mut(&3).expect("track").hedge_at = Some(200);
+        run.inflight[owner].as_mut().expect("owner in flight").hedge_at = Some(200);
         run.launch_hedges(200, &mut backends);
         assert_eq!((run.out.hedges_launched, run.out.hedges_skipped), (1, 1));
         let dup = run.inflight[busy].as_ref().expect("the duplicate runs on the freed replica");
         assert!(dup.entry.is_none() && dup.request_id == 3);
         assert!(run.inflight[probing].is_none(), "a probing replica never hosts a hedge");
         assert_eq!(run.tracks[&3].active, Some((busy, 200)));
+    }
+
+    #[test]
+    fn queued_work_saturates_instead_of_overflowing() {
+        let _guard = no_faults();
+        // Each queued entry prices at u64::MAX / 2, so a replica's third
+        // queued entry would carry its load past u64::MAX.
+        let fleet = Fleet::new(FleetConfig {
+            server: ServerConfig { queue_capacity: 8, ..ServerConfig::default() },
+            replicas: 2,
+            estimates: vec![u64::MAX / 2],
+            ..FleetConfig::default()
+        });
+        let requests: Vec<Request> =
+            (0..12).map(|id| Request { id, arrival: 0, deadline: 1_000_000, payload: 0 }).collect();
+        let report = fleet.run(&mut backends(&[100, 100]), requests);
+        assert_eq!(report.responses.len(), 12, "every request finalized once");
+        assert_eq!(report.completed() + report.shed, 12);
+        assert!(report.shards.iter().all(|s| s.completed > 0), "both replicas serve");
+    }
+
+    /// The per-track hedge scan the in-flight slots replaced, kept as
+    /// their model: each request's pending launch tick, keyed by id, and
+    /// the due ones found by scanning every track.
+    #[derive(Default)]
+    struct TrackScan {
+        hedge_at: BTreeMap<u64, Option<u64>>,
+    }
+
+    impl TrackScan {
+        /// Due hedges in request-id order, each cleared, with its owner
+        /// found by scanning the in-flight attempts.
+        fn launch(&mut self, inflight: &[Option<FleetInflight>], now: u64) -> Vec<(u64, usize)> {
+            let due: Vec<u64> = self
+                .hedge_at
+                .iter()
+                .filter(|(_, h)| h.is_some_and(|h| h <= now))
+                .map(|(&id, _)| id)
+                .collect();
+            due.into_iter()
+                .filter_map(|id| {
+                    self.hedge_at.insert(id, None);
+                    let owner = inflight.iter().position(|i| {
+                        i.as_ref().is_some_and(|i| i.entry.as_ref().is_some_and(|e| e.req.id == id))
+                    });
+                    owner.map(|r| (id, r))
+                })
+                .collect()
+        }
+
+        fn next_at(&self) -> Option<u64> {
+            self.hedge_at.values().flatten().copied().min()
+        }
+    }
+
+    /// One seeded sequence of hedge schedules (an owner dispatch),
+    /// voids (the attempt leaves flight for a retry, re-placement or
+    /// finalization) and launches (each may start a duplicate on an idle
+    /// replica), against the per-track model. Ids come back on retries,
+    /// and launch ticks tie often.
+    fn hedge_model_sequence(seed: u64) {
+        let mut rng = sc_core::rng::SmallRng::seed_from_u64(seed);
+        let n = rng.gen_range_usize(1..6);
+        let mut inflight: Vec<Option<FleetInflight>> = (0..n).map(|_| None).collect();
+        let mut model = TrackScan::default();
+        let (mut now, mut next_id) = (0u64, 0u64);
+        let mut retried: Vec<u64> = Vec::new();
+        let attempt =
+            |id: u64, entry: Option<Queued>, now: u64, finish_at, hedge_at| FleetInflight {
+                entry,
+                request_id: id,
+                tier: 0,
+                start: now,
+                finish_at,
+                error: None,
+                profile: None,
+                hedge_at,
+            };
+        for step in 0..60 {
+            let ctx = format!("seed {seed} step {step}");
+            let idle: Vec<usize> = (0..n).filter(|&r| inflight[r].is_none()).collect();
+            let busy: Vec<usize> = (0..n).filter(|&r| inflight[r].is_some()).collect();
+            match rng.gen_range_u64(0..8) {
+                0..=2 if !idle.is_empty() => {
+                    let r = idle[rng.gen_range_usize(0..idle.len())];
+                    let id = match retried.len() {
+                        k if k > 0 && rng.gen_bool(0.5) => {
+                            retried.swap_remove(rng.gen_range_usize(0..k))
+                        }
+                        _ => {
+                            next_id += 1;
+                            next_id
+                        }
+                    };
+                    let finish_at = now + rng.gen_range_u64(1..8);
+                    let at = now + rng.gen_range_u64(1..8);
+                    let hedge_at = Some(at).filter(|&at| at < finish_at);
+                    if hedge_at.is_some() {
+                        model.hedge_at.insert(id, hedge_at);
+                    }
+                    let entry = Queued::fresh(request(id, 0));
+                    inflight[r] = Some(attempt(id, Some(entry), now, finish_at, hedge_at));
+                }
+                3..=4 if !busy.is_empty() => {
+                    let r = busy[rng.gen_range_usize(0..busy.len())];
+                    let inf = inflight[r].take().expect("busy");
+                    if inf.entry.is_some() {
+                        let id = inf.request_id;
+                        if rng.gen_bool(0.5) {
+                            if let Some(h) = model.hedge_at.get_mut(&id) {
+                                *h = None;
+                            }
+                            retried.push(id);
+                        } else {
+                            model.hedge_at.remove(&id);
+                        }
+                    }
+                }
+                5..=6 => {
+                    let expected = model.launch(&inflight, now);
+                    let mut launched = Vec::new();
+                    while let Some((id, rp)) = next_due_hedge(&inflight, now) {
+                        inflight[rp].as_mut().expect("due").hedge_at = None;
+                        launched.push((id, rp));
+                        let idle: Vec<usize> = (0..n).filter(|&r| inflight[r].is_none()).collect();
+                        if !idle.is_empty() && rng.gen_bool(0.5) {
+                            let r2 = idle[rng.gen_range_usize(0..idle.len())];
+                            inflight[r2] = Some(attempt(id, None, now, now + 3, None));
+                        }
+                    }
+                    assert_eq!(launched, expected, "{ctx}: due hedges");
+                }
+                _ => now += rng.gen_range_u64(0..3),
+            }
+            let pending = inflight.iter().flatten().filter_map(|i| i.hedge_at).min();
+            assert_eq!(pending, model.next_at(), "{ctx}: next hedge tick");
+        }
+    }
+
+    #[test]
+    fn inflight_hedges_match_the_track_scan_model() {
+        for seed in 0..1_000 {
+            hedge_model_sequence(seed);
+        }
+    }
+
+    /// The long model pass; `scripts/ci.sh` runs it in release.
+    #[test]
+    #[ignore = "long model pass: cargo test --release -p sc-serve --lib -- --ignored"]
+    fn inflight_hedges_match_the_track_scan_model_long() {
+        for seed in 0..50_000 {
+            hedge_model_sequence(seed);
+        }
+    }
+
+    /// The nested-`Vec` layout `FleetReport::fingerprint` built before it
+    /// appended into one buffer, kept as its model.
+    fn nested_fingerprint(report: &FleetReport) -> Vec<u64> {
+        let mut fp = vec![
+            report.shed,
+            report.timed_out,
+            report.breaker_rejected,
+            report.failed,
+            report.retries,
+            report.failovers,
+            report.hedges_launched,
+            report.hedges_won,
+            report.hedges_cancelled,
+            report.hedges_failed,
+            report.hedges_adopted,
+            report.hedges_skipped,
+            report.hedge_wasted_cycles,
+            report.max_queue_depth as u64,
+            report.horizon,
+        ];
+        fp.extend(report.completed_by_tier.iter().copied());
+        for r in &report.responses {
+            let tier = r.outcome.tier().map_or(u64::MAX, |t| t as u64);
+            fp.extend([r.id, r.outcome.code(), tier, r.attempts, r.finished_at, r.latency]);
+            fp.extend([r.replica.unwrap_or(u64::MAX), r.hedged as u64, r.hedge_won as u64]);
+            fp.extend(r.attribution.fingerprint());
+        }
+        for t in &report.traces {
+            fp.extend([t.trace_id().0, t.spans().len() as u64]);
+            for s in t.spans() {
+                let name = sc_telemetry::fnv1a(&s.name);
+                let parent = s.parent.map_or(0, |p| p.0);
+                fp.extend([s.id.0, parent, s.category.code(), s.start, s.end, name]);
+            }
+        }
+        fp.push(report.folded.iter().count() as u64);
+        for (path, cycles) in report.folded.iter() {
+            fp.extend([sc_telemetry::fnv1a(path), cycles]);
+        }
+        for s in &report.shards {
+            let lifecycle = match s.lifecycle.as_str() {
+                "down" => 1,
+                "probing" => 2,
+                _ => 0,
+            };
+            fp.extend([
+                s.dispatched,
+                s.completed,
+                s.failed_attempts,
+                s.cancelled,
+                s.hedges_launched,
+                s.breaker_trips,
+                s.breaker_state.len() as u64,
+                s.max_queue_depth as u64,
+                lifecycle,
+                s.rejoins,
+            ]);
+            if let Some(h) = &s.health {
+                fp.extend(h.fingerprint());
+            }
+        }
+        if let Some(h) = &report.health {
+            fp.extend(h.fingerprint());
+        }
+        fp.extend(report.recovery.fingerprint());
+        fp
+    }
+
+    #[test]
+    fn the_one_buffer_fingerprint_keeps_the_nested_layout() {
+        let _guard = scoped(FaultPlan::parse("serve.backend:flip@0.05;seed=4").unwrap());
+        let goodput = |name: &str| {
+            HealthConfig::with_objectives(
+                1_000,
+                vec![sc_health::Objective::goodput(name, 0.99).with_spans(1, 3)],
+            )
+        };
+        let fleet = Fleet::new(FleetConfig {
+            server: ServerConfig {
+                queue_capacity: 4,
+                retry: RetryPolicy { max_attempts: 3, base: 16, cap: 64, seed: 5 },
+                health: goodput("shard"),
+                ..ServerConfig::default()
+            },
+            replicas: 3,
+            hedge: Some(HedgePolicy { numerator: 1, denominator: 2, min_delay: 50 }),
+            estimates: vec![300; 4],
+            fleet_health: goodput("fleet"),
+            recovery: Some(RecoveryPolicy {
+                probation_window: 512,
+                probation_buckets: vec![8, 16],
+                restarts: vec![PlannedRestart { at: 3_000, replica: 1 }],
+                ..RecoveryPolicy::default()
+            }),
+            keep_traces: true,
+            ..FleetConfig::default()
+        });
+        let report = fleet.run(&mut backends(&[300, 900, 400]), trace(120, 40, 1_500));
+        let incidents = |h: &Option<HealthReport>| h.as_ref().map_or(0, |h| h.incidents.len());
+        assert!(incidents(&report.health) > 0, "the fleet monitor must breach");
+        assert!(report.shards.iter().any(|s| incidents(&s.health) > 0), "a shard must breach");
+        assert!(report.hedges_launched > 0 && report.recovery.downs > 0);
+        assert!(!report.traces.is_empty() && report.folded.iter().next().is_some());
+        let fp = report.fingerprint();
+        assert_eq!(fp, nested_fingerprint(&report));
+        assert_eq!(fp.capacity(), fp.len(), "reserved once, at the exact size");
     }
 
     #[test]

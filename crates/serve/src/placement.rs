@@ -15,6 +15,8 @@
 //! is indifferent; and every input is virtual-clock state, so the
 //! choice is bitwise reproducible.
 
+use std::cmp::Reverse;
+
 use sc_fault::split_mix;
 
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -46,11 +48,13 @@ impl Placement {
     /// The raw rendezvous score of `(request_id, replica)` — a pure
     /// function of the seed and both ids.
     pub fn score(&self, request_id: u64, replica: usize) -> u64 {
-        split_mix(
-            self.seed
-                ^ split_mix(request_id ^ GOLDEN)
-                ^ (replica as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
-        )
+        self.mixed_score(split_mix(request_id ^ GOLDEN), replica)
+    }
+
+    /// [`Placement::score`] from the request id's own mix,
+    /// `split_mix(request_id ^ GOLDEN)`, which a ranking hashes once.
+    fn mixed_score(&self, id_mix: u64, replica: usize) -> u64 {
+        split_mix(self.seed ^ id_mix ^ (replica as u64).wrapping_mul(0xD1B5_4A32_D192_ED03))
     }
 
     /// The quantized score bucket of `(request_id, replica)` — the top
@@ -73,13 +77,43 @@ impl Placement {
     /// Panics if `loads.len()` differs from the replica count.
     pub fn rank(&self, request_id: u64, loads: &[u64]) -> Vec<usize> {
         assert_eq!(loads.len(), self.replicas, "one load per replica");
-        let mut order: Vec<usize> = (0..self.replicas).collect();
-        order.sort_by_key(|&r| {
-            let bucket = self.score(request_id, r) >> (64 - BUCKET_BITS);
-            (core::cmp::Reverse(bucket), loads[r], r)
-        });
-        order
+        let mut keys = Vec::with_capacity(self.replicas);
+        self.rank_into(request_id, |r| loads[r], &mut keys);
+        keys.into_iter().map(|k| k.replica).collect()
     }
+
+    /// [`Placement::rank`] into a reused buffer, with replica `r`'s load
+    /// read as `load(r)`: `keys` ends holding one key per replica,
+    /// best-first. Each key is computed once, and the request id is
+    /// hashed once per ranking.
+    pub(crate) fn rank_into(
+        &self,
+        request_id: u64,
+        load: impl Fn(usize) -> u64,
+        keys: &mut Vec<RankKey>,
+    ) {
+        let id_mix = split_mix(request_id ^ GOLDEN);
+        keys.clear();
+        keys.extend((0..self.replicas).map(|replica| RankKey {
+            bucket: Reverse(self.mixed_score(id_mix, replica) >> (64 - BUCKET_BITS)),
+            load: load(replica),
+            replica,
+        }));
+        // Keys differ in `replica`, so an unstable sort is exact.
+        keys.sort_unstable();
+    }
+}
+
+/// One replica's place in a ranking, ordered as [`Placement::rank`]
+/// orders replicas: score bucket descending, then load, then index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct RankKey {
+    /// The quantized score bucket ([`Placement::bucket`]), reversed.
+    pub(crate) bucket: Reverse<u64>,
+    /// Outstanding work in estimated cycles.
+    pub(crate) load: u64,
+    /// The replica's index.
+    pub(crate) replica: usize,
 }
 
 #[cfg(test)]
@@ -98,6 +132,20 @@ mod tests {
             p.rank(3, &loads),
             "a different seed must reshuffle at least some request"
         );
+    }
+
+    #[test]
+    fn ranking_keys_once_matches_scoring_in_every_comparison() {
+        // The sort `rank` made before it computed each key once: two
+        // scores per comparison, a stable sort on (bucket desc, load,
+        // index).
+        let p = Placement::new(0x5EED, 6);
+        for id in 0..2_000u64 {
+            let loads: Vec<u64> = (0..6).map(|r| (id * 7 + r) % 3).collect();
+            let mut scored: Vec<usize> = (0..6).collect();
+            scored.sort_by_key(|&r| (Reverse(p.bucket(id, r)), loads[r], r));
+            assert_eq!(p.rank(id, &loads), scored, "request {id}");
+        }
     }
 
     #[test]

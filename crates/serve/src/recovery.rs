@@ -236,7 +236,17 @@ pub struct RecoveryStats {
 impl RecoveryStats {
     /// Flat form for bitwise-determinism assertions.
     pub fn fingerprint(&self) -> Vec<u64> {
-        vec![
+        let mut fp = Vec::with_capacity(RecoveryStats::FINGERPRINT_LEN);
+        self.fingerprint_into(&mut fp);
+        fp
+    }
+
+    /// The number of words [`RecoveryStats::fingerprint_into`] appends.
+    pub const FINGERPRINT_LEN: usize = 9;
+
+    /// Appends [`RecoveryStats::fingerprint`]'s words to `fp`.
+    pub fn fingerprint_into(&self, fp: &mut Vec<u64>) {
+        fp.extend([
             self.downs,
             self.restarts_attempted,
             self.restarts_failed,
@@ -246,7 +256,7 @@ impl RecoveryStats {
             self.replayed_inflight,
             self.replayed_queued,
             self.replay_cycles,
-        ]
+        ]);
     }
 }
 

@@ -27,7 +27,9 @@
 use std::sync::{Arc, OnceLock};
 
 use sc_health::HealthConfig;
-use sc_telemetry::metrics::{counter, histogram, log2_bounds, Counter, Histogram};
+use sc_telemetry::metrics::{
+    counter, histogram, log2_bounds, Counter, Histogram, LATENCY_BOUNDS_EXP,
+};
 use sc_telemetry::{
     BackendProfile, CycleAttribution, CycleCategory, FoldedStacks, SpanId, SpanTree, TraceId,
 };
@@ -150,7 +152,7 @@ pub(crate) fn metrics() -> &'static ServeMetrics {
         breaker_final: counter("serve.breaker_open"),
         // Power-of-two buckets so the histogram supports nearest-rank
         // quantiles (p50/p90/p99) within a 2× bound.
-        latency: histogram("serve.latency", &log2_bounds(24)),
+        latency: histogram("serve.latency", &log2_bounds(LATENCY_BOUNDS_EXP)),
         health_windows: counter("health.windows"),
         health_breach: counter("health.breach"),
         health_recover: counter("health.recover"),

@@ -134,6 +134,14 @@ impl Histogram {
     }
 }
 
+/// The one latency bucket scale: every latency tally — the
+/// `serve.latency` histogram, the obs log's windows and aggregates, and
+/// the health monitors' windows — buckets by
+/// `log2_bounds(LATENCY_BOUNDS_EXP)`, so the same stream reads the same
+/// quantiles in each. A latency past `2^24` cycles lands in the overflow
+/// bucket, whose quantile reads the exact maximum.
+pub const LATENCY_BOUNDS_EXP: u32 = 24;
+
 /// Power-of-two bucket bounds `1, 2, 4, …, 2^max_exp` — the standard
 /// bounds for latency histograms, giving ~constant relative quantile
 /// error across six decades.

@@ -49,7 +49,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::json::Json;
-use crate::metrics::{log2_bounds, rank_bucket, window_span, Outcome, Tally};
+use crate::metrics::{log2_bounds, rank_bucket, window_span, Outcome, Tally, LATENCY_BOUNDS_EXP};
 use crate::trace::{fnv1a, split_mix, CycleAttribution, CycleCategory, SpanTree};
 
 /// Schema version stamped into the event-log header (and validated by
@@ -326,11 +326,22 @@ impl FoldedStacks {
 
     /// Flat form for bitwise-determinism fingerprints.
     pub fn fingerprint(&self) -> Vec<u64> {
-        let mut fp = vec![self.stacks.len() as u64];
+        let mut fp = Vec::with_capacity(self.fingerprint_len());
+        self.fingerprint_into(&mut fp);
+        fp
+    }
+
+    /// Appends [`FoldedStacks::fingerprint`]'s words to `fp`.
+    pub fn fingerprint_into(&self, fp: &mut Vec<u64>) {
+        fp.push(self.stacks.len() as u64);
         for (path, cycles) in &self.stacks {
             fp.extend([fnv1a(path), *cycles]);
         }
-        fp
+    }
+
+    /// The number of words [`FoldedStacks::fingerprint_into`] appends.
+    pub fn fingerprint_len(&self) -> usize {
+        1 + 2 * self.stacks.len()
     }
 }
 
@@ -419,10 +430,6 @@ pub const RESERVOIR: usize = 64;
 
 /// How many slowest completed requests each scenario keeps exactly.
 pub const TOP_K: usize = 10;
-
-/// Largest power of two among the latency bucket upper bounds
-/// (`log2_bounds(BOUNDS_EXP)`; one extra overflow bucket is implied).
-const BOUNDS_EXP: u32 = 24;
 
 /// One latency-bucket exemplar: a concrete request behind an aggregate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -581,7 +588,7 @@ pub struct ScenarioSummary {
 pub struct ObsLog {
     bench: String,
     cfg: ObsConfig,
-    /// Latency bucket upper bounds, `log2_bounds(BOUNDS_EXP)`.
+    /// Latency bucket upper bounds, `log2_bounds(LATENCY_BOUNDS_EXP)`.
     bounds: Vec<u64>,
     scenarios: Vec<ScenarioObs>,
 }
@@ -592,7 +599,12 @@ impl ObsLog {
     /// the window used.
     pub fn new(bench: impl Into<String>, mut cfg: ObsConfig) -> ObsLog {
         cfg.window = cfg.window.max(1);
-        ObsLog { bench: bench.into(), cfg, bounds: log2_bounds(BOUNDS_EXP), scenarios: Vec::new() }
+        ObsLog {
+            bench: bench.into(),
+            cfg,
+            bounds: log2_bounds(LATENCY_BOUNDS_EXP),
+            scenarios: Vec::new(),
+        }
     }
 
     /// Opens a new scenario stream and returns its index. `site` names

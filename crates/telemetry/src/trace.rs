@@ -265,6 +265,17 @@ impl CycleAttribution {
     pub fn fingerprint(&self) -> Vec<u64> {
         self.counts.to_vec()
     }
+
+    /// Appends [`CycleAttribution::fingerprint`]'s words to `fp`.
+    pub fn fingerprint_into(&self, fp: &mut Vec<u64>) {
+        fp.extend_from_slice(&self.counts);
+    }
+
+    /// The number of words [`CycleAttribution::fingerprint_into`]
+    /// appends.
+    pub fn fingerprint_len(&self) -> usize {
+        self.counts.len()
+    }
 }
 
 /// One span on the virtual cycle clock: `[start, end)` half-open.
@@ -480,7 +491,14 @@ impl SpanTree {
     /// Flattens the tree — ids, categories, bounds, name hashes — into a
     /// `Vec<u64>` for bitwise-determinism assertions.
     pub fn fingerprint(&self) -> Vec<u64> {
-        let mut fp = vec![self.trace.0, self.spans.len() as u64];
+        let mut fp = Vec::with_capacity(self.fingerprint_len());
+        self.fingerprint_into(&mut fp);
+        fp
+    }
+
+    /// Appends [`SpanTree::fingerprint`]'s words to `fp`.
+    pub fn fingerprint_into(&self, fp: &mut Vec<u64>) {
+        fp.extend([self.trace.0, self.spans.len() as u64]);
         for s in &self.spans {
             fp.extend([
                 s.id.0,
@@ -491,7 +509,11 @@ impl SpanTree {
                 fnv1a(&s.name),
             ]);
         }
-        fp
+    }
+
+    /// The number of words [`SpanTree::fingerprint_into`] appends.
+    pub fn fingerprint_len(&self) -> usize {
+        2 + 6 * self.spans.len()
     }
 }
 

@@ -78,6 +78,13 @@ echo "==> parser fuzz: long pass in release"
 # panic a parser, and JSON and folded profiles must round-trip.
 cargo test --release -q -p sc-bench --test parser_fuzz -- --ignored
 
+echo "==> serving model passes: long pass in release"
+# cargo test checks the EDF-ordered admission queue against its
+# scan-based model, and the fleet's in-flight pending hedges against the
+# per-track scan, over 1,000 seeded operation sequences each; this runs
+# 50,000 of each.
+cargo test --release -q -p sc-serve --lib -- --ignored
+
 echo "==> accel vs neural: full-size zoo layers in release"
 # cargo test checks every fig6 conv layer's sc-neural outputs against
 # the tile engine; this ignored pass does the same for the paper-size
