@@ -679,11 +679,15 @@ impl TileEngine {
                 let mut accs = vec![0i64; lanes];
                 for (w, xs) in terms {
                     self.n.check_signed(w as i64)?;
+                    sums.cycles += 1; // one cycle per term
+                    if w == 0 {
+                        // Every product is 0 and every lane in range.
+                        continue;
+                    }
                     // The saturating accumulator's clamp, per product.
                     for (acc, x) in accs.iter_mut().zip(xs.codes()) {
                         *acc = (*acc + mul.multiply_unchecked(w, x)).clamp(lo, hi);
                     }
-                    sums.cycles += 1; // one cycle per term
                 }
                 accs
             }

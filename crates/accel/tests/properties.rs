@@ -84,11 +84,9 @@ fn tile_compute(run: &LayerRun) -> Vec<u64> {
     run.tiles.iter().map(|tp| tp.compute).collect()
 }
 
-#[test]
-fn engine_matches_golden_random() {
-    let mut rng = SmallRng::seed_from_u64(0xacce101);
-    let mut tried = 0usize;
-    while tried < 24 {
+/// A random geometry that passes validation.
+fn random_geometry(rng: &mut SmallRng) -> ConvGeometry {
+    loop {
         let z = rng.gen_range_usize(1..4);
         let m = rng.gen_range_usize(1..5);
         let k = rng.gen_range_usize(1..4);
@@ -101,87 +99,136 @@ fn engine_matches_golden_random() {
             k,
             stride,
         };
-        if !g.is_valid() {
-            continue;
+        if g.is_valid() {
+            return g;
         }
-        tried += 1;
-        let n = Precision::new(7).unwrap();
-        let h = n.half_scale() as i32;
+    }
+}
+
+/// A random tiling and bit-parallelism `b`.
+fn random_tiling(rng: &mut SmallRng) -> (Tiling, u32) {
+    let tiling = Tiling {
+        t_m: rng.gen_range_usize(1..4),
+        t_r: rng.gen_range_usize(1..4),
+        t_c: rng.gen_range_usize(1..4),
+    };
+    (tiling, 1u32 << rng.gen_range_usize(0..5))
+}
+
+/// Runs one layer under every arithmetic and EDT tier at each
+/// accumulator headroom in `extra_bits`, and checks outputs, tile cycles,
+/// EDT savings and the input-free bill against the per-lane references.
+fn check_against_goldens(
+    n: Precision,
+    (g, tiling, b): (&ConvGeometry, Tiling, u32),
+    input: &[i32],
+    weights: &[i32],
+    extra_bits: &[u32],
+) {
+    let serial_tiles = golden_tile_cycles(g, tiling, weights, |w| w.unsigned_abs() as u64);
+    for &a in extra_bits {
+        let case = format!("{g:?} {tiling:?} A={a}");
+        // Every run's tiles are the bill the engine makes without
+        // inputs, so each golden below checks both.
+        let run = |arithmetic, s| {
+            let engine = TileEngine::new(n, tiling, arithmetic, a);
+            let run = engine.run_layer_at(g, input, weights, s).unwrap();
+            let bill = engine.bill(g, weights, s).unwrap();
+            assert_eq!(bill, run.tiles, "{case} {arithmetic:?} tier {s:?}");
+            run
+        };
+
+        let prop_run = run(AccelArithmetic::ProposedSerial, None);
+        assert_eq!(prop_run.outputs, golden_proposed(g, n, input, weights, a), "{case}");
+        assert_eq!(tile_compute(&prop_run), serial_tiles, "{case}");
+
+        let fix_run = run(AccelArithmetic::Fixed, None);
+        assert_eq!(fix_run.outputs, golden_fixed(g, n, input, weights, a), "{case}");
+        let depth = golden_tile_cycles(g, tiling, weights, |_| 1);
+        assert_eq!(tile_compute(&fix_run), depth, "{case}");
+
+        // Bit-parallel is bit-exact with serial: each lane equals a
+        // per-lane bit-parallel MAC, in ⌈|w|/b⌉ cycles per term.
+        let par_run = run(AccelArithmetic::ProposedParallel(b), None);
+        let mac = BitParallelScMac::new(n, b).unwrap();
+        let par_gold =
+            golden_with(g, n, input, weights, a, |w, x| mac.multiply_signed(w, x).unwrap().value);
+        assert_eq!(par_run.outputs, par_gold, "{case} b={b}");
+        assert_eq!(par_run.outputs, prop_run.outputs, "{case} b={b}");
+        let par_tiles = golden_tile_cycles(g, tiling, weights, |w| {
+            (w.unsigned_abs() as u64).div_ceil(b as u64)
+        });
+        assert_eq!(tile_compute(&par_run), par_tiles, "{case} b={b}");
+
+        // Every EDT tier: per-lane early-termination MACs, |w|≫(N−s)
+        // cycles per term, and the savings against the serial
+        // schedule, whatever the configured arithmetic.
+        for s in 1..=n.bits() {
+            let edt = EarlyTerminationScMac::new(n, s).unwrap();
+            let edt_gold =
+                golden_with(g, n, input, weights, a, |w, x| edt.multiply(w, x).unwrap().value);
+            let edt_tiles = golden_tile_cycles(g, tiling, weights, |w| {
+                (w.unsigned_abs() >> (n.bits() - s)) as u64
+            });
+            for arithmetic in [
+                AccelArithmetic::ProposedSerial,
+                AccelArithmetic::ProposedParallel(b),
+                AccelArithmetic::Fixed,
+            ] {
+                let edt_run = run(arithmetic, Some(s));
+                assert_eq!(edt_run.outputs, edt_gold, "{case} s={s} {arithmetic:?}");
+                assert_eq!(tile_compute(&edt_run), edt_tiles, "{case} s={s}");
+                let saved: Vec<u64> = edt_run.tiles.iter().map(|tp| tp.edt_saved).collect();
+                let expect: Vec<u64> =
+                    serial_tiles.iter().zip(&edt_tiles).map(|(f, e)| f - e).collect();
+                assert_eq!(saved, expect, "{case} s={s}");
+            }
+        }
+    }
+}
+
+#[test]
+fn engine_matches_golden_random() {
+    let mut rng = SmallRng::seed_from_u64(0xacce101);
+    let n = Precision::new(7).unwrap();
+    let h = n.half_scale() as i32;
+    for _ in 0..24 {
+        let g = random_geometry(&mut rng);
         let input: Vec<i32> =
             (0..g.z * g.in_h * g.in_w).map(|_| rng.gen_range_i32(-h..h)).collect();
         let weights: Vec<i32> =
             (0..g.m * g.depth()).map(|_| rng.gen_range_i32(-h / 2..h / 2 + 1)).collect();
-        let tiling = Tiling {
-            t_m: rng.gen_range_usize(1..4),
-            t_r: rng.gen_range_usize(1..4),
-            t_c: rng.gen_range_usize(1..4),
-        };
-        let b = 1u32 << rng.gen_range_usize(0..5);
-        let serial_tiles = golden_tile_cycles(&g, tiling, &weights, |w| w.unsigned_abs() as u64);
-
+        let (tiling, b) = random_tiling(&mut rng);
         // A = 8 never saturates at N = 7; A ∈ {0, 1} clamps mid-layer, so
         // the order in which each product saturates must match too.
-        for a in [0u32, 1, 8] {
-            let case = format!("{g:?} {tiling:?} A={a}");
-            // Every run's tiles are the bill the engine makes without
-            // inputs, so each golden below checks both.
-            let run = |arithmetic, s| {
-                let engine = TileEngine::new(n, tiling, arithmetic, a);
-                let run = engine.run_layer_at(&g, &input, &weights, s).unwrap();
-                let bill = engine.bill(&g, &weights, s).unwrap();
-                assert_eq!(bill, run.tiles, "{case} {arithmetic:?} tier {s:?}");
-                run
-            };
+        check_against_goldens(n, (&g, tiling, b), &input, &weights, &[0, 1, 8]);
+    }
+}
 
-            let prop_run = run(AccelArithmetic::ProposedSerial, None);
-            assert_eq!(prop_run.outputs, golden_proposed(&g, n, &input, &weights, a), "{case}");
-            assert_eq!(tile_compute(&prop_run), serial_tiles, "{case}");
-
-            let fix_run = run(AccelArithmetic::Fixed, None);
-            assert_eq!(fix_run.outputs, golden_fixed(&g, n, &input, &weights, a), "{case}");
-            let depth = golden_tile_cycles(&g, tiling, &weights, |_| 1);
-            assert_eq!(tile_compute(&fix_run), depth, "{case}");
-
-            // Bit-parallel is bit-exact with serial: each lane equals a
-            // per-lane bit-parallel MAC, in ⌈|w|/b⌉ cycles per term.
-            let par_run = run(AccelArithmetic::ProposedParallel(b), None);
-            let mac = BitParallelScMac::new(n, b).unwrap();
-            let par_gold = golden_with(&g, n, &input, &weights, a, |w, x| {
-                mac.multiply_signed(w, x).unwrap().value
-            });
-            assert_eq!(par_run.outputs, par_gold, "{case} b={b}");
-            assert_eq!(par_run.outputs, prop_run.outputs, "{case} b={b}");
-            let par_tiles = golden_tile_cycles(&g, tiling, &weights, |w| {
-                (w.unsigned_abs() as u64).div_ceil(b as u64)
-            });
-            assert_eq!(tile_compute(&par_run), par_tiles, "{case} b={b}");
-
-            // Every EDT tier: per-lane early-termination MACs, |w|≫(N−s)
-            // cycles per term, and the savings against the serial
-            // schedule, whatever the configured arithmetic.
-            for s in 1..=n.bits() {
-                let edt = EarlyTerminationScMac::new(n, s).unwrap();
-                let edt_gold = golden_with(&g, n, &input, &weights, a, |w, x| {
-                    edt.multiply(w, x).unwrap().value
-                });
-                let edt_tiles = golden_tile_cycles(&g, tiling, &weights, |w| {
-                    (w.unsigned_abs() >> (n.bits() - s)) as u64
-                });
-                for arithmetic in [
-                    AccelArithmetic::ProposedSerial,
-                    AccelArithmetic::ProposedParallel(b),
-                    AccelArithmetic::Fixed,
-                ] {
-                    let edt_run = run(arithmetic, Some(s));
-                    assert_eq!(edt_run.outputs, edt_gold, "{case} s={s} {arithmetic:?}");
-                    assert_eq!(tile_compute(&edt_run), edt_tiles, "{case} s={s}");
-                    let saved: Vec<u64> = edt_run.tiles.iter().map(|tp| tp.edt_saved).collect();
-                    let expect: Vec<u64> =
-                        serial_tiles.iter().zip(&edt_tiles).map(|(f, e)| f - e).collect();
-                    assert_eq!(saved, expect, "{case} s={s}");
-                }
-            }
-        }
+/// Zero-length terms between saturating ones. A quarter of the weights
+/// are 0 and most others have `|w| < 16`, so at N = 7 they stream
+/// nothing at tiers `s ≤ 3`, and those below `2^(N−s)` nothing at the
+/// tiers above; an eighth are full scale, so A ∈ {0, 1} lanes hit their
+/// bounds in between. Terms of one cycle (`8 ≤ |w| < 16` at `s = 4`,
+/// `|w| = 1` in full) sit among them.
+#[test]
+fn engine_matches_golden_between_zero_length_terms() {
+    let mut rng = SmallRng::seed_from_u64(0xacce103);
+    let n = Precision::new(7).unwrap();
+    let h = n.half_scale() as i32;
+    for _ in 0..16 {
+        let g = random_geometry(&mut rng);
+        let input: Vec<i32> =
+            (0..g.z * g.in_h * g.in_w).map(|_| rng.gen_range_i32(-h..h)).collect();
+        let weights: Vec<i32> = (0..g.m * g.depth())
+            .map(|_| match rng.gen_range_usize(0..8) {
+                0 | 1 => 0,
+                2 => [-h, h - 1][rng.gen_range_usize(0..2)],
+                _ => rng.gen_range_i32(-15..16),
+            })
+            .collect();
+        let (tiling, b) = random_tiling(&mut rng);
+        check_against_goldens(n, (&g, tiling, b), &input, &weights, &[0, 1]);
     }
 }
 

@@ -162,6 +162,10 @@ impl Counters {
     /// Adds `scale·P_k(u) + offset` to each lane's counter: one row of
     /// the precision's [`seq::PrefixTable`] serves every lane, or above
     /// [`seq::PREFIX_TABLE_MAX_BITS`] one [`RangeCounts`] scan does.
+    ///
+    /// An empty prefix (`k = 0`) touches no lane: `P_0(u) = 0`, every
+    /// caller's offset is then 0, and in-range lanes neither clamp nor
+    /// flag saturation.
     // Inlined so the table read, the add and the clamp form one loop.
     #[inline(always)]
     fn add_prefix(
@@ -172,6 +176,10 @@ impl Counters {
         scale: i64,
         offset: i64,
     ) {
+        if k == 0 {
+            debug_assert_eq!(offset, 0, "an empty prefix adds nothing");
+            return;
+        }
         match seq::prefix_table(n) {
             Some(table) => {
                 let row = table.row(k);
@@ -980,6 +988,71 @@ mod tests {
             serial.accumulate(1, &[0, 200, 300]),
             Err(Error::CodeOutOfRange { code: 200, precision: 8 })
         );
+    }
+
+    #[test]
+    fn zero_length_terms_touch_no_lane() {
+        // A zero-length term (w = 0 on every MVM, or at EDT tier s a
+        // weight with 0 < |w| < 2^(N−s)) bills 0 cycles and moves no
+        // lane, saturation flag or cycle count: on fresh lanes, then on
+        // A = 0 lanes driven to both bounds. With one bad lane code each
+        // is still refused, naming it. Both sides of the prefix table.
+        for bits in [6u32, seq::PREFIX_TABLE_MAX_BITS + 1] {
+            let n = p(bits);
+            let h = n.half_scale() as i32;
+            let (lo, hi) = (-h as i64, h as i64 - 1);
+            let (xs, bad) = ([h - 1, -h, 0], [h - 1, h, 0]);
+            let refused = Err(Error::CodeOutOfRange { code: h as i64, precision: bits });
+            let (top, utop) = (h - 1, 2 * h as u32 - 1);
+            let (uxs, ubad) = ([utop, 0], [utop, utop + 1]);
+            let urefused = Err(Error::CodeOutOfRange { code: utop as i64 + 1, precision: bits });
+            let edt: Vec<(i32, u32)> =
+                (1..bits).flat_map(|s| [(1, s), (1 - (1 << (bits - s)), s)]).collect();
+            let block = LaneCodes::new(n, 3, &xs).unwrap();
+            let row = block.rows().next().unwrap();
+            let mut serial = BiscMvm::new(n, 3, 0);
+            let mut par = BitParallelMvm::new(n, 3, 0, 4).unwrap();
+            let mut unsigned = UnsignedBiscMvm::new(n, 2, 0);
+            for driven in [false, true] {
+                let case = format!("N={bits} driven={driven}");
+                if driven {
+                    for _ in 0..3 {
+                        serial.accumulate(top, &xs).unwrap();
+                        par.accumulate(top, &xs).unwrap();
+                        unsigned.accumulate(utop, &uxs).unwrap();
+                    }
+                    assert_eq!(serial.read()[..2], [hi, lo], "{case}");
+                    assert_eq!(par.read()[..2], [hi, lo], "{case}");
+                    assert_eq!(unsigned.read(), [utop as i64, 0], "{case}");
+                }
+                let state = |s: &BiscMvm, p: &BitParallelMvm, u: &UnsignedBiscMvm| {
+                    let lanes =
+                        [(s.read(), s.cycles()), (p.read(), p.cycles()), (u.read(), u.cycles())];
+                    (lanes, s.any_saturated())
+                };
+                let before = state(&serial, &par, &unsigned);
+                assert_eq!(before.1, driven, "{case}");
+
+                assert_eq!(serial.accumulate(0, &xs), Ok(0), "{case}");
+                assert_eq!(serial.accumulate_row(0, row), Ok(0), "{case}");
+                assert_eq!(par.accumulate(0, &xs), Ok(0), "{case}");
+                assert_eq!(par.accumulate_row(0, row), Ok(0), "{case}");
+                assert_eq!(unsigned.accumulate(0, &uxs), Ok(0), "{case}");
+                for &(w, s) in &edt {
+                    assert_eq!(serial.accumulate_truncated(w, &xs, s), Ok(0), "{case} w={w} s={s}");
+                    assert_eq!(serial.accumulate_truncated_row(w, row, s), Ok(0), "{case} s={s}");
+                }
+                assert_eq!(state(&serial, &par, &unsigned), before, "{case}");
+
+                assert_eq!(serial.accumulate(0, &bad), refused, "{case}");
+                assert_eq!(par.accumulate(0, &bad), refused, "{case}");
+                assert_eq!(unsigned.accumulate(0, &ubad), urefused, "{case}");
+                for &(w, s) in &edt {
+                    assert_eq!(serial.accumulate_truncated(w, &bad, s), refused, "{case} s={s}");
+                }
+                assert_eq!(state(&serial, &par, &unsigned), before, "{case}");
+            }
+        }
     }
 
     #[test]

@@ -92,14 +92,18 @@ impl BiscMvmRtl {
     /// # Errors
     ///
     /// Returns [`Error::LengthMismatch`] if `xs.len() != p`;
-    /// [`Error::CodeOutOfRange`] if any code is out of range.
+    /// [`Error::CodeOutOfRange`] if any code is out of range (the weight
+    /// first, then the first bad lane). A rejected load writes no
+    /// register, so the term in flight runs on as if it never came.
     pub fn load(&mut self, w: i32, xs: &[i32]) -> Result<(), Error> {
         if xs.len() != self.x_regs.len() {
             return Err(Error::LengthMismatch { expected: self.x_regs.len(), actual: xs.len() });
         }
         let wc = self.n.check_signed(w as i64)?;
+        xs.iter().try_for_each(|&x| self.n.check_signed(x as i64).map(drop))?;
+        let bias = self.n.half_scale() as i64;
         for (reg, &x) in self.x_regs.iter_mut().zip(xs) {
-            *reg = self.n.check_signed(x as i64)?.to_offset_binary();
+            *reg = (x as i64 + bias) as u32;
         }
         self.w_sign = wc.code() < 0;
         self.down = wc.code().unsigned_abs() as u64;
@@ -328,6 +332,29 @@ mod tests {
         let n = Precision::new(5).unwrap();
         let mut mvm = BiscMvmRtl::new(n, 3, 2);
         assert!(mvm.load(1, &[1, 2]).is_err());
+    }
+
+    #[test]
+    fn rejected_load_leaves_the_term_in_flight_untouched() {
+        // Two MVMs stream the same term for 10 of its 100 cycles. One then
+        // gets a load whose lane 0 code is valid and lane 1 code is not:
+        // the load is refused whole, so both finish the first term alike.
+        let n = Precision::new(8).unwrap();
+        let mut hit = BiscMvmRtl::new(n, 2, 2);
+        let mut clean = BiscMvmRtl::new(n, 2, 2);
+        for mvm in [&mut hit, &mut clean] {
+            mvm.load(100, &[60, -70]).unwrap();
+            for _ in 0..10 {
+                mvm.clock();
+            }
+        }
+        assert_eq!(
+            hit.load(-5, &[-128, 999]),
+            Err(Error::CodeOutOfRange { code: 999, precision: 8 })
+        );
+        assert_eq!(hit.run_to_done(), clean.run_to_done());
+        assert_eq!((hit.read(), hit.total_cycles()), (clean.read(), clean.total_cycles()));
+        assert_eq!(clean.read(), vec![48, -54]);
     }
 
     #[test]

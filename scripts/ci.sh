@@ -68,9 +68,10 @@ SC_THREADS=7 cargo test -q -p sc-neural
 echo "==> lane-kernel tests in release"
 # The MVM lane kernels add, clamp and flag saturation on plain i64s.
 # Release builds wrap on overflow and drop debug_assert!s, so the
-# kernels' tests (sc-core) and the engine built on them (sc-accel) also
-# run as the benchmark builds them.
-cargo test --release -q -p sc-core -p sc-accel
+# kernels' tests (sc-core), the engine built on them (sc-accel) and
+# sc-rtlsim, whose fast path adds on saturating counters under a ±k
+# guard, also run as the benchmark builds them.
+cargo test --release -q -p sc-core -p sc-accel -p sc-rtlsim
 
 echo "==> parser fuzz: long pass in release"
 # cargo test fuzzes every parser of user-edited input for well under a
@@ -132,6 +133,11 @@ OUTCOME_HITS="$(grep -rnE '"(timed-out|breaker-open)"' crates/*/src crates/*/tes
 [ -z "$OUTCOME_HITS" ] \
     || { echo "outcome name spelled outside sc_telemetry::metrics::Outcome:" >&2
          echo "$OUTCOME_HITS" >&2; exit 1; }
+
+echo "==> pair script: unit tests on canned run outputs"
+# scripts/bench_pair.py prints a perf change's pair table; its quartiles,
+# win counts, refusals and digest report are checked without a build.
+python3 scripts/test_bench_pair.py
 
 echo "==> benchmark gate: build, test and smoke-run perfbench"
 # perfbench/ is its own workspace, so the workspace build above never
